@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, release build, full test suite (incl. doc
-# tests), warning-free clippy, the chaos determinism smoke, the
-# crash/resume smoke, the trace determinism smoke, the cross-run diff
-# smoke (self-diff empty, cross-seed divergence deterministic, corpus
-# replay byte-identical), the counterfactual SPOF smoke (seeded sweeps
+# tests), warning-free clippy, the benchmark package's own tests, the
+# chaos determinism smoke, the crash/resume smoke, the trace
+# determinism smoke, the cross-run diff smoke (self-diff empty,
+# cross-seed divergence deterministic, corpus replay byte-identical),
+# the counterfactual SPOF smoke (seeded sweeps
 # byte-identical across runs and worker counts, and matching the
 # checked-in corpus artifact), the smell smoke (trace-cited operational
 # smell verdicts byte-stable across runs and worker counts, every
@@ -28,6 +29,11 @@ cargo test -q --doc
 
 echo "== clippy =="
 cargo clippy --all-targets -- -D warnings
+
+echo "== bench harness: the benchmark package still builds and passes =="
+# govdns-perf is a workspace of its own that drives the public API; its
+# tests catch an API change that would break the benchmark.
+cargo test --offline -q --release --manifest-path govdns-perf/Cargo.toml
 
 echo "== chaos smoke: identical seeds => identical output =="
 chaos_a="$(mktemp)"

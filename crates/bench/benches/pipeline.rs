@@ -1,12 +1,13 @@
 //! Pipeline-stage benches: world generation, seed selection, discovery,
-//! per-domain probing, and the end-to-end campaign.
+//! and per-domain probing. The end-to-end campaign lives in the
+//! `campaign` bench.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use govdns_bench::fixture;
 use govdns_core::discovery::{self, DiscoveryConfig};
-use govdns_core::{run_campaign, seed, ProbeClient, RateLimiter, RunnerConfig};
+use govdns_core::{seed, ProbeClient, RateLimiter};
 use govdns_world::{WorldConfig, WorldGenerator};
 
 fn pipeline(c: &mut Criterion) {
@@ -53,16 +54,6 @@ fn pipeline(c: &mut Criterion) {
         })
     });
     group.finish();
-
-    c.bench_function("full_campaign_1pct_world", |b| {
-        let world = WorldGenerator::new(WorldConfig::small(77).with_scale(0.01)).generate();
-        let matchers = world.catalog.matchers();
-        b.iter(|| {
-            let campaign = govdns_core::Campaign::new(&world, &matchers);
-            let ds = run_campaign(&campaign, RunnerConfig { workers: 4, ..Default::default() });
-            black_box(ds.probes.len())
-        })
-    });
 }
 
 criterion_group! {

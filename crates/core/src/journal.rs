@@ -26,12 +26,12 @@
 //! in order). A record that passes its checksum but fails to decode is
 //! a version mismatch and panics.
 
-use std::fmt::Write as _;
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
+use govdns_model::json::{self, Json};
 use govdns_model::{DomainName, RecordData, RecordType, ResourceRecord, Soa};
 use govdns_simnet::{CacheEntry, FaultStats, TrafficStats};
 
@@ -198,12 +198,11 @@ impl JournalWriter {
     /// (a checkpoint, an explicit [`flush`](JournalWriter::flush), drop,
     /// or the buffer passing the flush threshold).
     pub fn probe(&mut self, index: u64, probe: &DomainProbe) {
-        let mut obj = vec![
-            ("kind".to_string(), Value::str("probe")),
-            ("index".to_string(), Value::Num(index)),
-            ("probe".to_string(), probe_to_value(probe)),
-        ];
-        self.write_record(&Value::Obj(std::mem::take(&mut obj)));
+        self.write_record(&Json::obj(vec![
+            ("kind", Json::from("probe")),
+            ("index", num(index)),
+            ("probe", probe_to_value(probe)),
+        ]));
         if self.buf.len() >= self.flush_threshold {
             self.flush();
         }
@@ -219,9 +218,9 @@ impl JournalWriter {
     /// Marks a resume boundary: a fresh process picked the campaign up
     /// with `probes_done` observations already replayed. Flushes.
     pub fn resumed(&mut self, probes_done: u64) {
-        self.write_record(&Value::Obj(vec![
-            ("kind".to_string(), Value::str("resumed")),
-            ("probes_done".to_string(), Value::Num(probes_done)),
+        self.write_record(&Json::obj(vec![
+            ("kind", Json::from("resumed")),
+            ("probes_done", num(probes_done)),
         ]));
         self.flush();
     }
@@ -229,9 +228,9 @@ impl JournalWriter {
     /// Marks a clean end of campaign after `probes` observations.
     /// Flushes.
     pub fn complete(&mut self, probes: u64) {
-        self.write_record(&Value::Obj(vec![
-            ("kind".to_string(), Value::str("complete")),
-            ("probes".to_string(), Value::Num(probes)),
+        self.write_record(&Json::obj(vec![
+            ("kind", Json::from("complete")),
+            ("probes", num(probes)),
         ]));
         self.flush();
     }
@@ -258,7 +257,7 @@ impl JournalWriter {
         self.buf.clear();
     }
 
-    fn write_record(&mut self, value: &Value) {
+    fn write_record(&mut self, value: &Json) {
         let mut payload = String::new();
         value.encode(&mut payload);
         let _ = write!(
@@ -316,70 +315,64 @@ impl JournalReplay {
     pub fn load(path: &Path) -> Self {
         let bytes = std::fs::read(path)
             .unwrap_or_else(|e| panic!("journal: cannot read {}: {e}", path.display()));
+        Self::decode(&bytes).unwrap_or_else(|e| panic!("journal: {}: {e}", path.display()))
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Self, String> {
         let mut offset = 0usize;
-        let mut records: Vec<Value> = Vec::new();
-        while offset < bytes.len() {
-            match read_frame(&bytes, offset) {
-                Some((payload, next)) => {
-                    let value = parse_json(payload).unwrap_or_else(|e| {
-                        panic!("journal: {} record {}: {e}", path.display(), records.len())
-                    });
-                    records.push(value);
-                    offset = next;
-                }
-                // Torn tail: drop the remainder.
-                None => break,
-            }
+        let mut records: Vec<Json> = Vec::new();
+        // A frame that fails its length or checksum test is the torn
+        // tail: drop it and everything after it.
+        while let Some((payload, next)) = read_frame(bytes, offset) {
+            records
+                .push(json::parse(payload).map_err(|e| format!("record {}: {e}", records.len()))?);
+            offset = next;
         }
         let dropped_bytes = (bytes.len() - offset) as u64;
-        let first = records
-            .first()
-            .unwrap_or_else(|| panic!("journal: {} has no intact records", path.display()));
-        assert_eq!(
-            first.get("kind").and_then(Value::as_str),
-            Some("header"),
-            "journal: {} does not begin with a header record",
-            path.display()
-        );
-        let header = header_from_value(first);
-
-        let mut probes: Vec<DomainProbe> = Vec::new();
-        let mut checkpoint: Option<Checkpoint> = None;
-        let mut resumes = 0u64;
-        let mut completed = false;
-        for record in &records[1..] {
-            match record.get("kind").and_then(Value::as_str) {
-                Some("probe") => {
-                    let index = record.get("index").and_then(Value::as_num).expect("probe index");
-                    // Only the contiguous prefix is trustworthy: with a
-                    // single worker this is every record, with many it
-                    // is everything up to the first gap.
-                    if index == probes.len() as u64 {
-                        probes.push(probe_from_value(record.get("probe").expect("probe payload")));
-                    }
-                }
-                Some("checkpoint") => {
-                    let cp = checkpoint_from_value(record);
-                    if cp.probes_done <= probes.len() as u64
-                        && checkpoint.as_ref().is_none_or(|b| cp.probes_done >= b.probes_done)
-                    {
-                        checkpoint = Some(cp);
-                    }
-                }
-                Some("resumed") => resumes += 1,
-                Some("complete") => completed = true,
-                kind => panic!("journal: unknown record kind {kind:?}"),
-            }
+        let first = records.first().ok_or("has no intact records")?;
+        if first.get("kind").and_then(Json::as_str) != Some("header") {
+            return Err("does not begin with a header record".to_owned());
         }
-        JournalReplay {
+        let header = header_from_value(first).map_err(|e| format!("record 0: {e}"))?;
+
+        let mut replay = JournalReplay {
             header,
-            probes,
-            checkpoint,
+            probes: Vec::new(),
+            checkpoint: None,
             records: records.len() as u64,
             dropped_bytes,
-            resumes,
-            completed,
+            resumes: 0,
+            completed: false,
+        };
+        for (i, record) in records.iter().enumerate().skip(1) {
+            replay.apply(record).map_err(|e| format!("record {i}: {e}"))?;
         }
+        Ok(replay)
+    }
+
+    fn apply(&mut self, record: &Json) -> Result<(), String> {
+        match record.need_str("kind")? {
+            "probe" => {
+                // Only the contiguous prefix is trustworthy: with a
+                // single worker this is every record, with many it is
+                // everything up to the first gap.
+                if record.need_u64("index")? == self.probes.len() as u64 {
+                    self.probes.push(probe_from_value(record.need("probe")?)?);
+                }
+            }
+            "checkpoint" => {
+                let cp = checkpoint_from_value(record)?;
+                if cp.probes_done <= self.probes.len() as u64
+                    && self.checkpoint.as_ref().is_none_or(|b| cp.probes_done >= b.probes_done)
+                {
+                    self.checkpoint = Some(cp);
+                }
+            }
+            "resumed" => self.resumes += 1,
+            "complete" => self.completed = true,
+            kind => return Err(format!("unknown record kind {kind:?}")),
+        }
+        Ok(())
     }
 }
 
@@ -414,717 +407,430 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Minimal JSON: the journal's payloads are built and parsed with a
-// private value tree. Every number the pipeline persists is an unsigned
-// integer, so `Num` is u64; object order is insertion order, and the
-// encoders below always build keys in a fixed order, keeping encoding
-// deterministic.
+// Codecs over `govdns_model::json`. Encoders build objects with keys in
+// a fixed order, keeping encoding deterministic. Decoders look keys up
+// by name and return an error naming what is missing or malformed: a
+// checksummed record that fails to decode is a format-version mismatch,
+// not a torn write, and `JournalReplay::load` panics on it.
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(u64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
+fn num(n: impl Into<u64>) -> Json {
+    Json::from(n.into())
 }
 
-impl Value {
-    fn str(s: &str) -> Value {
-        Value::Str(s.to_string())
-    }
-
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn encode(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Value::Str(s) => encode_string(out, s),
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.encode(out);
-                }
-                out.push(']');
-            }
-            Value::Obj(entries) => {
-                out.push('{');
-                for (i, (k, v)) in entries.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    encode_string(out, k);
-                    out.push(':');
-                    v.encode(out);
-                }
-                out.push('}');
-            }
-        }
-    }
+fn need_int<T: TryFrom<u64>>(value: &Json, key: &str) -> Result<T, String> {
+    T::try_from(value.need_u64(key)?).map_err(|_| format!("field `{key}` is out of range"))
 }
 
-fn encode_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Decodes every element of the array field `key`.
+fn list<T>(
+    value: &Json,
+    key: &str,
+    decode: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    value.need_arr(key)?.iter().map(decode).collect()
 }
 
-fn parse_json(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at {pos}"));
-    }
-    Ok(value)
+fn name_to_value(name: &DomainName) -> Json {
+    Json::Str(name.to_string())
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while bytes.get(*pos).is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r')) {
-        *pos += 1;
-    }
+fn name_from_value(value: &Json) -> Result<DomainName, String> {
+    let s = value.as_str().ok_or("name is not a string")?;
+    s.parse().map_err(|e| format!("bad domain name {s:?}: {e:?}"))
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        Some(b'n') => parse_literal(bytes, pos, "null", Value::Null),
-        Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    other => return Err(format!("expected , or ] at {pos}, got {other:?}")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut entries = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Obj(entries));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected : at {pos}"));
-                }
-                *pos += 1;
-                entries.push((key, parse_value(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Obj(entries));
-                    }
-                    other => return Err(format!("expected , or }} at {pos}, got {other:?}")),
-                }
-            }
-        }
-        Some(b) if b.is_ascii_digit() => {
-            let start = *pos;
-            while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-                *pos += 1;
-            }
-            std::str::from_utf8(&bytes[start..*pos])
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at {start}"))
-        }
-        other => Err(format!("unexpected {other:?} at {pos}")),
-    }
+fn addr_to_value(addr: Ipv4Addr) -> Json {
+    Json::Str(addr.to_string())
 }
 
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at {pos}"))
-    }
+fn addr_from_value(value: &Json) -> Result<Ipv4Addr, String> {
+    let s = value.as_str().ok_or("address is not a string")?;
+    s.parse().map_err(|e| format!("bad address {s:?}: {e}"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    let mut chunk_start = *pos;
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                out.push_str(
-                    std::str::from_utf8(&bytes[chunk_start..*pos]).map_err(|e| e.to_string())?,
-                );
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                out.push_str(
-                    std::str::from_utf8(&bytes[chunk_start..*pos]).map_err(|e| e.to_string())?,
-                );
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or_else(|| format!("bad \\u escape at {pos}"))?;
-                        out.push(
-                            char::from_u32(hex).ok_or_else(|| format!("bad codepoint at {pos}"))?,
-                        );
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?} at {pos}")),
-                }
-                *pos += 1;
-                chunk_start = *pos;
-            }
-            Some(_) => *pos += 1,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Codecs. Encoders build objects with keys in a fixed order; decoders
-// look keys up by name and panic on absence — a checksummed record that
-// lacks a field is a format-version mismatch, not a torn write.
-// ---------------------------------------------------------------------
-
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Obj(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn need<'v>(value: &'v Value, key: &str) -> &'v Value {
-    value.get(key).unwrap_or_else(|| panic!("journal: record missing field {key:?}"))
-}
-
-fn need_num(value: &Value, key: &str) -> u64 {
-    need(value, key).as_num().unwrap_or_else(|| panic!("journal: field {key:?} is not a number"))
-}
-
-fn need_bool(value: &Value, key: &str) -> bool {
-    need(value, key).as_bool().unwrap_or_else(|| panic!("journal: field {key:?} is not a bool"))
-}
-
-fn need_str<'v>(value: &'v Value, key: &str) -> &'v str {
-    need(value, key).as_str().unwrap_or_else(|| panic!("journal: field {key:?} is not a string"))
-}
-
-fn need_arr<'v>(value: &'v Value, key: &str) -> &'v [Value] {
-    need(value, key).as_arr().unwrap_or_else(|| panic!("journal: field {key:?} is not an array"))
-}
-
-fn name_to_value(name: &DomainName) -> Value {
-    Value::Str(name.to_string())
-}
-
-fn name_from_value(value: &Value) -> DomainName {
-    let s = value.as_str().expect("journal: name is not a string");
-    s.parse().unwrap_or_else(|e| panic!("journal: bad domain name {s:?}: {e:?}"))
-}
-
-fn addr_to_value(addr: Ipv4Addr) -> Value {
-    Value::Str(addr.to_string())
-}
-
-fn addr_from_value(value: &Value) -> Ipv4Addr {
-    let s = value.as_str().expect("journal: address is not a string");
-    s.parse().unwrap_or_else(|e| panic!("journal: bad address {s:?}: {e}"))
-}
-
-fn addr_counts_to_value(counts: &[(Ipv4Addr, u64)]) -> Value {
-    Value::Arr(
-        counts
-            .iter()
-            .map(|&(addr, n)| Value::Arr(vec![addr_to_value(addr), Value::Num(n)]))
-            .collect(),
+fn addr_counts_to_value(counts: &[(Ipv4Addr, u64)]) -> Json {
+    Json::Arr(
+        counts.iter().map(|&(addr, n)| Json::Arr(vec![addr_to_value(addr), num(n)])).collect(),
     )
 }
 
-fn addr_counts_from_value(value: &Value) -> Vec<(Ipv4Addr, u64)> {
-    value
-        .as_arr()
-        .expect("journal: address counts are not an array")
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_arr().expect("journal: address count is not a pair");
-            (addr_from_value(&pair[0]), pair[1].as_num().expect("journal: count"))
-        })
-        .collect()
+fn addr_count_from_value(pair: &Json) -> Result<(Ipv4Addr, u64), String> {
+    let Some([addr, n]) = pair.as_arr() else {
+        return Err("address count is not a pair".to_owned());
+    };
+    Ok((addr_from_value(addr)?, n.as_u64().ok_or("address count is not a u64")?))
 }
 
-fn header_to_value(header: &JournalHeader) -> Value {
-    obj(vec![
-        ("kind", Value::str("header")),
-        ("names_fingerprint", Value::Num(header.names_fingerprint)),
-        ("domains", Value::Num(header.domains)),
-        ("config_echo", Value::Str(header.config_echo.clone())),
+fn header_to_value(header: &JournalHeader) -> Json {
+    Json::obj(vec![
+        ("kind", Json::from("header")),
+        ("names_fingerprint", num(header.names_fingerprint)),
+        ("domains", num(header.domains)),
+        ("config_echo", Json::from(header.config_echo.as_str())),
     ])
 }
 
-fn header_from_value(value: &Value) -> JournalHeader {
-    JournalHeader {
-        names_fingerprint: need_num(value, "names_fingerprint"),
-        domains: need_num(value, "domains"),
-        config_echo: need_str(value, "config_echo").to_string(),
-    }
+fn header_from_value(value: &Json) -> Result<JournalHeader, String> {
+    Ok(JournalHeader {
+        names_fingerprint: value.need_u64("names_fingerprint")?,
+        domains: value.need_u64("domains")?,
+        config_echo: value.need_str("config_echo")?.to_owned(),
+    })
 }
 
-fn class_to_value(class: &ResponseClass) -> Value {
+fn class_to_value(class: &ResponseClass) -> Json {
     match class {
-        ResponseClass::Authoritative(targets) => obj(vec![
-            ("t", Value::str("auth")),
-            ("targets", Value::Arr(targets.iter().map(name_to_value).collect())),
+        ResponseClass::Authoritative(targets) => Json::obj(vec![
+            ("t", Json::from("auth")),
+            ("targets", Json::Arr(targets.iter().map(name_to_value).collect())),
         ]),
-        ResponseClass::Referral { cut, targets, glue } => obj(vec![
-            ("t", Value::str("referral")),
+        ResponseClass::Referral { cut, targets, glue } => Json::obj(vec![
+            ("t", Json::from("referral")),
             ("cut", name_to_value(cut)),
-            ("targets", Value::Arr(targets.iter().map(name_to_value).collect())),
+            ("targets", Json::Arr(targets.iter().map(name_to_value).collect())),
             (
                 "glue",
-                Value::Arr(
+                Json::Arr(
                     glue.iter()
                         .map(|(host, addr)| {
-                            Value::Arr(vec![name_to_value(host), addr_to_value(*addr)])
+                            Json::Arr(vec![name_to_value(host), addr_to_value(*addr)])
                         })
                         .collect(),
                 ),
             ),
         ]),
         ResponseClass::Empty(rcode) => {
-            obj(vec![("t", Value::str("empty")), ("rcode", Value::Num(u64::from(*rcode)))])
+            Json::obj(vec![("t", Json::from("empty")), ("rcode", num(*rcode))])
         }
         ResponseClass::Rejected(rcode) => {
-            obj(vec![("t", Value::str("rejected")), ("rcode", Value::Num(u64::from(*rcode)))])
+            Json::obj(vec![("t", Json::from("rejected")), ("rcode", num(*rcode))])
         }
-        ResponseClass::Truncated => obj(vec![("t", Value::str("truncated"))]),
-        ResponseClass::Timeout => obj(vec![("t", Value::str("timeout"))]),
-        ResponseClass::Skipped => obj(vec![("t", Value::str("skipped"))]),
+        ResponseClass::Truncated => Json::obj(vec![("t", Json::from("truncated"))]),
+        ResponseClass::Timeout => Json::obj(vec![("t", Json::from("timeout"))]),
+        ResponseClass::Skipped => Json::obj(vec![("t", Json::from("skipped"))]),
     }
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn class_from_value(value: &Value) -> ResponseClass {
-    let names = |key: &str| need_arr(value, key).iter().map(name_from_value).collect();
-    match need_str(value, "t") {
-        "auth" => ResponseClass::Authoritative(names("targets")),
+fn class_from_value(value: &Json) -> Result<ResponseClass, String> {
+    Ok(match value.need_str("t")? {
+        "auth" => ResponseClass::Authoritative(list(value, "targets", name_from_value)?),
         "referral" => ResponseClass::Referral {
-            cut: name_from_value(need(value, "cut")),
-            targets: names("targets"),
-            glue: need_arr(value, "glue")
-                .iter()
-                .map(|pair| {
-                    let pair = pair.as_arr().expect("journal: glue is not a pair");
-                    (name_from_value(&pair[0]), addr_from_value(&pair[1]))
-                })
-                .collect(),
+            cut: name_from_value(value.need("cut")?)?,
+            targets: list(value, "targets", name_from_value)?,
+            glue: list(value, "glue", |pair| {
+                let Some([host, addr]) = pair.as_arr() else {
+                    return Err("glue is not a pair".to_owned());
+                };
+                Ok((name_from_value(host)?, addr_from_value(addr)?))
+            })?,
         },
-        "empty" => ResponseClass::Empty(need_num(value, "rcode") as u8),
-        "rejected" => ResponseClass::Rejected(need_num(value, "rcode") as u8),
+        "empty" => ResponseClass::Empty(need_int(value, "rcode")?),
+        "rejected" => ResponseClass::Rejected(need_int(value, "rcode")?),
         "truncated" => ResponseClass::Truncated,
         "timeout" => ResponseClass::Timeout,
         "skipped" => ResponseClass::Skipped,
-        t => panic!("journal: unknown response class tag {t:?}"),
-    }
+        t => return Err(format!("unknown response class tag {t:?}")),
+    })
 }
 
-fn observation_to_value(o: &ServerObservation) -> Value {
-    obj(vec![
+fn observation_to_value(o: &ServerObservation) -> Json {
+    Json::obj(vec![
         ("addr", addr_to_value(o.addr)),
         ("class", class_to_value(&o.class)),
-        ("attempts", Value::Num(u64::from(o.attempts))),
+        ("attempts", num(o.attempts)),
     ])
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn observation_from_value(value: &Value) -> ServerObservation {
-    ServerObservation {
-        addr: addr_from_value(need(value, "addr")),
-        class: class_from_value(need(value, "class")),
-        attempts: need_num(value, "attempts") as u32,
-    }
+fn observation_from_value(value: &Json) -> Result<ServerObservation, String> {
+    Ok(ServerObservation {
+        addr: addr_from_value(value.need("addr")?)?,
+        class: class_from_value(value.need("class")?)?,
+        attempts: need_int(value, "attempts")?,
+    })
 }
 
-fn server_to_value(s: &ServerProbe) -> Value {
-    obj(vec![
+fn server_to_value(s: &ServerProbe) -> Json {
+    Json::obj(vec![
         ("host", name_to_value(&s.host)),
-        ("in_parent", Value::Bool(s.in_parent)),
-        ("in_child", Value::Bool(s.in_child)),
-        ("addrs", Value::Arr(s.addrs.iter().map(|&a| addr_to_value(a)).collect())),
-        ("observations", Value::Arr(s.observations.iter().map(observation_to_value).collect())),
-        ("recovered_in_round2", Value::Bool(s.recovered_in_round2)),
+        ("in_parent", Json::from(s.in_parent)),
+        ("in_child", Json::from(s.in_child)),
+        ("addrs", Json::Arr(s.addrs.iter().map(|&a| addr_to_value(a)).collect())),
+        ("observations", Json::Arr(s.observations.iter().map(observation_to_value).collect())),
+        ("recovered_in_round2", Json::from(s.recovered_in_round2)),
     ])
 }
 
-fn server_from_value(value: &Value) -> ServerProbe {
-    ServerProbe {
-        host: name_from_value(need(value, "host")),
-        in_parent: need_bool(value, "in_parent"),
-        in_child: need_bool(value, "in_child"),
-        addrs: need_arr(value, "addrs").iter().map(addr_from_value).collect(),
-        observations: need_arr(value, "observations").iter().map(observation_from_value).collect(),
-        recovered_in_round2: need_bool(value, "recovered_in_round2"),
-    }
+fn server_from_value(value: &Json) -> Result<ServerProbe, String> {
+    Ok(ServerProbe {
+        host: name_from_value(value.need("host")?)?,
+        in_parent: value.need_bool("in_parent")?,
+        in_child: value.need_bool("in_child")?,
+        addrs: list(value, "addrs", addr_from_value)?,
+        observations: list(value, "observations", observation_from_value)?,
+        recovered_in_round2: value.need_bool("recovered_in_round2")?,
+    })
 }
 
 /// Full-fidelity SOA codec: all seven fields round-trip (the dataset's
 /// `canonical_json` prints only three, which is not enough to rebuild
 /// the in-memory record).
-fn soa_to_value(soa: &Soa) -> Value {
-    obj(vec![
+fn soa_to_value(soa: &Soa) -> Json {
+    Json::obj(vec![
         ("mname", name_to_value(&soa.mname)),
         ("rname", name_to_value(&soa.rname)),
-        ("serial", Value::Num(u64::from(soa.serial))),
-        ("refresh", Value::Num(u64::from(soa.refresh))),
-        ("retry", Value::Num(u64::from(soa.retry))),
-        ("expire", Value::Num(u64::from(soa.expire))),
-        ("minimum", Value::Num(u64::from(soa.minimum))),
+        ("serial", num(soa.serial)),
+        ("refresh", num(soa.refresh)),
+        ("retry", num(soa.retry)),
+        ("expire", num(soa.expire)),
+        ("minimum", num(soa.minimum)),
     ])
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn soa_from_value(value: &Value) -> Soa {
-    Soa {
-        mname: name_from_value(need(value, "mname")),
-        rname: name_from_value(need(value, "rname")),
-        serial: need_num(value, "serial") as u32,
-        refresh: need_num(value, "refresh") as u32,
-        retry: need_num(value, "retry") as u32,
-        expire: need_num(value, "expire") as u32,
-        minimum: need_num(value, "minimum") as u32,
-    }
+fn soa_from_value(value: &Json) -> Result<Soa, String> {
+    Ok(Soa {
+        mname: name_from_value(value.need("mname")?)?,
+        rname: name_from_value(value.need("rname")?)?,
+        serial: need_int(value, "serial")?,
+        refresh: need_int(value, "refresh")?,
+        retry: need_int(value, "retry")?,
+        expire: need_int(value, "expire")?,
+        minimum: need_int(value, "minimum")?,
+    })
 }
 
-fn probe_to_value(p: &DomainProbe) -> Value {
-    obj(vec![
+fn probe_to_value(p: &DomainProbe) -> Json {
+    Json::obj(vec![
         ("domain", name_to_value(&p.domain)),
-        ("parent_zone", p.parent_zone.as_ref().map_or(Value::Null, name_to_value)),
-        ("parent_addrs", Value::Arr(p.parent_addrs.iter().map(|&a| addr_to_value(a)).collect())),
+        ("parent_zone", p.parent_zone.as_ref().map_or(Json::Null, name_to_value)),
+        ("parent_addrs", Json::Arr(p.parent_addrs.iter().map(|&a| addr_to_value(a)).collect())),
         (
             "parent_observations",
-            Value::Arr(p.parent_observations.iter().map(observation_to_value).collect()),
+            Json::Arr(p.parent_observations.iter().map(observation_to_value).collect()),
         ),
-        ("parent_ns", Value::Arr(p.parent_ns.iter().map(name_to_value).collect())),
-        ("child_ns", Value::Arr(p.child_ns.iter().map(name_to_value).collect())),
-        ("servers", Value::Arr(p.servers.iter().map(server_to_value).collect())),
-        ("soa", p.soa.as_ref().map_or(Value::Null, soa_to_value)),
-        ("queries", Value::Num(u64::from(p.queries))),
-        ("elapsed_ms", Value::Num(u64::from(p.elapsed_ms))),
-        ("rounds", Value::Num(u64::from(p.rounds))),
+        ("parent_ns", Json::Arr(p.parent_ns.iter().map(name_to_value).collect())),
+        ("child_ns", Json::Arr(p.child_ns.iter().map(name_to_value).collect())),
+        ("servers", Json::Arr(p.servers.iter().map(server_to_value).collect())),
+        ("soa", p.soa.as_ref().map_or(Json::Null, soa_to_value)),
+        ("queries", num(p.queries)),
+        ("elapsed_ms", num(p.elapsed_ms)),
+        ("rounds", num(p.rounds)),
     ])
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn probe_from_value(value: &Value) -> DomainProbe {
-    let opt = |key: &str| match need(value, key) {
-        Value::Null => None,
-        v => Some(v),
+fn probe_from_value(value: &Json) -> Result<DomainProbe, String> {
+    let opt = |key: &str| -> Result<Option<&Json>, String> {
+        Ok(Some(value.need(key)?).filter(|v| !matches!(v, Json::Null)))
     };
-    DomainProbe {
-        domain: name_from_value(need(value, "domain")),
-        parent_zone: opt("parent_zone").map(name_from_value),
-        parent_addrs: need_arr(value, "parent_addrs").iter().map(addr_from_value).collect(),
-        parent_observations: need_arr(value, "parent_observations")
-            .iter()
-            .map(observation_from_value)
-            .collect(),
-        parent_ns: need_arr(value, "parent_ns").iter().map(name_from_value).collect(),
-        child_ns: need_arr(value, "child_ns").iter().map(name_from_value).collect(),
-        servers: need_arr(value, "servers").iter().map(server_from_value).collect(),
-        soa: opt("soa").map(soa_from_value),
-        queries: need_num(value, "queries") as u32,
-        elapsed_ms: need_num(value, "elapsed_ms") as u32,
-        rounds: need_num(value, "rounds") as u8,
-    }
+    Ok(DomainProbe {
+        domain: name_from_value(value.need("domain")?)?,
+        parent_zone: opt("parent_zone")?.map(name_from_value).transpose()?,
+        parent_addrs: list(value, "parent_addrs", addr_from_value)?,
+        parent_observations: list(value, "parent_observations", observation_from_value)?,
+        parent_ns: list(value, "parent_ns", name_from_value)?,
+        child_ns: list(value, "child_ns", name_from_value)?,
+        servers: list(value, "servers", server_from_value)?,
+        soa: opt("soa")?.map(soa_from_value).transpose()?,
+        queries: need_int(value, "queries")?,
+        elapsed_ms: need_int(value, "elapsed_ms")?,
+        rounds: need_int(value, "rounds")?,
+    })
 }
 
-fn record_data_to_value(data: &RecordData) -> Value {
-    match data {
-        RecordData::A(a) => obj(vec![("t", Value::str("a")), ("v", Value::Str(a.to_string()))]),
-        RecordData::Ns(n) => obj(vec![("t", Value::str("ns")), ("v", name_to_value(n))]),
-        RecordData::Cname(n) => obj(vec![("t", Value::str("cname")), ("v", name_to_value(n))]),
-        RecordData::Soa(s) => obj(vec![("t", Value::str("soa")), ("v", soa_to_value(s))]),
-        RecordData::Ptr(n) => obj(vec![("t", Value::str("ptr")), ("v", name_to_value(n))]),
-        RecordData::Txt(t) => obj(vec![("t", Value::str("txt")), ("v", Value::Str(t.clone()))]),
-        RecordData::Aaaa(a) => {
-            obj(vec![("t", Value::str("aaaa")), ("v", Value::Str(a.to_string()))])
-        }
-    }
+fn record_data_to_value(data: &RecordData) -> Json {
+    let (tag, v) = match data {
+        RecordData::A(a) => ("a", Json::Str(a.to_string())),
+        RecordData::Ns(n) => ("ns", name_to_value(n)),
+        RecordData::Cname(n) => ("cname", name_to_value(n)),
+        RecordData::Soa(s) => ("soa", soa_to_value(s)),
+        RecordData::Ptr(n) => ("ptr", name_to_value(n)),
+        RecordData::Txt(t) => ("txt", Json::from(t.as_str())),
+        RecordData::Aaaa(a) => ("aaaa", Json::Str(a.to_string())),
+    };
+    Json::obj(vec![("t", Json::from(tag)), ("v", v)])
 }
 
-fn record_data_from_value(value: &Value) -> RecordData {
-    let v = need(value, "v");
-    match need_str(value, "t") {
-        "a" => RecordData::A(addr_from_value(v)),
-        "ns" => RecordData::Ns(name_from_value(v)),
-        "cname" => RecordData::Cname(name_from_value(v)),
-        "soa" => RecordData::Soa(soa_from_value(v)),
-        "ptr" => RecordData::Ptr(name_from_value(v)),
-        "txt" => RecordData::Txt(v.as_str().expect("journal: txt payload").to_string()),
+fn record_data_from_value(value: &Json) -> Result<RecordData, String> {
+    let v = value.need("v")?;
+    Ok(match value.need_str("t")? {
+        "a" => RecordData::A(addr_from_value(v)?),
+        "ns" => RecordData::Ns(name_from_value(v)?),
+        "cname" => RecordData::Cname(name_from_value(v)?),
+        "soa" => RecordData::Soa(soa_from_value(v)?),
+        "ptr" => RecordData::Ptr(name_from_value(v)?),
+        "txt" => RecordData::Txt(value.need_str("v")?.to_owned()),
         "aaaa" => RecordData::Aaaa(
-            v.as_str().and_then(|s| s.parse().ok()).expect("journal: bad AAAA payload"),
+            value.need_str("v")?.parse().map_err(|e| format!("bad AAAA payload: {e}"))?,
         ),
-        t => panic!("journal: unknown record data tag {t:?}"),
-    }
+        t => return Err(format!("unknown record data tag {t:?}")),
+    })
 }
 
-fn resource_record_to_value(rr: &ResourceRecord) -> Value {
-    obj(vec![
+fn resource_record_to_value(rr: &ResourceRecord) -> Json {
+    Json::obj(vec![
         ("name", name_to_value(&rr.name)),
-        ("ttl", Value::Num(u64::from(rr.ttl))),
+        ("ttl", num(rr.ttl)),
         ("data", record_data_to_value(&rr.data)),
     ])
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn resource_record_from_value(value: &Value) -> ResourceRecord {
-    ResourceRecord {
-        name: name_from_value(need(value, "name")),
-        ttl: need_num(value, "ttl") as u32,
-        data: record_data_from_value(need(value, "data")),
-    }
+fn resource_record_from_value(value: &Json) -> Result<ResourceRecord, String> {
+    Ok(ResourceRecord {
+        name: name_from_value(value.need("name")?)?,
+        ttl: need_int(value, "ttl")?,
+        data: record_data_from_value(value.need("data")?)?,
+    })
 }
 
-fn limiter_to_value(state: &LimiterState) -> Value {
-    obj(vec![
-        ("issued", Value::Num(state.issued)),
-        ("per_round", Value::Arr(state.per_round.iter().map(|&n| Value::Num(n)).collect())),
+fn limiter_to_value(state: &LimiterState) -> Json {
+    Json::obj(vec![
+        ("issued", num(state.issued)),
+        ("per_round", Json::Arr(state.per_round.iter().map(|&n| num(n)).collect())),
         ("per_destination", addr_counts_to_value(&state.per_destination)),
         ("per_destination_retries", addr_counts_to_value(&state.per_destination_retries)),
     ])
 }
 
-fn limiter_from_value(value: &Value) -> LimiterState {
-    let rounds = need_arr(value, "per_round");
-    assert_eq!(rounds.len(), 5, "journal: per_round must have 5 slots");
-    let mut per_round = [0u64; 5];
-    for (slot, v) in per_round.iter_mut().zip(rounds) {
-        *slot = v.as_num().expect("journal: per_round entry");
-    }
-    LimiterState {
-        issued: need_num(value, "issued"),
-        per_round,
-        per_destination: addr_counts_from_value(need(value, "per_destination")),
-        per_destination_retries: addr_counts_from_value(need(value, "per_destination_retries")),
-    }
+fn limiter_from_value(value: &Json) -> Result<LimiterState, String> {
+    let per_round =
+        list(value, "per_round", |v| v.as_u64().ok_or_else(|| "per_round entry".to_owned()))?;
+    Ok(LimiterState {
+        issued: value.need_u64("issued")?,
+        per_round: per_round.try_into().map_err(|_| "per_round must have 5 slots")?,
+        per_destination: list(value, "per_destination", addr_count_from_value)?,
+        per_destination_retries: list(value, "per_destination_retries", addr_count_from_value)?,
+    })
 }
 
-fn breaker_to_value(s: &BreakerSnapshot) -> Value {
-    obj(vec![
+fn breaker_to_value(s: &BreakerSnapshot) -> Json {
+    Json::obj(vec![
         ("addr", addr_to_value(s.addr)),
-        ("phase", Value::str(s.phase.as_str())),
-        ("consecutive_failures", Value::Num(u64::from(s.consecutive_failures))),
-        ("opened_rank", Value::Num(u64::from(s.opened_rank))),
-        ("trips", Value::Num(s.trips)),
-        ("denied", Value::Num(s.denied)),
+        ("phase", Json::from(s.phase.as_str())),
+        ("consecutive_failures", num(s.consecutive_failures)),
+        ("opened_rank", num(s.opened_rank)),
+        ("trips", num(s.trips)),
+        ("denied", num(s.denied)),
     ])
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn breaker_from_value(value: &Value) -> BreakerSnapshot {
-    let phase = need_str(value, "phase");
-    BreakerSnapshot {
-        addr: addr_from_value(need(value, "addr")),
+fn breaker_from_value(value: &Json) -> Result<BreakerSnapshot, String> {
+    let phase = value.need_str("phase")?;
+    Ok(BreakerSnapshot {
+        addr: addr_from_value(value.need("addr")?)?,
         phase: BreakerPhase::parse(phase)
-            .unwrap_or_else(|| panic!("journal: unknown breaker phase {phase:?}")),
-        consecutive_failures: need_num(value, "consecutive_failures") as u32,
-        opened_rank: need_num(value, "opened_rank") as u32,
-        trips: need_num(value, "trips"),
-        denied: need_num(value, "denied"),
-    }
+            .ok_or_else(|| format!("unknown breaker phase {phase:?}"))?,
+        consecutive_failures: need_int(value, "consecutive_failures")?,
+        opened_rank: need_int(value, "opened_rank")?,
+        trips: value.need_u64("trips")?,
+        denied: value.need_u64("denied")?,
+    })
 }
 
-fn checkpoint_to_value(cp: &Checkpoint) -> Value {
-    obj(vec![
-        ("kind", Value::str("checkpoint")),
-        ("probes_done", Value::Num(cp.probes_done)),
+fn checkpoint_to_value(cp: &Checkpoint) -> Json {
+    Json::obj(vec![
+        ("kind", Json::from("checkpoint")),
+        ("probes_done", num(cp.probes_done)),
         ("limiter", limiter_to_value(&cp.limiter)),
         (
             "traffic",
-            obj(vec![
-                ("queries_sent", Value::Num(cp.traffic.queries_sent)),
-                ("responses_received", Value::Num(cp.traffic.responses_received)),
-                ("timeouts", Value::Num(cp.traffic.timeouts)),
-                ("bytes_sent", Value::Num(cp.traffic.bytes_sent)),
-                ("bytes_received", Value::Num(cp.traffic.bytes_received)),
-                ("total_wait_ms", Value::Num(cp.traffic.total_wait_ms)),
+            Json::obj(vec![
+                ("queries_sent", num(cp.traffic.queries_sent)),
+                ("responses_received", num(cp.traffic.responses_received)),
+                ("timeouts", num(cp.traffic.timeouts)),
+                ("bytes_sent", num(cp.traffic.bytes_sent)),
+                ("bytes_received", num(cp.traffic.bytes_received)),
+                ("total_wait_ms", num(cp.traffic.total_wait_ms)),
             ]),
         ),
         (
             "faults",
-            obj(vec![
-                ("flap_timeouts", Value::Num(cp.faults.flap_timeouts)),
-                ("losses", Value::Num(cp.faults.losses)),
-                ("refused", Value::Num(cp.faults.refused)),
-                ("truncated", Value::Num(cp.faults.truncated)),
-                ("delayed", Value::Num(cp.faults.delayed)),
-                ("outages", Value::Num(cp.faults.outages)),
+            Json::obj(vec![
+                ("flap_timeouts", num(cp.faults.flap_timeouts)),
+                ("losses", num(cp.faults.losses)),
+                ("refused", num(cp.faults.refused)),
+                ("truncated", num(cp.faults.truncated)),
+                ("delayed", num(cp.faults.delayed)),
+                ("outages", num(cp.faults.outages)),
             ]),
         ),
         ("net_per_destination", addr_counts_to_value(&cp.net_per_destination)),
         (
             "cache",
-            Value::Arr(
+            Json::Arr(
                 cp.cache
                     .iter()
                     .map(|((name, rtype), entry)| {
-                        Value::Arr(vec![
+                        Json::Arr(vec![
                             name_to_value(name),
-                            Value::Num(u64::from(rtype.code())),
-                            Value::Arr(
-                                entry.records.iter().map(resource_record_to_value).collect(),
-                            ),
-                            Value::Num(entry.expires_at_s),
+                            num(rtype.code()),
+                            Json::Arr(entry.records.iter().map(resource_record_to_value).collect()),
+                            num(entry.expires_at_s),
                         ])
                     })
                     .collect(),
             ),
         ),
-        ("clock_s", Value::Num(cp.clock_s)),
-        ("breakers", Value::Arr(cp.breakers.iter().map(breaker_to_value).collect())),
+        ("clock_s", num(cp.clock_s)),
+        ("breakers", Json::Arr(cp.breakers.iter().map(breaker_to_value).collect())),
     ])
 }
 
-#[allow(clippy::cast_possible_truncation)]
-fn checkpoint_from_value(value: &Value) -> Checkpoint {
-    let traffic = need(value, "traffic");
-    let faults = need(value, "faults");
-    Checkpoint {
-        probes_done: need_num(value, "probes_done"),
-        limiter: limiter_from_value(need(value, "limiter")),
+fn cache_entry_from_value(value: &Json) -> Result<((DomainName, RecordType), CacheEntry), String> {
+    // Current journals append the expiry as a fourth element; pre-expiry
+    // journals wrote triples, whose entries were captured at virtual time
+    // zero — their expiry is recomputed from the records' smallest TTL
+    // (the formula the resolver applied at insert time).
+    let (name, code, records, expiry) = match value.as_arr() {
+        Some([name, code, records]) => (name, code, records, None),
+        Some([name, code, records, expiry]) => (name, code, records, Some(expiry)),
+        _ => return Err("cache entry is not a 3- or 4-tuple".to_owned()),
+    };
+    let code = code.as_u64().and_then(|c| u16::try_from(c).ok()).ok_or("cache record type")?;
+    let rtype =
+        RecordType::from_code(code).ok_or_else(|| format!("unknown record type code {code}"))?;
+    let records: Vec<ResourceRecord> = records
+        .as_arr()
+        .ok_or("cache records are not an array")?
+        .iter()
+        .map(resource_record_from_value)
+        .collect::<Result<_, _>>()?;
+    let expires_at_s = match expiry {
+        Some(v) => v.as_u64().ok_or("cache entry expiry is not a u64")?,
+        None => u64::from(records.iter().map(|r| r.ttl).min().unwrap_or(LEGACY_NEGATIVE_TTL_S)),
+    };
+    Ok(((name_from_value(name)?, rtype), CacheEntry { expires_at_s, records }))
+}
+
+fn checkpoint_from_value(value: &Json) -> Result<Checkpoint, String> {
+    let traffic = value.need("traffic")?;
+    let faults = value.need("faults")?;
+    Ok(Checkpoint {
+        probes_done: value.need_u64("probes_done")?,
+        limiter: limiter_from_value(value.need("limiter")?)?,
         traffic: TrafficStats {
-            queries_sent: need_num(traffic, "queries_sent"),
-            responses_received: need_num(traffic, "responses_received"),
-            timeouts: need_num(traffic, "timeouts"),
-            bytes_sent: need_num(traffic, "bytes_sent"),
-            bytes_received: need_num(traffic, "bytes_received"),
-            total_wait_ms: need_num(traffic, "total_wait_ms"),
+            queries_sent: traffic.need_u64("queries_sent")?,
+            responses_received: traffic.need_u64("responses_received")?,
+            timeouts: traffic.need_u64("timeouts")?,
+            bytes_sent: traffic.need_u64("bytes_sent")?,
+            bytes_received: traffic.need_u64("bytes_received")?,
+            total_wait_ms: traffic.need_u64("total_wait_ms")?,
         },
         faults: FaultStats {
-            flap_timeouts: need_num(faults, "flap_timeouts"),
-            losses: need_num(faults, "losses"),
-            refused: need_num(faults, "refused"),
-            truncated: need_num(faults, "truncated"),
-            delayed: need_num(faults, "delayed"),
-            outages: need_num(faults, "outages"),
+            flap_timeouts: faults.need_u64("flap_timeouts")?,
+            losses: faults.need_u64("losses")?,
+            refused: faults.need_u64("refused")?,
+            truncated: faults.need_u64("truncated")?,
+            delayed: faults.need_u64("delayed")?,
+            outages: faults.need_u64("outages")?,
         },
-        net_per_destination: addr_counts_from_value(need(value, "net_per_destination")),
-        cache: need_arr(value, "cache")
-            .iter()
-            .map(|entry| {
-                let entry = entry.as_arr().expect("journal: cache entry is not a tuple");
-                let code = entry[1].as_num().expect("journal: cache record type") as u16;
-                let rtype = RecordType::from_code(code)
-                    .unwrap_or_else(|| panic!("journal: unknown record type code {code}"));
-                let records: Vec<ResourceRecord> = entry[2]
-                    .as_arr()
-                    .expect("journal: cache records")
-                    .iter()
-                    .map(resource_record_from_value)
-                    .collect();
-                // Current journals append the expiry as a fourth
-                // element; pre-expiry journals wrote triples, whose
-                // entries were captured at virtual time zero — their
-                // expiry is recomputed from the records' smallest TTL
-                // (the formula the resolver applied at insert time).
-                let expires_at_s = match entry.get(3) {
-                    Some(v) => v.as_num().expect("journal: cache entry expiry"),
-                    None => u64::from(
-                        records.iter().map(|r| r.ttl).min().unwrap_or(LEGACY_NEGATIVE_TTL_S),
-                    ),
-                };
-                ((name_from_value(&entry[0]), rtype), CacheEntry { expires_at_s, records })
-            })
-            .collect(),
-        clock_s: value.get("clock_s").and_then(Value::as_num).unwrap_or(0),
-        breakers: need_arr(value, "breakers").iter().map(breaker_from_value).collect(),
-    }
+        net_per_destination: list(value, "net_per_destination", addr_count_from_value)?,
+        cache: list(value, "cache", cache_entry_from_value)?,
+        clock_s: match value.get("clock_s") {
+            Some(v) => v.as_u64().ok_or("field `clock_s` is not a u64")?,
+            None => 0,
+        },
+        breakers: list(value, "breakers", breaker_from_value)?,
+    })
 }
 
 /// The negative-caching TTL the resolver assigns an empty (NODATA)
@@ -1367,7 +1073,7 @@ mod tests {
         let cp = Checkpoint { limiter: forward.export_state(), ..sample_checkpoint(3) };
         let mut encoded = String::new();
         checkpoint_to_value(&cp).encode(&mut encoded);
-        let decoded = checkpoint_from_value(&parse_json(&encoded).unwrap());
+        let decoded = checkpoint_from_value(&json::parse(&encoded).unwrap()).unwrap();
         let restored = RateLimiter::new(100);
         restored.restore_state(&decoded.limiter);
         assert_eq!(restored.export_state(), cp.limiter);
@@ -1381,8 +1087,8 @@ mod tests {
         // expiry = the entry's smallest record TTL (what the resolver
         // would have computed at virtual time zero).
         let modern = checkpoint_to_value(&sample_checkpoint(2));
-        let Value::Obj(fields) = modern else { panic!("checkpoint encodes as an object") };
-        let legacy = Value::Obj(
+        let Json::Obj(fields) = modern else { panic!("checkpoint encodes as an object") };
+        let legacy = Json::Obj(
             fields
                 .into_iter()
                 .filter(|(k, _)| k != "clock_s")
@@ -1390,20 +1096,20 @@ mod tests {
                     if k != "cache" {
                         return (k, v);
                     }
-                    let Value::Arr(entries) = v else { panic!("cache encodes as an array") };
+                    let Json::Arr(entries) = v else { panic!("cache encodes as an array") };
                     let triples = entries
                         .into_iter()
                         .map(|e| {
-                            let Value::Arr(mut parts) = e else { panic!("cache entry tuple") };
+                            let Json::Arr(mut parts) = e else { panic!("cache entry tuple") };
                             parts.truncate(3);
-                            Value::Arr(parts)
+                            Json::Arr(parts)
                         })
                         .collect();
-                    (k, Value::Arr(triples))
+                    (k, Json::Arr(triples))
                 })
                 .collect(),
         );
-        let decoded = checkpoint_from_value(&legacy);
+        let decoded = checkpoint_from_value(&legacy).unwrap();
         assert_eq!(decoded.clock_s, 0);
         assert_eq!(decoded.cache.len(), 1);
         assert_eq!(decoded.cache[0].1.expires_at_s, 3600, "min record TTL from time zero");
@@ -1462,9 +1168,28 @@ mod tests {
 
     #[test]
     fn string_escaping_survives_hostile_txt_payloads() {
+        let data = RecordData::Txt("a\"b\\c\nd\te\u{1}f".to_owned());
         let mut out = String::new();
-        encode_string(&mut out, "a\"b\\c\nd\te\u{1}f");
-        let parsed = parse_json(&out).unwrap();
-        assert_eq!(parsed.as_str(), Some("a\"b\\c\nd\te\u{1}f"));
+        record_data_to_value(&data).encode(&mut out);
+        assert_eq!(record_data_from_value(&json::parse(&out).unwrap()), Ok(data));
+    }
+
+    #[test]
+    fn checksummed_records_that_do_not_decode_are_errors() {
+        let frame = |payload: &str| {
+            format!("J1 {:016x} {:08x}\n{payload}\n", fnv64(payload.as_bytes()), payload.len())
+        };
+        let header = r#"{"kind":"header","names_fingerprint":1,"domains":1,"config_echo":""}"#;
+        for (journal, why) in [
+            (String::new(), "no intact records"),
+            (frame(r#"{"kind":"complete","probes":0}"#), "header"),
+            (frame(r#"{"kind":"header"}"#), "`names_fingerprint`"),
+            (frame(header) + &frame(r#"{"kind":"mystery"}"#), "mystery"),
+            (frame(header) + &frame(r#"{"kind":"probe","index":0,"probe":{}}"#), "`domain`"),
+            (frame(header) + &frame(r#"{"kind":"probe","index":0"#), "record 1"),
+        ] {
+            let err = JournalReplay::decode(journal.as_bytes()).unwrap_err();
+            assert!(err.contains(why), "{err:?} does not mention {why:?}");
+        }
     }
 }

@@ -21,12 +21,11 @@ use std::path::{Path, PathBuf};
 
 use govdns_core::report::Report;
 use govdns_core::{Campaign, ProbeClient, RateLimiter, RetryPolicy};
+use govdns_model::json::{self, escape_into, Json};
 use govdns_model::DomainName;
 use govdns_simnet::ChaosProfile;
 use govdns_trace::{read_trace, TraceLog, TraceRecord, TraceSpec, Tracer};
 use govdns_world::{WorldConfig, WorldGenerator};
-
-use crate::json::{self, escape_into, Json};
 
 /// How many offending domains a case archives at most.
 pub const CAPTURE_CAP: usize = 8;
@@ -349,7 +348,7 @@ impl CorpusCase {
                 continue;
             }
             let detail = match TraceRecord::decode(&d.payload) {
-                TraceRecord::Domain(recorded) => {
+                Ok(TraceRecord::Domain(recorded)) => {
                     match govdns_trace::first_divergence(&recorded, &block) {
                         Some(div) => format!(
                             "first divergence at event {}: recorded {} / replayed {}",
@@ -360,7 +359,8 @@ impl CorpusCase {
                         None => "event streams agree but encodings differ".to_string(),
                     }
                 }
-                _ => "recorded payload is not a domain block".to_string(),
+                Ok(_) => "recorded payload is not a domain block".to_string(),
+                Err(e) => format!("recorded payload does not decode: {e}"),
             };
             outcome.mismatches.push(ReplayMismatch { domain: d.domain.clone(), detail });
         }

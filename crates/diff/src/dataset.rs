@@ -13,8 +13,7 @@
 use std::collections::BTreeMap;
 
 use govdns_core::{DomainClass, MeasurementDataset};
-
-use crate::json::{self, Json};
+use govdns_model::json::{self, Json};
 
 /// One domain's comparable outcome.
 ///
@@ -117,15 +116,10 @@ impl DatasetView {
                 .as_arr()
                 .ok_or_else(|| format!("probe {i} servers is not an array"))?;
             let class = json_class(p, parent_obs, servers, degraded);
-            let attempts = observed_attempts(parent_obs)?
-                + servers
-                    .iter()
-                    .map(|s| {
-                        observed_attempts(
-                            s.get("observations").and_then(Json::as_arr).unwrap_or(&[]),
-                        )
-                    })
-                    .sum::<Result<u64, String>>()?;
+            let attempts = servers.iter().try_fold(observed_attempts(parent_obs)?, |sum, s| {
+                let obs = s.get("observations").and_then(Json::as_arr).unwrap_or(&[]);
+                checked_sum(sum, observed_attempts(obs)?)
+            })?;
             rows.insert(
                 domain,
                 DomainRow {
@@ -211,14 +205,17 @@ impl DatasetView {
 
 /// Sums the `attempts` fields of an observation array.
 fn observed_attempts(observations: &[Json]) -> Result<u64, String> {
-    observations
-        .iter()
-        .map(|o| {
-            o.get("attempts")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| "observation lacks an \"attempts\" count".to_string())
-        })
-        .sum()
+    observations.iter().try_fold(0, |sum, o| {
+        let n = o
+            .get("attempts")
+            .and_then(Json::as_u64)
+            .ok_or_else(|| "observation lacks an \"attempts\" count".to_string())?;
+        checked_sum(sum, n)
+    })
+}
+
+fn checked_sum(a: u64, b: u64) -> Result<u64, String> {
+    a.checked_add(b).ok_or_else(|| "attempt counts overflow u64".to_string())
 }
 
 /// Recomputes [`DomainClass`] from a canonical-JSON probe object using

@@ -13,13 +13,13 @@
 
 use std::fmt::Write as _;
 
+use govdns_model::json::{self, escape_into, Json};
 use govdns_telemetry::{
     HistogramSnapshot, QueryLedger, ScalarDelta, TelemetryDelta, TelemetrySnapshot,
 };
 use govdns_trace::{align_blocks, divergence_context, first_divergence, TraceLog};
 
 use crate::dataset::{DatasetDiff, DomainRow};
-use crate::json::{self, escape_into, Json};
 use crate::smelldiff::{SmellDiff, SmellTransition};
 
 /// How much surrounding timeline a first-divergence report carries.
@@ -602,10 +602,7 @@ mod tests {
         assert!(text.contains("runs are identical"), "{text}");
         let json = rd.to_json();
         assert!(json.starts_with("{\"differences\":0"), "{json}");
-        assert_eq!(
-            crate::json::parse(&json).unwrap().get("differences").unwrap().as_u64(),
-            Some(0)
-        );
+        assert_eq!(json::parse(&json).unwrap().get("differences").unwrap().as_u64(), Some(0));
     }
 
     #[test]
@@ -638,7 +635,7 @@ mod tests {
         let json = rd.to_json();
         assert!(json.contains("\"smells\":{\"totals\":[1,2]"), "{json}");
         assert!(json.contains("\"kind\":\"lame_delegation\",\"a\":null,\"b\":65"), "{json}");
-        crate::json::parse(&json).expect("smell section stays parseable");
+        json::parse(&json).expect("smell section stays parseable");
     }
 
     #[test]

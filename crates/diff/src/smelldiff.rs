@@ -6,13 +6,12 @@
 //! rather than inventing a second delta format.
 //!
 //! The view is parsed straight from a `smells.json` canonical report,
-//! with smell kinds as plain labels — this module deliberately does not
-//! depend on the smell crate, so `govdns-smell` can in turn reuse this
-//! crate's JSON parser.
+//! with smell kinds as plain labels, so this crate does not depend on
+//! the smell crate.
 
 use std::collections::BTreeMap;
 
-use crate::json::{self, Json};
+use govdns_model::json::{self, Json};
 
 /// The smell surface of one run: domain → smell label → severity.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

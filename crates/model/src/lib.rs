@@ -21,6 +21,8 @@
 //! * [`wire`] — RFC 1035 wire-format encoding and decoding (with name
 //!   compression), so the simulated traffic accounting measures realistic
 //!   byte volumes.
+//! * [`json`] — the one JSON codec behind every on-disk artifact: the
+//!   journal, trace records, corpus cases and the canonical reports.
 //! * [`SimDate`] — a chrono-free civil date used for the 2011–2020
 //!   longitudinal timeline.
 //!
@@ -52,6 +54,7 @@
 
 mod date;
 mod error;
+pub mod json;
 mod message;
 mod name;
 mod record;

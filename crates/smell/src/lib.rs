@@ -25,8 +25,7 @@
 
 use std::fmt::Write as _;
 
-use govdns_diff::json::{self, escape_into, Json};
-use govdns_world::CountryCode;
+use govdns_model::json::{self, escape_into, Json};
 
 pub use govdns_core::analysis::smells::{
     cycle_severity, glue_severity, lame_severity, monoculture_severity, stale_severity, Citation,
@@ -144,7 +143,7 @@ impl SmellReport {
             verdicts.push(SmellVerdict {
                 kind,
                 domain: field("domain")?.parse().map_err(|e| format!("bad domain: {e:?}"))?,
-                country: CountryCode::new(field("country")?),
+                country: field("country")?.parse()?,
                 severity: v
                     .get("severity")
                     .and_then(Json::as_u64)
@@ -236,6 +235,7 @@ fn rebuild(verdicts: Vec<SmellVerdict>) -> SmellAnalysis {
 mod tests {
     use super::*;
     use govdns_model::DomainName;
+    use govdns_world::CountryCode;
 
     fn n(s: &str) -> DomainName {
         s.parse().expect("valid test name")

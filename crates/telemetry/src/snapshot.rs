@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use govdns_model::json::quoted;
 use serde::{Deserialize, Serialize};
 
 use crate::HistogramSnapshot;
@@ -369,7 +370,7 @@ impl TelemetrySnapshot {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "[{},{n}]", json_string(label));
+                let _ = write!(out, "[{},{n}]", quoted(label));
             }
             out.push(']');
         });
@@ -481,26 +482,6 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn push_map<V>(
     out: &mut String,
     key: &str,
@@ -508,14 +489,14 @@ fn push_map<V>(
     mut render: impl FnMut(&mut String, &V),
 ) {
     if !key.is_empty() {
-        let _ = write!(out, "{}:", json_string(key));
+        let _ = write!(out, "{}:", quoted(key));
     }
     out.push('{');
     for (i, (name, v)) in map.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}:", json_string(name));
+        let _ = write!(out, "{}:", quoted(name));
         render(out, v);
     }
     out.push('}');
@@ -577,11 +558,6 @@ mod tests {
         assert!(json.contains("\"round1\""));
         assert!(!json.contains("\"ledger\":null"));
         assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

@@ -1,259 +1,26 @@
 //! Deterministic JSON encoding for trace records.
 //!
-//! Same discipline as the journal's codec: a tiny hand-rolled JSON
-//! subset (`u64` numbers, strings, arrays, insertion-ordered objects)
-//! so the encoding is byte-stable across platforms and runs — the trace
-//! determinism CI gate literally `cmp`s two trace files. Decoding a
-//! record that passed its frame checksum but does not match the schema
-//! panics: that is a format bug, not data corruption.
+//! Records are written and read with `govdns_model::json`, the codec
+//! the journal uses, so the encoding is byte-stable across platforms
+//! and runs — the trace determinism CI gate literally `cmp`s two trace
+//! files. Domain and dump records, which dominate a trace file, are
+//! written straight into the output without a value tree. Decoding
+//! returns an error, never panics, on bytes that do not match the
+//! schema.
 
 use std::net::Ipv4Addr;
 
+use govdns_model::json::{self, escape_into, Json};
+
 use crate::event::{DomainBlock, FlightDump, Step, TraceData, TraceEvent};
 
-/// The JSON subset trace records are built from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Value {
-    Num(u64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
+fn need_u32(v: &Json, key: &str) -> Result<u32, String> {
+    u32::try_from(v.need_u64(key)?).map_err(|_| format!("field `{key}` is out of range"))
 }
 
-impl Value {
-    fn encode(&self, out: &mut String) {
-        match self {
-            Value::Num(n) => out.push_str(&n.to_string()),
-            Value::Str(s) => encode_string(s, out),
-            Value::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.encode(out);
-                }
-                out.push(']');
-            }
-            Value::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    encode_string(k, out);
-                    out.push(':');
-                    v.encode(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-}
-
-fn encode_string(s: &str, out: &mut String) {
-    out.push('"');
-    // Fast path: nothing to escape (UTF-8 continuation bytes are ≥ 0x80,
-    // so a byte scan is sound).
-    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
-        out.push_str(s);
-    } else {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-    }
-    out.push('"');
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-// ---------------------------------------------------------------- parse
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) {
-        self.skip_ws();
-        assert_eq!(self.bytes.get(self.pos), Some(&b), "trace record: expected {:?}", b as char);
-        self.pos += 1;
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.skip_ws();
-        *self.bytes.get(self.pos).expect("trace record: truncated")
-    }
-
-    fn value(&mut self) -> Value {
-        match self.peek() {
-            b'"' => Value::Str(self.string()),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() == b']' {
-                    self.pos += 1;
-                    return Value::Arr(items);
-                }
-                loop {
-                    items.push(self.value());
-                    match self.peek() {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Value::Arr(items);
-                        }
-                        other => panic!("trace record: bad array separator {:?}", other as char),
-                    }
-                }
-            }
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.peek() == b'}' {
-                    self.pos += 1;
-                    return Value::Obj(fields);
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string();
-                    self.expect(b':');
-                    fields.push((key, self.value()));
-                    match self.peek() {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Value::Obj(fields);
-                        }
-                        other => panic!("trace record: bad object separator {:?}", other as char),
-                    }
-                }
-            }
-            b'0'..=b'9' => {
-                let start = self.pos;
-                while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-                Value::Num(text.parse().expect("trace record: number overflow"))
-            }
-            other => panic!("trace record: unexpected byte {:?}", other as char),
-        }
-    }
-
-    fn string(&mut self) -> String {
-        self.expect(b'"');
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied().expect("trace record: unterminated string") {
-                b'"' => {
-                    self.pos += 1;
-                    return out;
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc =
-                        self.bytes.get(self.pos).copied().expect("trace record: truncated escape");
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .expect("trace record: bad \\u escape");
-                            self.pos += 4;
-                            let code =
-                                u32::from_str_radix(hex, 16).expect("trace record: bad \\u escape");
-                            out.push(char::from_u32(code).expect("trace record: bad \\u escape"));
-                        }
-                        other => panic!("trace record: bad escape {:?}", other as char),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar (the payload came from a
-                    // &str, so boundaries are sound).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-}
-
-fn parse_json(s: &str) -> Value {
-    let mut p = Parser::new(s);
-    let v = p.value();
-    p.skip_ws();
-    assert_eq!(p.pos, p.bytes.len(), "trace record: trailing bytes");
-    v
-}
-
-// -------------------------------------------------------- field helpers
-
-fn need<'v>(fields: &'v [(String, Value)], key: &str) -> &'v Value {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .unwrap_or_else(|| panic!("trace record: missing field `{key}`"))
-}
-
-fn get<'v>(fields: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn need_num(fields: &[(String, Value)], key: &str) -> u64 {
-    match need(fields, key) {
-        Value::Num(n) => *n,
-        _ => panic!("trace record: field `{key}` is not a number"),
-    }
-}
-
-fn need_str(fields: &[(String, Value)], key: &str) -> String {
-    match need(fields, key) {
-        Value::Str(s) => s.clone(),
-        _ => panic!("trace record: field `{key}` is not a string"),
-    }
-}
-
-fn need_arr<'v>(fields: &'v [(String, Value)], key: &str) -> &'v [Value] {
-    match need(fields, key) {
-        Value::Arr(items) => items,
-        _ => panic!("trace record: field `{key}` is not an array"),
-    }
-}
-
-fn addr_from(v: &Value) -> Ipv4Addr {
-    match v {
-        Value::Str(s) => s.parse().expect("trace record: bad address"),
-        _ => panic!("trace record: address is not a string"),
-    }
+fn addr_from(v: &Json) -> Result<Ipv4Addr, String> {
+    let s = v.as_str().ok_or("address is not a string")?;
+    s.parse().map_err(|_| format!("bad address {s:?}"))
 }
 
 // ---------------------------------------------------------- event codec
@@ -261,8 +28,8 @@ fn addr_from(v: &Value) -> Ipv4Addr {
 /// Writes one event object straight into `out` — no intermediate value
 /// tree. Domain blocks dominate a trace file's bytes, and this runs on
 /// the worker thread for every sampled event, so it avoids the per-field
-/// key allocations of the generic [`Value`] path. Field order matches
-/// [`event_from_value`]'s expectations and must stay byte-stable.
+/// key allocations of a [`Json`] tree. Field order must stay
+/// byte-stable.
 fn write_event(e: &TraceEvent, out: &mut String) {
     use std::fmt::Write as _;
     let _ = write!(out, "{{\"seq\":{},\"step\":\"{}\"", e.seq, e.step.as_str());
@@ -273,23 +40,23 @@ fn write_event(e: &TraceEvent, out: &mut String) {
         TraceData::Fault { dst, attempt, verdict, extra_ms } => {
             let _ = write!(out, ",\"kind\":\"fault\",\"dst\":\"{dst}\",\"attempt\":{attempt}");
             out.push_str(",\"verdict\":");
-            encode_string(verdict, out);
+            escape_into(verdict, out);
             let _ = write!(out, ",\"extra_ms\":{extra_ms}");
         }
         TraceData::Response { dst, attempt, class, ms } => {
             let _ = write!(out, ",\"kind\":\"response\",\"dst\":\"{dst}\",\"attempt\":{attempt}");
             out.push_str(",\"class\":");
-            encode_string(class, out);
+            escape_into(class, out);
             let _ = write!(out, ",\"ms\":{ms}");
         }
         TraceData::Referral { cut, targets } => {
             out.push_str(",\"kind\":\"referral\",\"cut\":");
-            encode_string(cut, out);
+            escape_into(cut, out);
             let _ = write!(out, ",\"targets\":{targets}");
         }
         TraceData::Resolve { host, addrs } => {
             out.push_str(",\"kind\":\"resolve\",\"host\":");
-            encode_string(host, out);
+            escape_into(host, out);
             out.push_str(",\"addrs\":[");
             for (i, a) in addrs.iter().enumerate() {
                 if i > 0 {
@@ -301,7 +68,7 @@ fn write_event(e: &TraceEvent, out: &mut String) {
         }
         TraceData::Charge { round, dst } => {
             out.push_str(",\"kind\":\"charge\",\"round\":");
-            encode_string(round, out);
+            escape_into(round, out);
             if let Some(dst) = dst {
                 let _ = write!(out, ",\"dst\":\"{dst}\"");
             }
@@ -324,11 +91,11 @@ fn write_event(e: &TraceEvent, out: &mut String) {
         TraceData::Breaker { dst, transition } => {
             let _ = write!(out, ",\"kind\":\"breaker\",\"dst\":\"{dst}\"");
             out.push_str(",\"transition\":");
-            encode_string(transition, out);
+            escape_into(transition, out);
         }
         TraceData::Note { text } => {
             out.push_str(",\"kind\":\"note\",\"text\":");
-            encode_string(text, out);
+            escape_into(text, out);
         }
     }
     out.push('}');
@@ -352,7 +119,7 @@ pub(crate) fn encode_domain(block: &DomainBlock) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(64 + block.events.len() * 96);
     let _ = write!(out, "{{\"kind\":\"domain\",\"index\":{},\"domain\":", block.index);
-    encode_string(&block.domain, &mut out);
+    escape_into(&block.domain, &mut out);
     if block.dropped > 0 {
         let _ = write!(out, ",\"dropped\":{}", block.dropped);
     }
@@ -368,13 +135,13 @@ pub(crate) fn encode_dump(dump: &FlightDump) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(64 + dump.events.len() * 96);
     out.push_str("{\"kind\":\"dump\",\"trigger\":");
-    encode_string(&dump.trigger, &mut out);
+    escape_into(&dump.trigger, &mut out);
     if let Some(index) = dump.index {
         let _ = write!(out, ",\"index\":{index}");
     }
     if let Some(domain) = &dump.domain {
         out.push_str(",\"domain\":");
-        encode_string(domain, &mut out);
+        escape_into(domain, &mut out);
     }
     let _ = write!(out, ",\"ord\":{}", dump.ord);
     out.push_str(",\"events\":");
@@ -383,58 +150,51 @@ pub(crate) fn encode_dump(dump: &FlightDump) -> String {
     out
 }
 
-fn event_from_value(v: &Value) -> TraceEvent {
-    let Value::Obj(fields) = v else { panic!("trace record: event is not an object") };
-    let seq = u32::try_from(need_num(fields, "seq")).expect("trace record: seq overflow");
-    let step_label = need_str(fields, "step");
-    let step = Step::parse(&step_label)
-        .unwrap_or_else(|| panic!("trace record: unknown step `{step_label}`"));
-    let kind = need_str(fields, "kind");
-    let attempt = |key: &str| u32::try_from(need_num(fields, key)).expect("attempt overflow");
-    let data = match kind.as_str() {
-        "send" => {
-            TraceData::Send { dst: addr_from(need(fields, "dst")), attempt: attempt("attempt") }
-        }
+fn event_from_value(v: &Json) -> Result<TraceEvent, String> {
+    let step_label = v.need_str("step")?;
+    let step = Step::parse(step_label).ok_or_else(|| format!("unknown step `{step_label}`"))?;
+    let dst = || addr_from(v.need("dst")?);
+    let text = |key: &str| v.need_str(key).map(str::to_owned);
+    let data = match v.need_str("kind")? {
+        "send" => TraceData::Send { dst: dst()?, attempt: need_u32(v, "attempt")? },
         "fault" => TraceData::Fault {
-            dst: addr_from(need(fields, "dst")),
-            attempt: attempt("attempt"),
-            verdict: need_str(fields, "verdict"),
-            extra_ms: need_num(fields, "extra_ms"),
+            dst: dst()?,
+            attempt: need_u32(v, "attempt")?,
+            verdict: text("verdict")?,
+            extra_ms: v.need_u64("extra_ms")?,
         },
         "response" => TraceData::Response {
-            dst: addr_from(need(fields, "dst")),
-            attempt: attempt("attempt"),
-            class: need_str(fields, "class"),
-            ms: need_num(fields, "ms"),
+            dst: dst()?,
+            attempt: need_u32(v, "attempt")?,
+            class: text("class")?,
+            ms: v.need_u64("ms")?,
         },
-        "referral" => TraceData::Referral {
-            cut: need_str(fields, "cut"),
-            targets: need_num(fields, "targets"),
-        },
+        "referral" => TraceData::Referral { cut: text("cut")?, targets: v.need_u64("targets")? },
         "resolve" => TraceData::Resolve {
-            host: need_str(fields, "host"),
-            addrs: need_arr(fields, "addrs").iter().map(addr_from).collect(),
+            host: text("host")?,
+            addrs: v.need_arr("addrs")?.iter().map(addr_from).collect::<Result<_, _>>()?,
         },
         "charge" => TraceData::Charge {
-            round: need_str(fields, "round"),
-            dst: get(fields, "dst").map(addr_from),
+            round: text("round")?,
+            dst: v.get("dst").map(addr_from).transpose()?,
         },
-        "retry_denied" => TraceData::RetryDenied { dst: addr_from(need(fields, "dst")) },
+        "retry_denied" => TraceData::RetryDenied { dst: dst()? },
         "backoff" => TraceData::Backoff {
-            dst: addr_from(need(fields, "dst")),
-            attempt: attempt("attempt"),
-            ms: need_num(fields, "ms"),
+            dst: dst()?,
+            attempt: need_u32(v, "attempt")?,
+            ms: v.need_u64("ms")?,
         },
-        "breaker_denied" => TraceData::BreakerDenied { dst: addr_from(need(fields, "dst")) },
-        "breaker_trial" => TraceData::BreakerTrial { dst: addr_from(need(fields, "dst")) },
-        "breaker" => TraceData::Breaker {
-            dst: addr_from(need(fields, "dst")),
-            transition: need_str(fields, "transition"),
-        },
-        "note" => TraceData::Note { text: need_str(fields, "text") },
-        other => panic!("trace record: unknown event kind `{other}`"),
+        "breaker_denied" => TraceData::BreakerDenied { dst: dst()? },
+        "breaker_trial" => TraceData::BreakerTrial { dst: dst()? },
+        "breaker" => TraceData::Breaker { dst: dst()?, transition: text("transition")? },
+        "note" => TraceData::Note { text: text("text")? },
+        other => return Err(format!("unknown event kind `{other}`")),
     };
-    TraceEvent { seq, step, data }
+    Ok(TraceEvent { seq: need_u32(v, "seq")?, step, data })
+}
+
+fn events_from_value(v: &Json) -> Result<Vec<TraceEvent>, String> {
+    v.need_arr("events")?.iter().map(event_from_value).collect()
 }
 
 // --------------------------------------------------------- record codec
@@ -487,30 +247,30 @@ impl TraceRecord {
     pub fn encode(&self) -> String {
         let value = match self {
             TraceRecord::Header { version, seed, sample_ppm, flight_capacity, domains } => {
-                obj(vec![
-                    ("kind", Value::Str("header".into())),
-                    ("version", Value::Num(*version)),
-                    ("seed", Value::Num(*seed)),
-                    ("sample_ppm", Value::Num(*sample_ppm)),
-                    ("flight_capacity", Value::Num(*flight_capacity)),
-                    ("domains", Value::Num(*domains)),
+                Json::obj(vec![
+                    ("kind", Json::from("header")),
+                    ("version", Json::from(*version)),
+                    ("seed", Json::from(*seed)),
+                    ("sample_ppm", Json::from(*sample_ppm)),
+                    ("flight_capacity", Json::from(*flight_capacity)),
+                    ("domains", Json::from(*domains)),
                 ])
             }
-            TraceRecord::Stage { name, mark } => obj(vec![
-                ("kind", Value::Str("stage".into())),
-                ("name", Value::Str(name.clone())),
-                ("mark", Value::Str(mark.clone())),
+            TraceRecord::Stage { name, mark } => Json::obj(vec![
+                ("kind", Json::from("stage")),
+                ("name", Json::from(name.as_str())),
+                ("mark", Json::from(mark.as_str())),
             ]),
             TraceRecord::Resume { from } => {
-                obj(vec![("kind", Value::Str("resume".into())), ("from", Value::Num(*from))])
+                Json::obj(vec![("kind", Json::from("resume")), ("from", Json::from(*from))])
             }
             TraceRecord::Domain(block) => return encode_domain(block),
             TraceRecord::Dump(dump) => return encode_dump(dump),
-            TraceRecord::Complete { domains, events, dumps } => obj(vec![
-                ("kind", Value::Str("complete".into())),
-                ("domains", Value::Num(*domains)),
-                ("events", Value::Num(*events)),
-                ("dumps", Value::Num(*dumps)),
+            TraceRecord::Complete { domains, events, dumps } => Json::obj(vec![
+                ("kind", Json::from("complete")),
+                ("domains", Json::from(*domains)),
+                ("events", Json::from(*events)),
+                ("dumps", Json::from(*dumps)),
             ]),
         };
         let mut out = String::new();
@@ -518,59 +278,47 @@ impl TraceRecord {
         out
     }
 
-    /// Decodes a record that already passed its frame checksum.
+    /// Decodes one record.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on any schema mismatch — a checksummed-but-undecodable
-    /// record means a format bug, not torn bytes.
-    pub fn decode(json: &str) -> TraceRecord {
-        let Value::Obj(fields) = parse_json(json) else { panic!("trace record: not an object") };
-        let kind = need_str(&fields, "kind");
-        match kind.as_str() {
+    /// Returns a message naming the first problem — malformed JSON, an
+    /// unknown kind, or a missing or mistyped field. A record that
+    /// passed its frame checksum yet fails here means a format bug,
+    /// not torn bytes.
+    pub fn decode(text: &str) -> Result<TraceRecord, String> {
+        let v = json::parse(text)?;
+        let text = |key: &str| v.need_str(key).map(str::to_owned);
+        Ok(match v.need_str("kind")? {
             "header" => TraceRecord::Header {
-                version: need_num(&fields, "version"),
-                seed: need_num(&fields, "seed"),
-                sample_ppm: need_num(&fields, "sample_ppm"),
-                flight_capacity: need_num(&fields, "flight_capacity"),
-                domains: need_num(&fields, "domains"),
+                version: v.need_u64("version")?,
+                seed: v.need_u64("seed")?,
+                sample_ppm: v.need_u64("sample_ppm")?,
+                flight_capacity: v.need_u64("flight_capacity")?,
+                domains: v.need_u64("domains")?,
             },
-            "stage" => TraceRecord::Stage {
-                name: need_str(&fields, "name"),
-                mark: need_str(&fields, "mark"),
-            },
-            "resume" => TraceRecord::Resume { from: need_num(&fields, "from") },
+            "stage" => TraceRecord::Stage { name: text("name")?, mark: text("mark")? },
+            "resume" => TraceRecord::Resume { from: v.need_u64("from")? },
             "domain" => TraceRecord::Domain(DomainBlock {
-                index: need_num(&fields, "index"),
-                domain: need_str(&fields, "domain"),
-                dropped: get(&fields, "dropped")
-                    .map(|v| match v {
-                        Value::Num(n) => u32::try_from(*n).expect("dropped overflow"),
-                        _ => panic!("trace record: `dropped` is not a number"),
-                    })
-                    .unwrap_or(0),
-                events: need_arr(&fields, "events").iter().map(event_from_value).collect(),
+                index: v.need_u64("index")?,
+                domain: text("domain")?,
+                dropped: if v.get("dropped").is_some() { need_u32(&v, "dropped")? } else { 0 },
+                events: events_from_value(&v)?,
             }),
             "dump" => TraceRecord::Dump(FlightDump {
-                trigger: need_str(&fields, "trigger"),
-                index: get(&fields, "index").map(|v| match v {
-                    Value::Num(n) => *n,
-                    _ => panic!("trace record: `index` is not a number"),
-                }),
-                domain: get(&fields, "domain").map(|v| match v {
-                    Value::Str(s) => s.clone(),
-                    _ => panic!("trace record: `domain` is not a string"),
-                }),
-                ord: u32::try_from(need_num(&fields, "ord")).expect("ord overflow"),
-                events: need_arr(&fields, "events").iter().map(event_from_value).collect(),
+                trigger: text("trigger")?,
+                index: if v.get("index").is_some() { Some(v.need_u64("index")?) } else { None },
+                domain: if v.get("domain").is_some() { Some(text("domain")?) } else { None },
+                ord: need_u32(&v, "ord")?,
+                events: events_from_value(&v)?,
             }),
             "complete" => TraceRecord::Complete {
-                domains: need_num(&fields, "domains"),
-                events: need_num(&fields, "events"),
-                dumps: need_num(&fields, "dumps"),
+                domains: v.need_u64("domains")?,
+                events: v.need_u64("events")?,
+                dumps: v.need_u64("dumps")?,
             },
-            other => panic!("trace record: unknown kind `{other}`"),
-        }
+            other => return Err(format!("unknown kind `{other}`")),
+        })
     }
 }
 
@@ -663,7 +411,7 @@ mod tests {
         ];
         for r in records {
             let json = r.encode();
-            let back = TraceRecord::decode(&json);
+            let back = TraceRecord::decode(&json).unwrap();
             assert_eq!(back, r);
             assert_eq!(back.encode(), json, "re-encode not byte-identical");
         }
@@ -672,12 +420,12 @@ mod tests {
     #[test]
     fn strings_with_escapes_survive() {
         let r = TraceRecord::Stage { name: "a\"b\\c\nd\te\u{1}".into(), mark: "begin".into() };
-        assert_eq!(TraceRecord::decode(&r.encode()), r);
+        assert_eq!(TraceRecord::decode(&r.encode()), Ok(r));
     }
 
     #[test]
-    #[should_panic(expected = "unknown kind")]
-    fn unknown_kind_panics() {
-        TraceRecord::decode("{\"kind\":\"mystery\"}");
+    fn unknown_kind_is_an_error() {
+        let err = TraceRecord::decode("{\"kind\":\"mystery\"}").unwrap_err();
+        assert!(err.contains("unknown kind"), "{err}");
     }
 }

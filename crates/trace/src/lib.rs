@@ -35,7 +35,10 @@
 //!     dropped: 0,
 //!     events,
 //! });
-//! assert_eq!(TraceRecord::decode(&record.encode()).encode(), record.encode());
+//! assert_eq!(TraceRecord::decode(&record.encode()).unwrap().encode(), record.encode());
+//!
+//! // Bytes that are not a trace record are an error, never a panic.
+//! assert!(TraceRecord::decode("{\"kind\":\"mystery\"}").is_err());
 //! ```
 
 #![forbid(unsafe_code)]

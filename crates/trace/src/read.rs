@@ -68,11 +68,12 @@ impl TraceLog {
 
 /// Reads and decodes a trace file, dropping any torn tail.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a frame passes its checksum but fails to decode — a
-/// format bug, not corruption (corruption fails the checksum and lands
-/// in [`TraceLog::dropped_bytes`]).
+/// Returns read errors, and [`io::ErrorKind::InvalidData`] when a
+/// frame passes its checksum but fails to decode — a format bug, not
+/// corruption (corruption fails the checksum and lands in
+/// [`TraceLog::dropped_bytes`]).
 pub fn read_trace(path: impl AsRef<Path>) -> io::Result<TraceLog> {
     let bytes = std::fs::read(path)?;
     let mut log = TraceLog::default();
@@ -81,7 +82,13 @@ pub fn read_trace(path: impl AsRef<Path>) -> io::Result<TraceLog> {
         let Some((payload, next)) = read_frame(&bytes, offset) else {
             break;
         };
-        match TraceRecord::decode(payload) {
+        let record = TraceRecord::decode(payload).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("trace record at byte {offset}: {e}"),
+            )
+        })?;
+        match record {
             TraceRecord::Header { version, seed, sample_ppm, flight_capacity, domains } => {
                 log.header =
                     Some(TraceHeader { version, seed, sample_ppm, flight_capacity, domains });
@@ -119,5 +126,18 @@ mod tests {
         assert_eq!(log.stages, vec![("round1".to_string(), "begin".to_string())]);
         assert!(log.dropped_bytes > 0);
         assert!(!log.completed);
+    }
+
+    #[test]
+    fn checksummed_but_undecodable_record_is_invalid_data() {
+        let dir = std::env::temp_dir().join(format!("govdns-trace-read-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("undecodable.trace");
+        let mut buf = Vec::new();
+        write_frame(&mut buf, "{\"kind\":\"mystery\"}");
+        std::fs::write(&path, &buf).unwrap();
+        let err = read_trace(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unknown kind"), "{err}");
     }
 }

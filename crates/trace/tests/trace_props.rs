@@ -124,7 +124,7 @@ proptest! {
     #[test]
     fn records_roundtrip_byte_identically(record in record_strategy()) {
         let json = record.encode();
-        let back = TraceRecord::decode(&json);
+        let back = TraceRecord::decode(&json).unwrap();
         prop_assert_eq!(&back, &record);
         prop_assert_eq!(back.encode(), json);
     }
