@@ -23,6 +23,14 @@ fn figures(c: &mut Criterion) {
         })
     });
 
+    // The raw-PDNS variant is the one the report renders as Figs 2-3.
+    c.bench_function("fig02_03_yearly_totals_raw", |b| {
+        b.iter(|| {
+            let t = YearlyTotals::compute_raw(black_box(&campaign), black_box(&f.dataset.seeds));
+            black_box(t.domains(2020))
+        })
+    });
+
     c.bench_function("fig04_domains_per_country", |b| {
         b.iter(|| {
             let t = DomainsPerCountry::compute(black_box(&f.longitudinal), 2020);

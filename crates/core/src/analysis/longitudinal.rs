@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use govdns_model::{DateRange, DomainName, RecordType, Year};
-use govdns_pdns::{filter, PdnsEntry};
+use govdns_model::{DateRange, DomainName, RecordType, SimDate, Year};
+use govdns_pdns::{filter, PdnsEntry, PdnsRef};
 use govdns_world::CountryCode;
 
 use crate::seed::SeedDomain;
@@ -17,6 +17,14 @@ use crate::Campaign;
 pub const FIRST_YEAR: Year = 2011;
 /// Last year of the longitudinal window.
 pub const LAST_YEAR: Year = 2020;
+
+/// The years of the longitudinal window that `[first, last]` overlaps,
+/// as a bit mask: bit `i` stands for `FIRST_YEAR + i`.
+pub(crate) fn year_mask(first: SimDate, last: SimDate) -> u16 {
+    let lo = first.year().max(FIRST_YEAR);
+    let hi = last.year().min(LAST_YEAR);
+    (lo..=hi).fold(0, |mask, y| mask | 1 << (y - FIRST_YEAR))
+}
 
 /// One domain's NS record history.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,10 +96,12 @@ impl Longitudinal {
     pub fn build(campaign: &Campaign<'_>, seeds: &[SeedDomain]) -> Self {
         let mut by_name: BTreeMap<DomainName, DomainHistory> = BTreeMap::new();
         for seed in seeds {
-            let entries = campaign.pdns.search_subtree(&seed.name);
-            let entries = filter::stable(
-                entries.filter(|e| matches!(e.rtype(), RecordType::Ns | RecordType::Soa)),
-            );
+            let entries = campaign
+                .pdns
+                .scan_subtree(&seed.name)
+                .filter(|r| matches!(r.rtype(), RecordType::Ns | RecordType::Soa))
+                .map(PdnsRef::to_entry);
+            let entries = filter::stable(entries);
             let entries: Vec<PdnsEntry> = match seed.earliest_government_use {
                 Some(cutoff) => filter::clamp_to_government_use(entries, cutoff).collect(),
                 None => entries.collect(),

@@ -2,18 +2,17 @@
 //! classify nameserver hostnames by provider, per year, and measure how
 //! many domains, countries, and sub-region groups rely on each.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
-use govdns_model::{DateRange, Year};
-use govdns_world::{Country, CountryCode};
+use govdns_model::{DateRange, DomainName, Year};
+use govdns_world::{Country, CountryCode, MatchTarget, ProviderMatcher};
 
-use crate::analysis::longitudinal::Longitudinal;
+use crate::analysis::longitudinal::{DomainHistory, Longitudinal};
 use crate::stats;
 use crate::tables::{fmt_pct, TextTable};
 use crate::Campaign;
-use govdns_world::MatchTarget;
 
 /// The providers Table II tracks (ordered alphabetically as in the
 /// paper).
@@ -80,74 +79,124 @@ pub struct ProviderAnalysis {
     pub total_groups: usize,
 }
 
+/// What the hostname rules say about one NS host. It does not depend on
+/// the year, so each distinct host is classified once per analysis.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum HostLabel<'c> {
+    /// A hostname rule matched.
+    Provider(&'c str),
+    /// No hostname rule matched: the zone's SOA MNAME/RNAME decide if a
+    /// rule matches them in the window, else this registered domain.
+    Anonymous(String),
+}
+
+/// Classifies every distinct NS host that some domain uses outside its
+/// own `d_gov`.
+fn classify_hosts<'l, 'c>(
+    lon: &'l Longitudinal,
+    matchers: &'c [ProviderMatcher],
+) -> HashMap<&'l DomainName, HostLabel<'c>> {
+    let mut labels = HashMap::new();
+    for h in &lon.histories {
+        for host in h.ns_entries.iter().filter_map(|e| e.rdata.as_ns()) {
+            if host.is_within(&h.seed) {
+                continue;
+            }
+            labels.entry(host).or_insert_with(|| {
+                matchers
+                    .iter()
+                    .filter(|m| m.target == MatchTarget::Hostname)
+                    .find(|m| m.matches(host))
+                    .map_or_else(
+                        || HostLabel::Anonymous(host.suffix(2).to_string()),
+                        |m| HostLabel::Provider(&m.label),
+                    )
+            });
+        }
+    }
+    labels
+}
+
+/// The paper's secondary evidence for an anonymous hostname: the first
+/// SOA MNAME/RNAME pair active in `window` that an SOA rule matches.
+fn soa_label<'c>(
+    h: &DomainHistory,
+    window: &DateRange,
+    matchers: &'c [ProviderMatcher],
+) -> Option<&'c str> {
+    h.soa_names_in(window).iter().find_map(|(mname, rname)| {
+        matchers
+            .iter()
+            .filter(|m| m.target == MatchTarget::SoaName)
+            .find(|m| m.matches(mname) || m.matches(rname))
+            .map(|m| m.label.as_str())
+    })
+}
+
 impl ProviderAnalysis {
     /// Classifies every domain-year and accumulates provider usage.
     pub fn compute(lon: &Longitudinal, campaign: &Campaign<'_>) -> Self {
         let top10 = lon.top10_countries();
         let country_index: BTreeMap<CountryCode, &Country> =
             campaign.countries.iter().map(|c| (c.code, c)).collect();
-        let group_of = |code: CountryCode| -> String {
-            if top10.contains(&code) {
-                format!("country:{code}")
-            } else {
-                country_index
-                    .get(&code)
-                    .map(|c| c.sub_region.to_string())
-                    .unwrap_or_else(|| "unknown".to_owned())
-            }
-        };
+        let mut groups: HashMap<CountryCode, String> = HashMap::new();
+        for h in &lon.histories {
+            groups.entry(h.country).or_insert_with(|| {
+                if top10.contains(&h.country) {
+                    format!("country:{}", h.country)
+                } else {
+                    country_index
+                        .get(&h.country)
+                        .map(|c| c.sub_region.to_string())
+                        .unwrap_or_else(|| "unknown".to_owned())
+                }
+            });
+        }
         // 22 sub-regions + one group per top-10 country.
         let total_groups = govdns_world::SubRegion::all().len() + top10.len();
+        let hosts = classify_hosts(lon, campaign.matchers);
 
         let years = Longitudinal::years()
             .map(|year| {
                 let window = DateRange::year(year);
-                let mut per_label: BTreeMap<String, LabelStats> = BTreeMap::new();
+                let mut per_label: BTreeMap<&str, LabelStats> = BTreeMap::new();
                 let mut total_domains = 0usize;
                 for h in lon.active_in_year(year) {
                     total_domains += 1;
-                    let mut labels: BTreeSet<String> = BTreeSet::new();
+                    let mut labels: BTreeSet<&str> = BTreeSet::new();
                     let mut private = false;
+                    // Hostname rules first; for anonymous hostnames, fall
+                    // back to the zone's SOA (looked up at most once per
+                    // domain-year); else the host's registered domain.
+                    let mut by_soa: Option<Option<&str>> = None;
                     for host in h.ns_hosts_in(&window) {
                         if host.is_within(&h.seed) {
                             private = true;
                             continue;
                         }
-                        // Hostname rules first; for anonymous hostnames,
-                        // fall back to the zone's SOA MNAME/RNAME (the
-                        // paper's secondary evidence); else group by the
-                        // host's registered domain.
-                        let by_host = campaign
-                            .matchers
-                            .iter()
-                            .filter(|m| m.target == MatchTarget::Hostname)
-                            .find(|m| m.matches(host))
-                            .map(|m| m.label.clone());
-                        let label = by_host
-                            .or_else(|| {
-                                h.soa_names_in(&window).iter().find_map(|(mname, rname)| {
-                                    campaign
-                                        .matchers
-                                        .iter()
-                                        .filter(|m| m.target == MatchTarget::SoaName)
-                                        .find(|m| m.matches(mname) || m.matches(rname))
-                                        .map(|m| m.label.clone())
-                                })
-                            })
-                            .unwrap_or_else(|| host.suffix(2).to_string());
-                        labels.insert(label);
+                        labels.insert(match &hosts[host] {
+                            HostLabel::Provider(label) => label,
+                            HostLabel::Anonymous(registered) => by_soa
+                                .get_or_insert_with(|| soa_label(h, &window, campaign.matchers))
+                                .unwrap_or(registered),
+                        });
                     }
                     let single = labels.len() == 1 && !private;
-                    for label in &labels {
-                        let slot = per_label.entry(label.clone()).or_default();
+                    let group = &groups[&h.country];
+                    for label in labels {
+                        let slot = per_label.entry(label).or_default();
                         slot.domains += 1;
                         if single {
                             slot.d1p += 1;
                         }
-                        slot.groups.insert(group_of(h.country));
+                        if !slot.groups.contains(group) {
+                            slot.groups.insert(group.clone());
+                        }
                         slot.countries.insert(h.country);
                     }
                 }
+                let per_label =
+                    per_label.into_iter().map(|(label, s)| (label.to_owned(), s)).collect();
                 ProviderYearStats { year, total_domains, per_label }
             })
             .collect();
@@ -237,8 +286,10 @@ impl ProviderAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::testutil::{history, longitudinal, ns_entry, CampaignFixture};
-    use govdns_world::{MatchRule, ProviderMatcher};
+    use crate::analysis::testutil::{
+        history, longitudinal, n, ns_entry, soa_entry, CampaignFixture,
+    };
+    use govdns_world::MatchRule;
 
     #[allow(clippy::field_reassign_with_default)]
     fn fixture_with_matchers() -> CampaignFixture {
@@ -341,5 +392,74 @@ mod tests {
             assert!(t2.contains(label), "Table II missing {label}");
         }
         assert!(p.table3(2020).to_text().contains("cloudflare.com"));
+    }
+
+    #[test]
+    fn a_host_used_across_years_is_classified_once() {
+        let f = fixture_with_matchers();
+        let lon = longitudinal(vec![
+            history(
+                "a.gov.br",
+                "br",
+                vec![ns_entry("a.gov.br", "ada.ns.cloudflare.com", (2011, 1, 1), (2020, 12, 31))],
+            ),
+            history(
+                "b.gov.de",
+                "de",
+                vec![ns_entry("b.gov.de", "ada.ns.cloudflare.com", (2015, 3, 1), (2020, 12, 31))],
+            ),
+        ]);
+        let hosts = classify_hosts(&lon, &f.matchers);
+        assert_eq!(hosts.len(), 1, "one distinct host, one classification");
+        assert_eq!(hosts[&n("ada.ns.cloudflare.com")], HostLabel::Provider("cloudflare.com"));
+        let p = ProviderAnalysis::compute(&lon, &f.campaign());
+        for ys in &p.years {
+            let expected = if ys.year < 2015 { 1 } else { 2 };
+            assert_eq!(ys.usage("cloudflare.com").domains, expected, "{}", ys.year);
+            assert_eq!(ys.per_label.len(), 1, "{}", ys.year);
+        }
+    }
+
+    #[test]
+    fn soa_fallback_follows_the_window_for_an_anonymous_host() {
+        let mut f = fixture_with_matchers();
+        for (label, domain) in
+            [("Provider A", "provider-a.example"), ("Provider B", "provider-b.example")]
+        {
+            f.matchers.push(ProviderMatcher {
+                label: label.to_owned(),
+                rule: MatchRule::RegisteredDomain(n(domain)),
+                target: MatchTarget::SoaName,
+            });
+        }
+        let mut h = history(
+            "a.gov.br",
+            "br",
+            vec![ns_entry("a.gov.br", "ns1.anon-host.net", (2011, 1, 1), (2020, 12, 31))],
+        );
+        h.soa_entries = vec![
+            soa_entry(
+                "a.gov.br",
+                "ns1.anon-host.net",
+                "hostmaster.provider-a.example",
+                (2011, 1, 1),
+                (2015, 12, 31),
+            ),
+            soa_entry(
+                "a.gov.br",
+                "ns1.anon-host.net",
+                "hostmaster.provider-b.example",
+                (2016, 1, 1),
+                (2020, 12, 31),
+            ),
+        ];
+        let lon = longitudinal(vec![h]);
+        let hosts = classify_hosts(&lon, &f.matchers);
+        assert_eq!(hosts[&n("ns1.anon-host.net")], HostLabel::Anonymous("anon-host.net".into()));
+        let p = ProviderAnalysis::compute(&lon, &f.campaign());
+        let labels = |year| p.year(year).unwrap().per_label.keys().cloned().collect::<Vec<_>>();
+        assert_eq!(labels(2011), ["Provider A"]);
+        assert_eq!(labels(2020), ["Provider B"]);
+        assert_eq!(p.year(2020).unwrap().usage("Provider B").d1p, 1);
     }
 }

@@ -1,14 +1,14 @@
 //! §IV-A — nameserver replication: the decade of PDNS history (Figs 2,
 //! 3, 4, 6, 7) and the active-measurement view (Figs 8, 9).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
 use govdns_model::{DateRange, DomainName, Year};
 use govdns_world::CountryCode;
 
-use crate::analysis::longitudinal::{DomainHistory, Longitudinal};
+use crate::analysis::longitudinal::{year_mask, DomainHistory, Longitudinal};
 use crate::stats::{self, Cdf};
 use crate::tables::{fmt_pct, TextTable};
 use crate::MeasurementDataset;
@@ -25,27 +25,34 @@ impl YearlyTotals {
     /// presents Figs 2–3 (§III-B summarizes the data before the §III-C
     /// stability filtering; the 192.6k figure includes transient
     /// records).
+    ///
+    /// One borrowed NS scan per seed: each entry's overlap with the
+    /// window becomes a year mask, ORed into per-name and per-host masks
+    /// (so a name under nested seeds counts once) and into the seed
+    /// country's mask.
     pub fn compute_raw(campaign: &crate::Campaign<'_>, seeds: &[crate::seed::SeedDomain]) -> Self {
+        let mut domains: HashMap<&DomainName, u16> = HashMap::new();
+        let mut hostnames: HashMap<&DomainName, u16> = HashMap::new();
+        let mut countries: HashMap<CountryCode, u16> = HashMap::new();
+        for seed in seeds {
+            let mut seed_years = 0;
+            for r in campaign.pdns.scan_subtree(&seed.name) {
+                let Some(host) = r.rdata.as_ns() else { continue };
+                let years = year_mask(r.first_seen, r.last_seen);
+                *domains.entry(r.name).or_default() |= years;
+                *hostnames.entry(host).or_default() |= years;
+                seed_years |= years;
+            }
+            *countries.entry(seed.country).or_default() |= seed_years;
+        }
+        fn active<K>(masks: &HashMap<K, u16>, bit: u16) -> usize {
+            masks.values().filter(|&&m| m & bit != 0).count()
+        }
         let rows = Longitudinal::years()
-            .map(|year| {
-                let window = DateRange::year(year);
-                let mut domains: BTreeSet<DomainName> = BTreeSet::new();
-                let mut countries: BTreeSet<CountryCode> = BTreeSet::new();
-                let mut hostnames: BTreeSet<DomainName> = BTreeSet::new();
-                for seed in seeds {
-                    for e in campaign.pdns.search_subtree_in(
-                        &seed.name,
-                        window,
-                        Some(govdns_model::RecordType::Ns),
-                    ) {
-                        if let Some(host) = e.rdata.as_ns() {
-                            hostnames.insert(host.clone());
-                        }
-                        domains.insert(e.name);
-                        countries.insert(seed.country);
-                    }
-                }
-                (year, domains.len(), countries.len(), hostnames.len())
+            .zip(0..)
+            .map(|(year, i)| {
+                let bit = 1 << i;
+                (year, active(&domains, bit), active(&countries, bit), active(&hostnames, bit))
             })
             .collect();
         YearlyTotals { rows }
@@ -363,8 +370,106 @@ pub type History = DomainHistory;
 mod tests {
     use super::*;
     use crate::analysis::testutil::{
-        dataset, history, longitudinal, n, ns_entry, year, ProbeBuilder,
+        dataset, history, longitudinal, n, ns_entry, year, CampaignFixture, ProbeBuilder,
     };
+    use crate::seed::{SeedDomain, SeedKind, SeedProvenance};
+    use crate::Campaign;
+    use govdns_model::{RecordData, RecordType, SimDate, Soa};
+    use proptest::prelude::*;
+
+    /// The ten-scan `compute_raw`: one windowed NS search per seed per
+    /// year. The masked single pass must reproduce it exactly.
+    fn compute_raw_oracle(campaign: &Campaign<'_>, seeds: &[SeedDomain]) -> YearlyTotals {
+        let rows = Longitudinal::years()
+            .map(|year| {
+                let window = DateRange::year(year);
+                let mut domains: BTreeSet<DomainName> = BTreeSet::new();
+                let mut countries: BTreeSet<CountryCode> = BTreeSet::new();
+                let mut hostnames: BTreeSet<DomainName> = BTreeSet::new();
+                for seed in seeds {
+                    for e in
+                        campaign.pdns.search_subtree_in(&seed.name, window, Some(RecordType::Ns))
+                    {
+                        if let Some(host) = e.rdata.as_ns() {
+                            hostnames.insert(host.clone());
+                        }
+                        domains.insert(e.name);
+                        countries.insert(seed.country);
+                    }
+                }
+                (year, domains.len(), countries.len(), hostnames.len())
+            })
+            .collect();
+        YearlyTotals { rows }
+    }
+
+    fn seed(name: &str, cc: &str) -> SeedDomain {
+        SeedDomain {
+            country: CountryCode::new(cc),
+            name: n(name),
+            kind: SeedKind::ReservedSuffix,
+            earliest_government_use: None,
+            provenance: SeedProvenance::PortalLink,
+            portal_resolved: true,
+        }
+    }
+
+    /// Owners: both nested seeds, names beneath each, and a decoy
+    /// outside both.
+    fn owner() -> impl Strategy<Value = DomainName> {
+        (0u8..5, "[a-c]{1,2}").prop_map(|(kind, label)| match kind {
+            0 => n("gov.zz"),
+            1 => n("city.gov.zz"),
+            2 => n(&format!("{label}.gov.zz")),
+            3 => n(&format!("{label}.city.gov.zz")),
+            _ => n(&format!("{label}.gov.zx")),
+        })
+    }
+
+    /// NS records drawn from a small host pool (so one host serves many
+    /// names), plus SOA and A records under the same owners.
+    fn rdata() -> impl Strategy<Value = RecordData> {
+        const HOSTS: [&str; 4] =
+            ["ns1.gov.zz", "ns2.city.gov.zz", "ns1.prov.example", "ns2.prov.example"];
+        (0u8..4, 0..HOSTS.len()).prop_map(|(kind, host)| match kind {
+            0 | 1 => RecordData::Ns(n(HOSTS[host])),
+            2 => RecordData::Soa(Soa::new(n(HOSTS[host]), n("hostmaster.gov.zz"))),
+            _ => RecordData::A([192, 0, 2, host as u8].into()),
+        })
+    }
+
+    /// Spans from 2008 to 2023: wholly before 2011, wholly after 2020,
+    /// single days, and spans straddling one or more year boundaries.
+    fn span() -> impl Strategy<Value = DateRange> {
+        let from = SimDate::from_ymd(2008, 1, 1).days();
+        let to = SimDate::from_ymd(2023, 12, 31).days();
+        (from..to, 0i64..1500).prop_map(|(start, len)| {
+            DateRange::new(SimDate::from_days(start), SimDate::from_days(start + len))
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn compute_raw_matches_the_ten_scan_oracle(
+            records in prop::collection::vec((owner(), rdata(), span(), 1u64..5), 0..40),
+            nested_first in any::<bool>(),
+        ) {
+            let mut f = CampaignFixture::default();
+            for (name, rdata, span, count) in records {
+                f.pdns.observe_span(name, rdata, span, count);
+            }
+            // Nested seeds with different countries, in either order.
+            let mut seeds = vec![seed("gov.zz", "zz"), seed("city.gov.zz", "yy")];
+            if nested_first {
+                seeds.reverse();
+            }
+            let campaign = f.campaign();
+            prop_assert_eq!(
+                YearlyTotals::compute_raw(&campaign, &seeds).rows,
+                compute_raw_oracle(&campaign, &seeds).rows
+            );
+        }
+    }
 
     fn demo_longitudinal() -> Longitudinal {
         longitudinal(vec![

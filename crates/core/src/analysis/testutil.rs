@@ -280,6 +280,20 @@ pub(crate) fn ns_entry(
     }
 }
 
+/// Builds one PDNS SOA entry spanning `[from, to]` (inclusive, y/m/d).
+pub(crate) fn soa_entry(
+    owner: &str,
+    mname: &str,
+    rname: &str,
+    from: (i32, u32, u32),
+    to: (i32, u32, u32),
+) -> PdnsEntry {
+    PdnsEntry {
+        rdata: govdns_model::RecordData::Soa(govdns_model::Soa::new(n(mname), n(rname))),
+        ..ns_entry(owner, mname, from, to)
+    }
+}
+
 /// Builds a history under `gov.{cc}`.
 pub(crate) fn history(owner: &str, cc: &str, entries: Vec<PdnsEntry>) -> DomainHistory {
     DomainHistory {

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use govdns_model::{DateRange, DomainName, RecordData, RecordType, SimDate};
 
-use crate::PdnsEntry;
+use crate::{PdnsEntry, PdnsRef};
 
 /// A passive-DNS database with DNSDB semantics: observations of the same
 /// `(rrname, rrtype, rdata)` tuple coalesce into one entry whose
@@ -114,7 +114,29 @@ impl PdnsDb {
         name: &DomainName,
         rtype: Option<RecordType>,
     ) -> impl Iterator<Item = PdnsEntry> + '_ {
-        self.names.get(&rev_key(name)).into_iter().flat_map(move |slot| slot.entries(rtype))
+        self.names
+            .get(&rev_key(name))
+            .into_iter()
+            .flat_map(NameEntries::refs)
+            .filter(move |r| rtype.is_none_or(|t| r.rtype() == t))
+            .map(PdnsRef::to_entry)
+    }
+
+    /// Left-hand wildcard scan, borrowed: every entry at `suffix` or
+    /// beneath it, as views into the database. Callers filter these and
+    /// materialise only the survivors.
+    pub fn scan_subtree<'a>(
+        &'a self,
+        suffix: &DomainName,
+    ) -> impl Iterator<Item = PdnsRef<'a>> + 'a {
+        let prefix = rev_key(suffix);
+        // Keys under the suffix are `prefix` itself plus `prefix.<more>`.
+        // `/` is the successor of `.` in ASCII, which bounds the scan.
+        let upper = format!("{prefix}/");
+        self.names
+            .range(prefix.clone()..upper)
+            .filter(move |(k, _)| **k == prefix || k[prefix.len()..].starts_with('.'))
+            .flat_map(|(_, slot)| slot.refs())
     }
 
     /// Left-hand wildcard search: every entry at `suffix` or beneath it.
@@ -125,45 +147,37 @@ impl PdnsDb {
         &'a self,
         suffix: &DomainName,
     ) -> impl Iterator<Item = PdnsEntry> + 'a {
-        let prefix = rev_key(suffix);
-        // Keys under the suffix are `prefix` itself plus `prefix.<more>`.
-        // `/` is the successor of `.` in ASCII, which bounds the scan.
-        let upper = format!("{prefix}/");
-        self.names
-            .range(prefix.clone()..upper)
-            .filter(move |(k, _)| **k == prefix || k[prefix.len()..].starts_with('.'))
-            .flat_map(|(_, slot)| slot.entries(None))
+        self.scan_subtree(suffix).map(PdnsRef::to_entry)
     }
 
     /// Wildcard search restricted to entries observed within `window` and
-    /// optionally to one record type.
+    /// optionally to one record type. Both filters run on the borrowed
+    /// scan, so only matching entries are materialised.
     pub fn search_subtree_in<'a>(
         &'a self,
         suffix: &DomainName,
         window: DateRange,
         rtype: Option<RecordType>,
     ) -> impl Iterator<Item = PdnsEntry> + 'a {
-        self.search_subtree(suffix)
-            .filter(move |e| e.active_in(&window))
-            .filter(move |e| rtype.is_none_or(|t| e.rtype() == t))
+        self.scan_subtree(suffix)
+            .filter(move |r| r.active_in(&window) && rtype.is_none_or(|t| r.rtype() == t))
+            .map(PdnsRef::to_entry)
     }
 
     /// Iterates over every entry in the database, in reversed-name order.
     pub fn iter(&self) -> impl Iterator<Item = PdnsEntry> + '_ {
-        self.names.values().flat_map(|slot| slot.entries(None))
+        self.names.values().flat_map(NameEntries::refs).map(PdnsRef::to_entry)
     }
 }
 
 impl NameEntries {
-    fn entries(&self, rtype: Option<RecordType>) -> impl Iterator<Item = PdnsEntry> + '_ {
-        self.records.values().filter(move |s| rtype.is_none_or(|t| s.rdata.rtype() == t)).map(|s| {
-            PdnsEntry {
-                name: self.name.clone(),
-                rdata: s.rdata.clone(),
-                first_seen: s.first_seen,
-                last_seen: s.last_seen,
-                count: s.count,
-            }
+    fn refs(&self) -> impl Iterator<Item = PdnsRef<'_>> {
+        self.records.values().map(|s| PdnsRef {
+            name: &self.name,
+            rdata: &s.rdata,
+            first_seen: s.first_seen,
+            last_seen: s.last_seen,
+            count: s.count,
         })
     }
 }

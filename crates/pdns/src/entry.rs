@@ -44,6 +44,46 @@ impl PdnsEntry {
     }
 }
 
+/// A borrowed view of one entry, as [`crate::PdnsDb::scan_subtree`]
+/// yields it: filters run on this view, and only the entries that pass
+/// are materialised with [`PdnsRef::to_entry`].
+#[derive(Debug, Clone, Copy)]
+pub struct PdnsRef<'a> {
+    /// The record's owner name.
+    pub name: &'a DomainName,
+    /// The observed rdata.
+    pub rdata: &'a RecordData,
+    /// First date any sensor reported the tuple.
+    pub first_seen: SimDate,
+    /// Most recent date any sensor reported the tuple.
+    pub last_seen: SimDate,
+    /// Total number of sensor reports coalesced into this entry.
+    pub count: u64,
+}
+
+impl PdnsRef<'_> {
+    /// The record type of the rdata.
+    pub fn rtype(&self) -> RecordType {
+        self.rdata.rtype()
+    }
+
+    /// Whether the entry was observed at any point within `window`.
+    pub fn active_in(&self, window: &DateRange) -> bool {
+        DateRange::new(self.first_seen, self.last_seen).overlaps(window)
+    }
+
+    /// Clones the view into an owned entry.
+    pub fn to_entry(self) -> PdnsEntry {
+        PdnsEntry {
+            name: self.name.clone(),
+            rdata: self.rdata.clone(),
+            first_seen: self.first_seen,
+            last_seen: self.last_seen,
+            count: self.count,
+        }
+    }
+}
+
 impl fmt::Display for PdnsEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

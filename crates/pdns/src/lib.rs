@@ -13,9 +13,13 @@
 //! This crate reproduces exactly that query surface:
 //!
 //! * [`PdnsDb::observe_span`] — ingestion with DNSDB coalescing semantics,
-//! * [`PdnsDb::search_subtree`] — left-hand wildcard search,
-//! * [`PdnsDb::search_subtree_in`] — the same, restricted to a time window
-//!   (the paper's "seen between 2020-01-01 and collection time" filter),
+//! * [`PdnsDb::scan_subtree`] — left-hand wildcard search as borrowed
+//!   [`PdnsRef`] views, the one subtree scan every search is built on,
+//! * [`PdnsDb::search_subtree`] — the same, cloned into owned entries,
+//! * [`PdnsDb::search_subtree_in`] — restricted to a time window (the
+//!   paper's "seen between 2020-01-01 and collection time" filter) and
+//!   optionally one record type; both filters run on the borrowed scan,
+//!   before any entry is materialised,
 //! * [`SensorNetwork`] — simulated sensor coverage: records can be missed
 //!   or observed late, so the database is an *under*-approximation of the
 //!   zone truth, as in reality,
@@ -34,5 +38,5 @@ pub mod filter;
 mod sensor;
 
 pub use db::PdnsDb;
-pub use entry::PdnsEntry;
+pub use entry::{PdnsEntry, PdnsRef};
 pub use sensor::{SensorConfig, SensorNetwork};

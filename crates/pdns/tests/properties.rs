@@ -2,12 +2,40 @@
 
 use proptest::prelude::*;
 
-use govdns_model::{DateRange, DomainName, RecordData, SimDate};
-use govdns_pdns::{filter, PdnsDb};
+use govdns_model::{DateRange, DomainName, RecordData, RecordType, SimDate, Soa};
+use govdns_pdns::{filter, PdnsDb, PdnsEntry};
 
 fn name_strategy() -> impl Strategy<Value = DomainName> {
     prop::collection::vec("[a-z]{1,6}", 1..4)
         .prop_map(|labels| format!("{}.gov.zz", labels.join(".")).parse().unwrap())
+}
+
+/// Names in the `gov.zz` subtree, or decoys outside it. `gov-*.zz` is
+/// the sharp one: its reversed key `zz.gov-*` sorts inside the scanned
+/// key range `zz.gov..zz.gov/`, so only the label-boundary check drops it.
+fn owner_strategy() -> impl Strategy<Value = DomainName> {
+    (name_strategy(), 0u8..5).prop_map(|(name, kind)| {
+        let first = name.labels()[0].as_str().to_owned();
+        match kind {
+            0 => format!("{first}.gov.zx").parse().unwrap(),
+            1 => format!("{first}.gov-{first}.zz").parse().unwrap(),
+            2 => format!("{first}.xgov.zz").parse().unwrap(),
+            _ => name,
+        }
+    })
+}
+
+/// NS, SOA and A records, drawn from small pools so owners collect
+/// several records of each type.
+fn mixed_rdata_strategy() -> impl Strategy<Value = RecordData> {
+    (0u8..3, 1u8..4).prop_map(|(kind, i)| {
+        let host: DomainName = format!("ns{i}.prov.example").parse().unwrap();
+        match kind {
+            0 => RecordData::Ns(host),
+            1 => RecordData::Soa(Soa::new(host, "hostmaster.gov.zz".parse().unwrap())),
+            _ => RecordData::A([192, 0, 2, i].into()),
+        }
+    })
 }
 
 fn span_strategy() -> impl Strategy<Value = DateRange> {
@@ -67,26 +95,34 @@ proptest! {
         }
     }
 
-    /// A windowed search returns exactly the entries whose span overlaps
-    /// the window.
+    /// A windowed, typed search returns exactly the subtree entries whose
+    /// span overlaps the window and whose type matches, in scan order:
+    /// the same as filtering the owned search, or the whole database.
     #[test]
     fn windowed_search_matches_overlap(
-        spans in prop::collection::vec(span_strategy(), 1..20),
+        rows in prop::collection::vec(
+            (owner_strategy(), mixed_rdata_strategy(), span_strategy(), 1u64..50),
+            1..30,
+        ),
         window in span_strategy(),
+        rtype in prop::sample::select(vec![RecordType::Ns, RecordType::Soa, RecordType::A]),
     ) {
         let suffix: DomainName = "gov.zz".parse().unwrap();
         let mut db = PdnsDb::new();
-        for (i, s) in spans.iter().enumerate() {
-            db.observe_span(
-                format!("d{i}.gov.zz").parse().unwrap(),
-                RecordData::Ns("ns1.prov.example".parse().unwrap()),
-                *s,
-                1,
-            );
+        for (name, rdata, span, count) in rows {
+            db.observe_span(name, rdata, span, count);
         }
-        let expected = spans.iter().filter(|s| s.overlaps(&window)).count();
-        let got = db.search_subtree_in(&suffix, window, None).count();
-        prop_assert_eq!(got, expected);
+        let wanted = |e: &PdnsEntry| e.active_in(&window) && e.rtype() == rtype;
+        let got: Vec<PdnsEntry> = db.search_subtree_in(&suffix, window, Some(rtype)).collect();
+        let filtered: Vec<PdnsEntry> = db.search_subtree(&suffix).filter(wanted).collect();
+        let from_all: Vec<PdnsEntry> =
+            db.iter().filter(|e| e.name.is_within(&suffix) && wanted(e)).collect();
+        prop_assert_eq!(&got, &filtered);
+        prop_assert_eq!(&got, &from_all);
+        let untyped: Vec<PdnsEntry> = db.search_subtree_in(&suffix, window, None).collect();
+        let overlapping: Vec<PdnsEntry> =
+            db.search_subtree(&suffix).filter(|e| e.active_in(&window)).collect();
+        prop_assert_eq!(untyped, overlapping);
     }
 
     /// The stability filter keeps exactly the spans of ≥ 7 days.
