@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, release build, full test suite (incl. doc
 # tests), warning-free clippy, the benchmark package's own tests, the
-# chaos determinism smoke, the crash/resume smoke, the trace
+# chaos determinism smoke, the crash/resume smoke, the journal-growth
+# gate, the trace
 # determinism smoke, the cross-run diff smoke (self-diff empty,
 # cross-seed divergence deterministic, corpus replay byte-identical),
 # the counterfactual SPOF smoke (seeded sweeps
@@ -86,6 +87,22 @@ cargo run -q --release --example resume -- --seed 7 --scale 0.01 \
     --journal "$resume_dir/full2.journal" > /dev/null
 cmp "$resume_dir/full.journal" "$resume_dir/full2.journal" || {
     echo "sink smoke: identical runs produced different journal bytes" >&2
+    exit 1
+}
+
+echo "== journal growth: delta checkpoints keep bytes/probe flat =="
+# Each periodic checkpoint records only what changed since the previous
+# one, so journal bytes per probe must not grow with the campaign. The
+# property test checks that delta replay equals full-snapshot replay at
+# random crash points; the scale 0.01 figure comes from the resume
+# smoke's full run above.
+cargo test -q -p govdns-core --test delta_journal
+cargo run -q --release --example resume -- --seed 7 --scale 0.04 \
+    --journal "$resume_dir/large.journal" > "$resume_dir/large.out"
+small="$(awk '/^journal bytes\/probe:/ {print $3}' "$resume_dir/full.out")"
+large="$(awk '/^journal bytes\/probe:/ {print $3}' "$resume_dir/large.out")"
+awk -v s="$small" -v l="$large" 'BEGIN { exit !(s > 0 && l <= 1.25 * s) }' || {
+    echo "journal growth: $large bytes/probe at scale 0.04 vs $small at 0.01 (limit 1.25x)" >&2
     exit 1
 }
 

@@ -1,13 +1,13 @@
 //! Write-ahead observation journal: crash-safe campaign persistence.
 //!
 //! Every completed [`DomainProbe`] is appended to an on-disk journal as
-//! a length-prefixed, checksummed JSON record, and the full mutable
-//! pipeline state (rate-limiter ledger, network accounting, resolver
-//! cache, circuit breakers) is checkpointed every few probes. A
-//! campaign killed mid-flight is resumed by replaying the journal: the
-//! runner restores the checkpointed state, fills in the already-probed
-//! domains, and re-probes only the remainder — producing a dataset
-//! byte-identical to the uninterrupted run (see `runner.rs`).
+//! a length-prefixed, checksummed JSON record, and the mutable pipeline
+//! state (rate-limiter ledger, network accounting, resolver cache,
+//! circuit breakers) is checkpointed every few probes. A campaign killed
+//! mid-flight is resumed by replaying the journal: the runner restores
+//! the checkpointed state, fills in the already-probed domains, and
+//! re-probes only the remainder — producing a dataset byte-identical to
+//! the uninterrupted run (see `runner.rs`).
 //!
 //! # Record framing
 //!
@@ -18,14 +18,29 @@
 //!
 //! The payload is a single JSON object with a `"kind"` field: `header`
 //! (config echo + discovered-name fingerprint, always first), `probe`
-//! (one observation), `checkpoint` (full pipeline state), `resumed`
+//! (one observation), `checkpoint` (full pipeline state), `delta` (only
+//! the state that changed since the previous state record), `resumed`
 //! (a resume boundary marker), or `complete` (clean end-of-campaign).
 //! A torn or corrupt tail — the half-written record a crash leaves
 //! behind — fails its length or checksum test and is silently dropped;
 //! everything before it is intact by construction (records are flushed
 //! in order). A record that passes its checksum but fails to decode is
-//! a version mismatch and panics.
+//! a version mismatch: [`JournalReplay::try_load`] returns it as an
+//! error.
+//!
+//! # Delta chains
+//!
+//! A campaign journal opens with one full `checkpoint` (the base) and
+//! then records a [`Delta`] every few probes: the limiter totals and the
+//! traffic and fault counters in full, plus only the per-destination
+//! entries and breaker slots that moved and the capturing worker's cache
+//! inserts and evictions. Replay folds the deltas onto the base in file
+//! order; each worker's cache chain starts from the base cache. A
+//! `resumed` marker restarts the fold from the best state so far, which
+//! is what the resuming process restored. Journals written before deltas
+//! existed hold only full checkpoints and replay as before.
 
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::net::Ipv4Addr;
@@ -33,7 +48,7 @@ use std::path::{Path, PathBuf};
 
 use govdns_model::json::{self, Json};
 use govdns_model::{DomainName, RecordData, RecordType, ResourceRecord, Soa};
-use govdns_simnet::{CacheEntry, FaultStats, TrafficStats};
+use govdns_simnet::{CacheChanges, CacheEntry, FaultStats, TrafficStats};
 
 use crate::probe::{
     BreakerPhase, BreakerSnapshot, DomainProbe, ResponseClass, ServerObservation, ServerProbe,
@@ -45,8 +60,10 @@ use crate::ratelimit::LimiterState;
 pub struct JournalSpec {
     /// Journal file path (created/truncated at campaign start).
     pub path: PathBuf,
-    /// Full-state checkpoint cadence, in completed probes. The journal
-    /// also checkpoints once more when the probing loop drains.
+    /// Checkpoint cadence, in completed probes: each periodic checkpoint
+    /// is a [`Delta`] of what changed since the previous one. The journal
+    /// also opens with a full checkpoint and writes another when the
+    /// probing loop drains.
     pub checkpoint_every: usize,
     /// Buffered probe bytes that trigger a flush
     /// ([`DEFAULT_FLUSH_THRESHOLD`] unless overridden). Zero degrades
@@ -117,6 +134,34 @@ pub struct Checkpoint {
     pub breakers: Vec<BreakerSnapshot>,
 }
 
+/// A delta checkpoint: the pipeline state that changed since the
+/// previous state record, captured by one worker after `probes_done`
+/// completed probes. Folded onto the journal's base [`Checkpoint`] in
+/// file order, it yields the full checkpoint that worker would have
+/// captured.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Delta {
+    /// Completed probes at capture time.
+    pub probes_done: u64,
+    /// The capturing worker's index: its cache chain is separate.
+    pub worker: u64,
+    /// Limiter totals and per-round counts in full; the per-destination
+    /// maps hold only the entries that moved, at their current values.
+    pub limiter: LimiterState,
+    /// Network traffic accounting, in full.
+    pub traffic: TrafficStats,
+    /// Injected-fault accounting, in full.
+    pub faults: FaultStats,
+    /// Per-destination query counts that moved, at their current values.
+    pub net_per_destination: Vec<(Ipv4Addr, u64)>,
+    /// The capturing worker's resolver-cache inserts and evictions.
+    pub cache: CacheChanges,
+    /// The capturing worker's virtual clock, seconds.
+    pub clock_s: u64,
+    /// Breaker slots that changed.
+    pub breakers: Vec<BreakerSnapshot>,
+}
+
 /// Appends records to a journal file.
 ///
 /// Probe appends are buffered (flushed once the buffer passes the
@@ -165,16 +210,21 @@ impl JournalWriter {
         w
     }
 
-    /// Opens an existing journal for appending (the resume-in-place
-    /// path); the caller has already validated its header.
+    /// Opens an existing journal for appending after its first
+    /// `intact_len` bytes (the resume-in-place path); the caller has
+    /// already validated its header. Whatever follows — the torn tail a
+    /// crash left, `dropped_bytes` of its replay — is cut off first:
+    /// replay stops at the first bad frame, so records appended after
+    /// torn bytes would be unreachable.
     ///
     /// # Panics
     ///
-    /// Panics if the file cannot be opened.
-    pub fn append_to(path: &Path) -> Self {
+    /// Panics if the file cannot be opened or truncated.
+    pub fn append_to(path: &Path, intact_len: u64) -> Self {
         let file = OpenOptions::new()
             .append(true)
             .open(path)
+            .and_then(|f| f.set_len(intact_len).map(|()| f))
             .unwrap_or_else(|e| panic!("journal: cannot append to {}: {e}", path.display()));
         JournalWriter {
             file,
@@ -212,6 +262,14 @@ impl JournalWriter {
     /// durability boundary a resumed campaign restarts from.
     pub fn checkpoint(&mut self, cp: &Checkpoint) {
         self.write_record(&checkpoint_to_value(cp));
+        self.flush();
+    }
+
+    /// Appends a delta checkpoint and flushes. Deltas chain: each holds
+    /// only what changed since the state record before it, so they must
+    /// be appended in capture order after a full base checkpoint.
+    pub fn delta(&mut self, delta: &Delta) {
+        self.write_record(&delta_to_value(delta));
         self.flush();
     }
 
@@ -291,8 +349,9 @@ pub struct JournalReplay {
     /// The contiguous prefix of completed probes (index 0..n in
     /// campaign domain order).
     pub probes: Vec<DomainProbe>,
-    /// The most advanced checkpoint whose `probes_done` does not exceed
-    /// the contiguous probe prefix.
+    /// The most advanced state record whose `probes_done` does not
+    /// exceed the contiguous probe prefix, as a full checkpoint (a delta
+    /// is folded onto its base).
     pub checkpoint: Option<Checkpoint>,
     /// Valid records read (all kinds).
     pub records: u64,
@@ -305,17 +364,26 @@ pub struct JournalReplay {
 }
 
 impl JournalReplay {
-    /// Reads and validates a journal.
+    /// Reads and validates a journal; see [`try_load`](Self::try_load).
     ///
     /// # Panics
     ///
-    /// Panics if the file cannot be read, does not begin with a valid
+    /// Panics with the error [`try_load`](Self::try_load) returns.
+    pub fn load(path: &Path) -> Self {
+        Self::try_load(path).unwrap_or_else(|e| panic!("journal: {e}"))
+    }
+
+    /// Reads and validates a journal.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the file cannot be read, does not begin with a valid
     /// header record, or contains a checksummed record that fails to
     /// decode (a format-version mismatch).
-    pub fn load(path: &Path) -> Self {
-        let bytes = std::fs::read(path)
-            .unwrap_or_else(|e| panic!("journal: cannot read {}: {e}", path.display()));
-        Self::decode(&bytes).unwrap_or_else(|e| panic!("journal: {}: {e}", path.display()))
+    pub fn try_load(path: &Path) -> Result<Self, String> {
+        let bytes =
+            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        Self::decode(&bytes).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     fn decode(bytes: &[u8]) -> Result<Self, String> {
@@ -344,13 +412,17 @@ impl JournalReplay {
             resumes: 0,
             completed: false,
         };
+        let mut links = StateLinks::default();
         for (i, record) in records.iter().enumerate().skip(1) {
-            replay.apply(record).map_err(|e| format!("record {i}: {e}"))?;
+            replay.apply(i, record, &mut links).map_err(|e| format!("record {i}: {e}"))?;
+        }
+        if let Some((best, _)) = links.best {
+            replay.checkpoint = Some(links.materialize(&records, best)?);
         }
         Ok(replay)
     }
 
-    fn apply(&mut self, record: &Json) -> Result<(), String> {
+    fn apply(&mut self, i: usize, record: &Json, links: &mut StateLinks) -> Result<(), String> {
         match record.need_str("kind")? {
             "probe" => {
                 // Only the contiguous prefix is trustworthy: with a
@@ -361,18 +433,164 @@ impl JournalReplay {
                 }
             }
             "checkpoint" => {
-                let cp = checkpoint_from_value(record)?;
-                if cp.probes_done <= self.probes.len() as u64
-                    && self.checkpoint.as_ref().is_none_or(|b| cp.probes_done >= b.probes_done)
-                {
-                    self.checkpoint = Some(cp);
+                let done = checkpoint_from_value(record)?.probes_done;
+                links.tip = Some(i);
+                links.resumed = false;
+                links.offer(i, done, self.probes.len());
+            }
+            "delta" => {
+                let done = delta_from_value(record)?.probes_done;
+                // A delta with no base before it cannot be materialised.
+                if let Some(tip) = links.tip {
+                    links.parents.insert(i, (tip, links.resumed));
+                    links.tip = Some(i);
+                    links.resumed = false;
+                    links.offer(i, done, self.probes.len());
                 }
             }
-            "resumed" => self.resumes += 1,
+            "resumed" => {
+                // The resuming process restored the best state so far:
+                // the deltas it goes on to write chain from there.
+                self.resumes += 1;
+                links.tip = links.best.map(|(best, _)| best);
+                links.resumed = true;
+            }
             "complete" => self.completed = true,
             kind => return Err(format!("unknown record kind {kind:?}")),
         }
         Ok(())
+    }
+}
+
+/// What one scan of the journal learns about its state records, so that
+/// only the chosen checkpoint's chain is folded, once.
+#[derive(Debug, Default)]
+struct StateLinks {
+    /// The best state record so far, with its `probes_done`.
+    best: Option<(usize, u64)>,
+    /// The state record the next delta applies to.
+    tip: Option<usize>,
+    /// Whether a `resumed` marker sits between `tip` and the next delta.
+    resumed: bool,
+    /// Each chained delta's record index → the state record it applies
+    /// to, and whether a resume boundary lies between them.
+    parents: HashMap<usize, (usize, bool)>,
+}
+
+impl StateLinks {
+    /// Makes record `i` the best so far if it does not run ahead of the
+    /// probe prefix and is at least as advanced (ties go to the later).
+    fn offer(&mut self, i: usize, done: u64, prefix: usize) {
+        if done <= prefix as u64 && self.best.is_none_or(|(_, b)| done >= b) {
+            self.best = Some((i, done));
+        }
+    }
+
+    /// Folds the chain ending at record `target` into a full checkpoint.
+    fn materialize(&self, records: &[Json], target: usize) -> Result<Checkpoint, String> {
+        let mut chain = vec![target];
+        while let Some(&(parent, _)) = chain.last().and_then(|i| self.parents.get(i)) {
+            chain.push(parent);
+        }
+        let base_index = chain.pop().unwrap_or(target);
+        let decode_err = |i: usize| move |e: String| format!("record {i}: {e}");
+        let base = checkpoint_from_value(&records[base_index]).map_err(decode_err(base_index))?;
+        if chain.is_empty() {
+            return Ok(base);
+        }
+        let mut fold = Fold::new(base);
+        for &i in chain.iter().rev() {
+            if self.parents.get(&i).is_some_and(|&(_, resumed)| resumed) {
+                fold.rebase();
+            }
+            fold.apply(delta_from_value(&records[i]).map_err(decode_err(i))?);
+        }
+        Ok(fold.finish())
+    }
+}
+
+type CacheMap = BTreeMap<(DomainName, RecordType), CacheEntry>;
+
+/// The entries a resolver whose clock reads `clock_s` keeps when it
+/// imports `cache` (see `StubResolver::import_cache`).
+fn unexpired(
+    cache: impl IntoIterator<Item = ((DomainName, RecordType), CacheEntry)>,
+    clock_s: u64,
+) -> CacheMap {
+    cache.into_iter().filter(|(_, e)| e.expires_at_s > clock_s).collect()
+}
+
+/// A base checkpoint with deltas folded on top, in file order.
+struct Fold {
+    /// The latest state's scalar fields. Its cache is `caches[worker]`
+    /// of the last delta folded in.
+    head: Checkpoint,
+    worker: u64,
+    per_destination: BTreeMap<Ipv4Addr, u64>,
+    per_destination_retries: BTreeMap<Ipv4Addr, u64>,
+    net_per_destination: BTreeMap<Ipv4Addr, u64>,
+    breakers: BTreeMap<Ipv4Addr, BreakerSnapshot>,
+    /// Where every worker's cache chain starts: the cache each worker of
+    /// the process that wrote the deltas imported (entries unexpired at
+    /// the clock it was restored at).
+    chain_base: CacheMap,
+    caches: HashMap<u64, CacheMap>,
+}
+
+impl Fold {
+    fn new(mut base: Checkpoint) -> Self {
+        let take = |v: &mut Vec<(Ipv4Addr, u64)>| std::mem::take(v).into_iter().collect();
+        Fold {
+            per_destination: take(&mut base.limiter.per_destination),
+            per_destination_retries: take(&mut base.limiter.per_destination_retries),
+            net_per_destination: take(&mut base.net_per_destination),
+            breakers: std::mem::take(&mut base.breakers).into_iter().map(|b| (b.addr, b)).collect(),
+            chain_base: unexpired(std::mem::take(&mut base.cache), base.clock_s),
+            caches: HashMap::new(),
+            worker: 0,
+            head: base,
+        }
+    }
+
+    /// Restarts every worker's cache chain from the head state — a
+    /// resume boundary: each worker of the resuming process imported the
+    /// restored checkpoint's cache.
+    fn rebase(&mut self) {
+        if let Some(cache) = self.caches.remove(&self.worker) {
+            self.chain_base = unexpired(cache, self.head.clock_s);
+        }
+        self.caches.clear();
+    }
+
+    fn apply(&mut self, delta: Delta) {
+        let head = &mut self.head;
+        head.probes_done = delta.probes_done;
+        head.limiter.issued = delta.limiter.issued;
+        head.limiter.per_round = delta.limiter.per_round;
+        head.traffic = delta.traffic;
+        head.faults = delta.faults;
+        head.clock_s = delta.clock_s;
+        self.per_destination.extend(delta.limiter.per_destination);
+        self.per_destination_retries.extend(delta.limiter.per_destination_retries);
+        self.net_per_destination.extend(delta.net_per_destination);
+        self.breakers.extend(delta.breakers.into_iter().map(|b| (b.addr, b)));
+        let chain_base = &self.chain_base;
+        let cache = self.caches.entry(delta.worker).or_insert_with(|| chain_base.clone());
+        for key in &delta.cache.evicted {
+            cache.remove(key);
+        }
+        cache.extend(delta.cache.inserted);
+        self.worker = delta.worker;
+    }
+
+    fn finish(mut self) -> Checkpoint {
+        let mut cp = self.head;
+        cp.limiter.per_destination = self.per_destination.into_iter().collect();
+        cp.limiter.per_destination_retries = self.per_destination_retries.into_iter().collect();
+        cp.net_per_destination = self.net_per_destination.into_iter().collect();
+        cp.breakers = self.breakers.into_values().collect();
+        cp.cache = self.caches.remove(&self.worker).unwrap_or_default().into_iter().collect();
+        cp
     }
 }
 
@@ -411,7 +629,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 // a fixed order, keeping encoding deterministic. Decoders look keys up
 // by name and return an error naming what is missing or malformed: a
 // checksummed record that fails to decode is a format-version mismatch,
-// not a torn write, and `JournalReplay::load` panics on it.
+// not a torn write, and `JournalReplay::try_load` returns it as an error.
 // ---------------------------------------------------------------------
 
 fn num(n: impl Into<u64>) -> Json {
@@ -726,50 +944,86 @@ fn breaker_from_value(value: &Json) -> Result<BreakerSnapshot, String> {
     })
 }
 
+fn traffic_to_value(t: &TrafficStats) -> Json {
+    Json::obj(vec![
+        ("queries_sent", num(t.queries_sent)),
+        ("responses_received", num(t.responses_received)),
+        ("timeouts", num(t.timeouts)),
+        ("bytes_sent", num(t.bytes_sent)),
+        ("bytes_received", num(t.bytes_received)),
+        ("total_wait_ms", num(t.total_wait_ms)),
+    ])
+}
+
+fn traffic_from_value(value: &Json) -> Result<TrafficStats, String> {
+    Ok(TrafficStats {
+        queries_sent: value.need_u64("queries_sent")?,
+        responses_received: value.need_u64("responses_received")?,
+        timeouts: value.need_u64("timeouts")?,
+        bytes_sent: value.need_u64("bytes_sent")?,
+        bytes_received: value.need_u64("bytes_received")?,
+        total_wait_ms: value.need_u64("total_wait_ms")?,
+    })
+}
+
+fn faults_to_value(f: &FaultStats) -> Json {
+    Json::obj(vec![
+        ("flap_timeouts", num(f.flap_timeouts)),
+        ("losses", num(f.losses)),
+        ("refused", num(f.refused)),
+        ("truncated", num(f.truncated)),
+        ("delayed", num(f.delayed)),
+        ("outages", num(f.outages)),
+    ])
+}
+
+fn faults_from_value(value: &Json) -> Result<FaultStats, String> {
+    Ok(FaultStats {
+        flap_timeouts: value.need_u64("flap_timeouts")?,
+        losses: value.need_u64("losses")?,
+        refused: value.need_u64("refused")?,
+        truncated: value.need_u64("truncated")?,
+        delayed: value.need_u64("delayed")?,
+        outages: value.need_u64("outages")?,
+    })
+}
+
+fn cache_entry_to_value(((name, rtype), entry): &((DomainName, RecordType), CacheEntry)) -> Json {
+    Json::Arr(vec![
+        name_to_value(name),
+        num(rtype.code()),
+        Json::Arr(entry.records.iter().map(resource_record_to_value).collect()),
+        num(entry.expires_at_s),
+    ])
+}
+
+fn cache_key_to_value((name, rtype): &(DomainName, RecordType)) -> Json {
+    Json::Arr(vec![name_to_value(name), num(rtype.code())])
+}
+
+fn cache_key_from_values(name: &Json, code: &Json) -> Result<(DomainName, RecordType), String> {
+    let code = code.as_u64().and_then(|c| u16::try_from(c).ok()).ok_or("cache record type")?;
+    let rtype =
+        RecordType::from_code(code).ok_or_else(|| format!("unknown record type code {code}"))?;
+    Ok((name_from_value(name)?, rtype))
+}
+
+fn cache_key_from_value(value: &Json) -> Result<(DomainName, RecordType), String> {
+    let Some([name, code]) = value.as_arr() else {
+        return Err("cache key is not a pair".to_owned());
+    };
+    cache_key_from_values(name, code)
+}
+
 fn checkpoint_to_value(cp: &Checkpoint) -> Json {
     Json::obj(vec![
         ("kind", Json::from("checkpoint")),
         ("probes_done", num(cp.probes_done)),
         ("limiter", limiter_to_value(&cp.limiter)),
-        (
-            "traffic",
-            Json::obj(vec![
-                ("queries_sent", num(cp.traffic.queries_sent)),
-                ("responses_received", num(cp.traffic.responses_received)),
-                ("timeouts", num(cp.traffic.timeouts)),
-                ("bytes_sent", num(cp.traffic.bytes_sent)),
-                ("bytes_received", num(cp.traffic.bytes_received)),
-                ("total_wait_ms", num(cp.traffic.total_wait_ms)),
-            ]),
-        ),
-        (
-            "faults",
-            Json::obj(vec![
-                ("flap_timeouts", num(cp.faults.flap_timeouts)),
-                ("losses", num(cp.faults.losses)),
-                ("refused", num(cp.faults.refused)),
-                ("truncated", num(cp.faults.truncated)),
-                ("delayed", num(cp.faults.delayed)),
-                ("outages", num(cp.faults.outages)),
-            ]),
-        ),
+        ("traffic", traffic_to_value(&cp.traffic)),
+        ("faults", faults_to_value(&cp.faults)),
         ("net_per_destination", addr_counts_to_value(&cp.net_per_destination)),
-        (
-            "cache",
-            Json::Arr(
-                cp.cache
-                    .iter()
-                    .map(|((name, rtype), entry)| {
-                        Json::Arr(vec![
-                            name_to_value(name),
-                            num(rtype.code()),
-                            Json::Arr(entry.records.iter().map(resource_record_to_value).collect()),
-                            num(entry.expires_at_s),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("cache", Json::Arr(cp.cache.iter().map(cache_entry_to_value).collect())),
         ("clock_s", num(cp.clock_s)),
         ("breakers", Json::Arr(cp.breakers.iter().map(breaker_to_value).collect())),
     ])
@@ -785,9 +1039,7 @@ fn cache_entry_from_value(value: &Json) -> Result<((DomainName, RecordType), Cac
         Some([name, code, records, expiry]) => (name, code, records, Some(expiry)),
         _ => return Err("cache entry is not a 3- or 4-tuple".to_owned()),
     };
-    let code = code.as_u64().and_then(|c| u16::try_from(c).ok()).ok_or("cache record type")?;
-    let rtype =
-        RecordType::from_code(code).ok_or_else(|| format!("unknown record type code {code}"))?;
+    let key = cache_key_from_values(name, code)?;
     let records: Vec<ResourceRecord> = records
         .as_arr()
         .ok_or("cache records are not an array")?
@@ -798,37 +1050,54 @@ fn cache_entry_from_value(value: &Json) -> Result<((DomainName, RecordType), Cac
         Some(v) => v.as_u64().ok_or("cache entry expiry is not a u64")?,
         None => u64::from(records.iter().map(|r| r.ttl).min().unwrap_or(LEGACY_NEGATIVE_TTL_S)),
     };
-    Ok(((name_from_value(name)?, rtype), CacheEntry { expires_at_s, records }))
+    Ok((key, CacheEntry { expires_at_s, records }))
 }
 
 fn checkpoint_from_value(value: &Json) -> Result<Checkpoint, String> {
-    let traffic = value.need("traffic")?;
-    let faults = value.need("faults")?;
     Ok(Checkpoint {
         probes_done: value.need_u64("probes_done")?,
         limiter: limiter_from_value(value.need("limiter")?)?,
-        traffic: TrafficStats {
-            queries_sent: traffic.need_u64("queries_sent")?,
-            responses_received: traffic.need_u64("responses_received")?,
-            timeouts: traffic.need_u64("timeouts")?,
-            bytes_sent: traffic.need_u64("bytes_sent")?,
-            bytes_received: traffic.need_u64("bytes_received")?,
-            total_wait_ms: traffic.need_u64("total_wait_ms")?,
-        },
-        faults: FaultStats {
-            flap_timeouts: faults.need_u64("flap_timeouts")?,
-            losses: faults.need_u64("losses")?,
-            refused: faults.need_u64("refused")?,
-            truncated: faults.need_u64("truncated")?,
-            delayed: faults.need_u64("delayed")?,
-            outages: faults.need_u64("outages")?,
-        },
+        traffic: traffic_from_value(value.need("traffic")?)?,
+        faults: faults_from_value(value.need("faults")?)?,
         net_per_destination: list(value, "net_per_destination", addr_count_from_value)?,
         cache: list(value, "cache", cache_entry_from_value)?,
         clock_s: match value.get("clock_s") {
             Some(v) => v.as_u64().ok_or("field `clock_s` is not a u64")?,
             None => 0,
         },
+        breakers: list(value, "breakers", breaker_from_value)?,
+    })
+}
+
+fn delta_to_value(d: &Delta) -> Json {
+    Json::obj(vec![
+        ("kind", Json::from("delta")),
+        ("probes_done", num(d.probes_done)),
+        ("worker", num(d.worker)),
+        ("limiter", limiter_to_value(&d.limiter)),
+        ("traffic", traffic_to_value(&d.traffic)),
+        ("faults", faults_to_value(&d.faults)),
+        ("net_per_destination", addr_counts_to_value(&d.net_per_destination)),
+        ("cache_inserted", Json::Arr(d.cache.inserted.iter().map(cache_entry_to_value).collect())),
+        ("cache_evicted", Json::Arr(d.cache.evicted.iter().map(cache_key_to_value).collect())),
+        ("clock_s", num(d.clock_s)),
+        ("breakers", Json::Arr(d.breakers.iter().map(breaker_to_value).collect())),
+    ])
+}
+
+fn delta_from_value(value: &Json) -> Result<Delta, String> {
+    Ok(Delta {
+        probes_done: value.need_u64("probes_done")?,
+        worker: value.need_u64("worker")?,
+        limiter: limiter_from_value(value.need("limiter")?)?,
+        traffic: traffic_from_value(value.need("traffic")?)?,
+        faults: faults_from_value(value.need("faults")?)?,
+        net_per_destination: list(value, "net_per_destination", addr_count_from_value)?,
+        cache: CacheChanges {
+            inserted: list(value, "cache_inserted", cache_entry_from_value)?,
+            evicted: list(value, "cache_evicted", cache_key_from_value)?,
+        },
+        clock_s: value.need_u64("clock_s")?,
         breakers: list(value, "breakers", breaker_from_value)?,
     })
 }
@@ -1116,13 +1385,112 @@ mod tests {
         assert_eq!(decoded.cache[0].1.records, sample_checkpoint(2).cache[0].1.records);
     }
 
+    fn cached(name: &str, expires_at_s: u64) -> ((DomainName, RecordType), CacheEntry) {
+        ((n(name), RecordType::A), CacheEntry { expires_at_s, records: Vec::new() })
+    }
+
+    fn delta(done: u64, worker: u64, cache: CacheChanges, net: Vec<(Ipv4Addr, u64)>) -> Delta {
+        Delta {
+            probes_done: done,
+            worker,
+            limiter: LimiterState { issued: 10 * done, ..LimiterState::default() },
+            traffic: TrafficStats { queries_sent: 10 * done, ..TrafficStats::default() },
+            faults: FaultStats::default(),
+            net_per_destination: net,
+            cache,
+            clock_s: 100,
+            breakers: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn deltas_fold_per_worker_cache_chains_and_a_resume_restarts_them() {
+        let (a, b) = (Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2));
+        let base = Checkpoint {
+            probes_done: 0,
+            limiter: LimiterState::default(),
+            traffic: TrafficStats::default(),
+            faults: FaultStats::default(),
+            net_per_destination: vec![(a, 1)],
+            // `old.zz` expired before the base clock: no worker imports it.
+            cache: vec![cached("base.zz", 500), cached("old.zz", 50)],
+            clock_s: 100,
+            breakers: Vec::new(),
+        };
+        let path = tmp("delta-chain");
+        let mut w = JournalWriter::create(&path, &header());
+        w.checkpoint(&base);
+        w.probe(0, &sample_probe(0));
+        let inserted = |names: &[&str]| names.iter().map(|name| cached(name, 900)).collect();
+        w.delta(&delta(
+            1,
+            0,
+            CacheChanges { inserted: inserted(&["w0.zz"]), evicted: Vec::new() },
+            vec![(a, 2)],
+        ));
+        w.probe(1, &sample_probe(1));
+        w.delta(&delta(
+            2,
+            1,
+            CacheChanges {
+                inserted: inserted(&["w1.zz"]),
+                evicted: vec![(n("base.zz"), RecordType::A)],
+            },
+            vec![(b, 1)],
+        ));
+        drop(w);
+
+        let replay = JournalReplay::load(&path);
+        let expected = |done: u64, net, cache| Checkpoint {
+            probes_done: done,
+            limiter: LimiterState { issued: 10 * done, ..LimiterState::default() },
+            traffic: TrafficStats { queries_sent: 10 * done, ..TrafficStats::default() },
+            net_per_destination: net,
+            cache,
+            ..base.clone()
+        };
+        // Worker 1's chain: the imported base, minus its own eviction.
+        assert_eq!(
+            replay.checkpoint,
+            Some(expected(2, vec![(a, 2), (b, 1)], inserted(&["w1.zz"])))
+        );
+
+        // A resumed process restored that state: every worker's chain now
+        // starts from worker 1's cache, not from its own earlier one.
+        let mut w = JournalWriter::append_to(&path, std::fs::metadata(&path).unwrap().len());
+        w.resumed(2);
+        w.probe(2, &sample_probe(2));
+        w.delta(&delta(
+            3,
+            0,
+            CacheChanges { inserted: inserted(&["x.zz"]), evicted: Vec::new() },
+            Vec::new(),
+        ));
+        drop(w);
+        let replay = JournalReplay::load(&path);
+        assert_eq!(
+            replay.checkpoint,
+            Some(expected(3, vec![(a, 2), (b, 1)], inserted(&["w1.zz", "x.zz"])))
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn append_resumed_marker_counts_on_reload() {
         let path = tmp("resumed");
         let mut w = JournalWriter::create(&path, &header());
         w.probe(0, &sample_probe(0));
         drop(w);
-        let mut w = JournalWriter::append_to(&path);
+        // A crash tore the next record: appending must cut it off, or
+        // everything appended after it would be unreachable.
+        let intact = std::fs::metadata(&path).unwrap().len();
+        let mut torn = std::fs::read(&path).unwrap();
+        torn.extend_from_slice(b"J1 0123456789abcdef 000000ff\n{\"kind\":\"pro");
+        std::fs::write(&path, &torn).unwrap();
+        let before = JournalReplay::load(&path);
+        assert_eq!(intact, torn.len() as u64 - before.dropped_bytes);
+
+        let mut w = JournalWriter::append_to(&path, intact);
         w.resumed(1);
         w.probe(1, &sample_probe(1));
         drop(w);
@@ -1130,6 +1498,7 @@ mod tests {
         let replay = JournalReplay::load(&path);
         assert_eq!(replay.resumes, 1);
         assert_eq!(replay.probes.len(), 2);
+        assert_eq!(replay.dropped_bytes, 0);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1187,6 +1556,7 @@ mod tests {
             (frame(header) + &frame(r#"{"kind":"mystery"}"#), "mystery"),
             (frame(header) + &frame(r#"{"kind":"probe","index":0,"probe":{}}"#), "`domain`"),
             (frame(header) + &frame(r#"{"kind":"probe","index":0"#), "record 1"),
+            (frame(header) + &frame(r#"{"kind":"delta","probes_done":0}"#), "`worker`"),
         ] {
             let err = JournalReplay::decode(journal.as_bytes()).unwrap_err();
             assert!(err.contains(why), "{err:?} does not mention {why:?}");

@@ -17,7 +17,9 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use govdns_model::{DomainName, Message, Rcode, RecordType, Soa};
-use govdns_simnet::{CacheEntry, DeliveryOutcome, DeliveryTrace, SimNetwork, StubResolver};
+use govdns_simnet::{
+    CacheChanges, CacheEntry, DeliveryOutcome, DeliveryTrace, SimNetwork, StubResolver,
+};
 use govdns_telemetry::{Counter, Histogram, Registry};
 use govdns_trace::{Step, TraceData, WorkerTracer};
 
@@ -223,6 +225,8 @@ struct BreakerSlot {
     opened_rank: u32,
     trips: u64,
     denied: u64,
+    /// Whether the slot is listed in [`BreakerSlots::changed`].
+    marked: bool,
 }
 
 impl BreakerSlot {
@@ -233,7 +237,39 @@ impl BreakerSlot {
             opened_rank: 0,
             trips: 0,
             denied: 0,
+            marked: false,
         }
+    }
+
+    fn snapshot(&self, addr: Ipv4Addr) -> BreakerSnapshot {
+        BreakerSnapshot {
+            addr,
+            phase: self.phase,
+            consecutive_failures: self.consecutive_failures,
+            opened_rank: self.opened_rank,
+            trips: self.trips,
+            denied: self.denied,
+        }
+    }
+}
+
+/// Every destination's breaker, plus the slots changed since the last
+/// [`BreakerBank::take_changes`] (each listed once).
+#[derive(Debug, Default)]
+struct BreakerSlots {
+    map: HashMap<Ipv4Addr, BreakerSlot>,
+    changed: Vec<Ipv4Addr>,
+}
+
+impl BreakerSlots {
+    /// `dst`'s slot (created closed if absent), marked changed.
+    fn touch(&mut self, dst: Ipv4Addr) -> &mut BreakerSlot {
+        let slot = self.map.entry(dst).or_insert_with(BreakerSlot::new);
+        if !slot.marked {
+            slot.marked = true;
+            self.changed.push(dst);
+        }
+        slot
     }
 }
 
@@ -246,13 +282,13 @@ impl BreakerSlot {
 #[derive(Debug, Clone)]
 pub struct BreakerBank {
     policy: BreakerPolicy,
-    slots: Arc<Mutex<HashMap<Ipv4Addr, BreakerSlot>>>,
+    slots: Arc<Mutex<BreakerSlots>>,
 }
 
 impl BreakerBank {
     /// A bank enforcing `policy` (no-op when the policy is disabled).
     pub fn new(policy: BreakerPolicy) -> Self {
-        BreakerBank { policy, slots: Arc::new(Mutex::new(HashMap::new())) }
+        BreakerBank { policy, slots: Arc::new(Mutex::new(BreakerSlots::default())) }
     }
 
     /// The enforced policy.
@@ -268,11 +304,12 @@ impl BreakerBank {
             return BreakerAdmission::Allowed;
         }
         let mut slots = self.slots.lock();
-        let Some(slot) = slots.get_mut(&dst) else { return BreakerAdmission::Allowed };
+        let Some(slot) = slots.map.get(&dst) else { return BreakerAdmission::Allowed };
         match slot.phase {
             BreakerPhase::Closed => BreakerAdmission::Allowed,
             BreakerPhase::HalfOpen => BreakerAdmission::Trial,
             BreakerPhase::Open => {
+                let slot = slots.touch(dst);
                 if rank >= slot.opened_rank.saturating_add(self.policy.cooldown_rounds) {
                     slot.phase = BreakerPhase::HalfOpen;
                     BreakerAdmission::Trial
@@ -292,7 +329,7 @@ impl BreakerBank {
             return None;
         }
         let mut slots = self.slots.lock();
-        let slot = slots.entry(dst).or_insert_with(BreakerSlot::new);
+        let slot = slots.touch(dst);
         match slot.phase {
             BreakerPhase::Closed => {
                 if failure {
@@ -332,27 +369,37 @@ impl BreakerBank {
     /// order for journaling).
     pub fn snapshot(&self) -> Vec<BreakerSnapshot> {
         let slots = self.slots.lock();
-        let mut all: Vec<BreakerSnapshot> = slots
-            .iter()
-            .map(|(&addr, s)| BreakerSnapshot {
-                addr,
-                phase: s.phase,
-                consecutive_failures: s.consecutive_failures,
-                opened_rank: s.opened_rank,
-                trips: s.trips,
-                denied: s.denied,
-            })
-            .collect();
+        let mut all: Vec<BreakerSnapshot> =
+            slots.map.iter().map(|(&addr, s)| s.snapshot(addr)).collect();
         all.sort_by_key(|s| s.addr);
         all
     }
 
-    /// Overwrites the bank with checkpointed state (the resume path).
+    /// The slots that changed since the previous call (or the last
+    /// [`restore`](BreakerBank::restore)), sorted by address — what a
+    /// journal delta checkpoint records.
+    pub fn take_changes(&self) -> Vec<BreakerSnapshot> {
+        let mut slots = self.slots.lock();
+        let BreakerSlots { map, changed } = &mut *slots;
+        let mut out: Vec<BreakerSnapshot> = changed
+            .drain(..)
+            .filter_map(|addr| {
+                let slot = map.get_mut(&addr)?;
+                slot.marked = false;
+                Some(slot.snapshot(addr))
+            })
+            .collect();
+        out.sort_by_key(|s| s.addr);
+        out
+    }
+
+    /// Overwrites the bank with checkpointed state (the resume path),
+    /// leaving no pending changes.
     pub fn restore(&self, snapshots: &[BreakerSnapshot]) {
         let mut slots = self.slots.lock();
-        slots.clear();
+        *slots = BreakerSlots::default();
         for s in snapshots {
-            slots.insert(
+            slots.map.insert(
                 s.addr,
                 BreakerSlot {
                     phase: s.phase,
@@ -360,6 +407,7 @@ impl BreakerBank {
                     opened_rank: s.opened_rank,
                     trips: s.trips,
                     denied: s.denied,
+                    marked: false,
                 },
             );
         }
@@ -371,8 +419,12 @@ impl BreakerBank {
     /// toplist and the health section surfaces.
     pub fn quarantined(&self) -> Vec<(Ipv4Addr, u64)> {
         let slots = self.slots.lock();
-        let mut hit: Vec<(Ipv4Addr, u64)> =
-            slots.iter().filter(|(_, s)| s.trips > 0).map(|(&addr, s)| (addr, s.denied)).collect();
+        let mut hit: Vec<(Ipv4Addr, u64)> = slots
+            .map
+            .iter()
+            .filter(|(_, s)| s.trips > 0)
+            .map(|(&addr, s)| (addr, s.denied))
+            .collect();
         hit.sort_by_key(|&(addr, denied)| (std::cmp::Reverse(denied), addr));
         hit
     }
@@ -953,6 +1005,13 @@ impl<'n> ProbeClient<'n> {
     #[must_use]
     pub fn export_cache(&self) -> Vec<((DomainName, RecordType), CacheEntry)> {
         self.resolver.export_cache()
+    }
+
+    /// The resolver-cache inserts and evictions since the previous call;
+    /// see [`StubResolver::take_cache_changes`].
+    #[must_use]
+    pub fn take_cache_changes(&self) -> CacheChanges {
+        self.resolver.take_cache_changes()
     }
 
     /// The resolver's virtual clock, seconds (checkpointed alongside the
@@ -1873,6 +1932,26 @@ mod tests {
         assert_eq!(bank.on_result(dst, 1, true), None);
         assert_eq!(bank.snapshot()[0].phase, BreakerPhase::Closed);
         assert_eq!(bank.on_result(dst, 1, true), Some(BreakerTransition::Tripped));
+    }
+
+    #[test]
+    fn breaker_changes_are_the_touched_slots_once() {
+        let bank = BreakerBank::new(BreakerPolicy { failure_threshold: 1, cooldown_rounds: 1 });
+        let (open, closed) = (Ipv4Addr::new(10, 8, 2, 1), Ipv4Addr::new(10, 8, 2, 2));
+        assert_eq!(bank.on_result(open, 1, true), Some(BreakerTransition::Tripped));
+        assert_eq!(bank.on_result(closed, 1, false), None);
+        assert_eq!(bank.take_changes(), bank.snapshot(), "both slots, sorted");
+        assert!(bank.take_changes().is_empty(), "a second take is empty");
+
+        // A denial counts on the open slot only.
+        assert_eq!(bank.admit(open, 1), BreakerAdmission::Denied);
+        assert_eq!(bank.admit(closed, 1), BreakerAdmission::Allowed);
+        assert_eq!(bank.take_changes(), vec![bank.snapshot()[0]]);
+
+        // Restoring is the new base: it leaves nothing pending.
+        assert_eq!(bank.admit(open, 1), BreakerAdmission::Denied);
+        bank.restore(&bank.snapshot());
+        assert!(bank.take_changes().is_empty());
     }
 
     #[test]

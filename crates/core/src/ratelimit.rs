@@ -12,81 +12,12 @@
 //! bounds. [`RateLimiter::ledger`] freezes it into a
 //! [`QueryLedger`](govdns_telemetry::QueryLedger).
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use govdns_simnet::{dst_shard, DST_SHARDS};
+use govdns_simnet::ShardedCounts;
 use govdns_telemetry::{Counter, QueryLedger, Registry};
-
-/// A per-destination `u64` table sharded [`DST_SHARDS`] ways by
-/// [`dst_shard`], so concurrent probe workers booking queries against
-/// different destinations do not serialize on one mutex. Exports merge
-/// and sort the shards, keeping checkpoint serialization byte-stable.
-#[derive(Debug)]
-struct ShardedLedgerMap {
-    shards: [Mutex<HashMap<Ipv4Addr, u64>>; DST_SHARDS],
-}
-
-impl ShardedLedgerMap {
-    fn new() -> Self {
-        ShardedLedgerMap { shards: std::array::from_fn(|_| Mutex::new(HashMap::new())) }
-    }
-
-    fn add(&self, dst: Ipv4Addr, n: u64) {
-        *self.shards[dst_shard(dst)].lock().entry(dst).or_insert(0) += n;
-    }
-
-    fn get(&self, dst: Ipv4Addr) -> u64 {
-        self.shards[dst_shard(dst)].lock().get(&dst).copied().unwrap_or(0)
-    }
-
-    /// Atomically charges one unit against `dst` unless its count has
-    /// already reached `budget`; returns whether the charge was booked.
-    fn try_charge(&self, dst: Ipv4Addr, budget: Option<u64>) -> bool {
-        let mut shard = self.shards[dst_shard(dst)].lock();
-        let slot = shard.entry(dst).or_insert(0);
-        if budget.is_some_and(|b| *slot >= b) {
-            return false;
-        }
-        *slot += 1;
-        true
-    }
-
-    /// Merged snapshot, sorted by address — the byte-stable export order
-    /// journal checkpoints rely on.
-    fn snapshot_sorted(&self) -> Vec<(Ipv4Addr, u64)> {
-        let mut all: Vec<(Ipv4Addr, u64)> = Vec::new();
-        for shard in &self.shards {
-            all.extend(shard.lock().iter().map(|(&a, &c)| (a, c)));
-        }
-        all.sort_by_key(|&(a, _)| a);
-        all
-    }
-
-    fn restore(&self, entries: &[(Ipv4Addr, u64)]) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-        for &(addr, count) in entries {
-            self.shards[dst_shard(addr)].lock().insert(addr, count);
-        }
-    }
-
-    /// Folds `f` over every `(addr, count)` entry across all shards.
-    fn fold<A>(&self, init: A, mut f: impl FnMut(A, Ipv4Addr, u64) -> A) -> A {
-        let mut acc = init;
-        for shard in &self.shards {
-            for (&addr, &count) in shard.lock().iter() {
-                acc = f(acc, addr, count);
-            }
-        }
-        acc
-    }
-}
 
 /// The phase of the campaign a query belongs to, for ledger accounting.
 ///
@@ -189,10 +120,10 @@ struct Inner {
     /// uncapped — an explicit state, not a zero sentinel a default could
     /// silently select.
     destination_cap: Option<u64>,
-    per_destination: ShardedLedgerMap,
+    per_destination: ShardedCounts,
     /// Backoff retries already charged to each destination, for the
     /// per-destination retry budget.
-    per_destination_retries: ShardedLedgerMap,
+    per_destination_retries: ShardedCounts,
     /// Mirror of `issued` in the telemetry registry, when attached.
     counter: Option<Counter>,
 }
@@ -226,8 +157,8 @@ impl RateLimiter {
                 per_round: [const { AtomicU64::new(0) }; 5],
                 max_qps,
                 destination_cap,
-                per_destination: ShardedLedgerMap::new(),
-                per_destination_retries: ShardedLedgerMap::new(),
+                per_destination: ShardedCounts::new(),
+                per_destination_retries: ShardedCounts::new(),
                 counter,
             }),
         }
@@ -247,7 +178,7 @@ impl RateLimiter {
             c.inc();
         }
         if let Some(dst) = dst {
-            self.inner.per_destination.add(dst, 1);
+            self.inner.per_destination.update(dst, |n| *n += 1);
         }
     }
 
@@ -259,7 +190,14 @@ impl RateLimiter {
     /// of `None` is unlimited. Approved retries are booked into the
     /// [`QueryRound::Retry`] ledger slot and the per-destination ledger.
     pub fn try_acquire_retry(&self, dst: Ipv4Addr, budget: Option<u64>) -> bool {
-        if !self.inner.per_destination_retries.try_charge(dst, budget) {
+        // Charge atomically under the shard lock, unless the budget is
+        // already spent. A denied charge still creates the entry at zero.
+        let charged = self.inner.per_destination_retries.update(dst, |spent| {
+            let allowed = budget.is_none_or(|b| *spent < b);
+            *spent += u64::from(allowed);
+            allowed
+        });
+        if !charged {
             return false;
         }
         self.acquire_for(QueryRound::Retry, Some(dst));
@@ -317,6 +255,20 @@ impl RateLimiter {
         }
     }
 
+    /// What a journal delta checkpoint records: the totals and per-round
+    /// splits in full, and only the per-destination entries that moved
+    /// since the previous call (or the last
+    /// [`restore_state`](RateLimiter::restore_state)), at their current
+    /// values and sorted by address.
+    pub fn take_changes(&self) -> LimiterState {
+        LimiterState {
+            issued: self.issued(),
+            per_round: QueryRound::ALL.map(|r| self.issued_in(r)),
+            per_destination: self.inner.per_destination.take_changes(),
+            per_destination_retries: self.inner.per_destination_retries.take_changes(),
+        }
+    }
+
     /// Overwrites the ledger with a checkpointed [`LimiterState`] — the
     /// resume path. Restoring also advances the mirrored
     /// `ratelimit.issued` telemetry counter by the restored total, so
@@ -329,8 +281,8 @@ impl RateLimiter {
         for (slot, &value) in self.inner.per_round.iter().zip(state.per_round.iter()) {
             slot.store(value, Ordering::Relaxed);
         }
-        self.inner.per_destination.restore(&state.per_destination);
-        self.inner.per_destination_retries.restore(&state.per_destination_retries);
+        self.inner.per_destination.restore(state.per_destination.iter().copied());
+        self.inner.per_destination_retries.restore(state.per_destination_retries.iter().copied());
         if let Some(c) = &self.inner.counter {
             c.add(state.issued.saturating_sub(previously_issued));
         }
@@ -530,6 +482,40 @@ mod tests {
         for &(dst, charged) in &state.per_destination_retries {
             assert_eq!(fresh.retries_charged(dst), charged);
         }
+    }
+
+    #[test]
+    fn take_changes_reports_the_moved_entries_once() {
+        let rl = RateLimiter::new(100);
+        let (a, b, c) = (
+            Ipv4Addr::new(192, 0, 2, 9),
+            Ipv4Addr::new(10, 0, 0, 1),
+            Ipv4Addr::new(198, 51, 100, 3),
+        );
+        rl.acquire_for(QueryRound::Round1, Some(a));
+        rl.acquire_for(QueryRound::Round1, Some(b));
+        rl.acquire_for(QueryRound::Soa, None);
+        assert!(rl.try_acquire_retry(a, Some(1)));
+        assert!(!rl.try_acquire_retry(c, Some(0)), "a zero budget denies");
+        let changes = rl.take_changes();
+        assert_eq!(changes.issued, 4);
+        assert_eq!(changes.per_round, [2, 0, 1, 0, 1]);
+        assert_eq!(changes.per_destination, vec![(b, 1), (a, 2)], "sorted, absolute values");
+        // A denied charge still created the entry the full export carries.
+        assert_eq!(changes.per_destination_retries, vec![(a, 1), (c, 0)]);
+        assert_eq!(changes.per_destination_retries, rl.export_state().per_destination_retries);
+
+        let again = rl.take_changes();
+        assert!(again.per_destination.is_empty() && again.per_destination_retries.is_empty());
+        assert_eq!((again.issued, again.per_round), (changes.issued, changes.per_round));
+        rl.acquire_for(QueryRound::Round2, Some(b));
+        assert_eq!(rl.take_changes().per_destination, vec![(b, 2)]);
+
+        // Restoring is the new base: it leaves nothing pending.
+        rl.acquire_for(QueryRound::Round1, Some(c));
+        rl.restore_state(&rl.export_state());
+        let after = rl.take_changes();
+        assert!(after.per_destination.is_empty() && after.per_destination_retries.is_empty());
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! Crash safety: with [`RunnerConfig::journal`] set, every completed
 //! probe is appended to a write-ahead journal (see
-//! [`journal`](crate::journal)) and the full pipeline state is
-//! checkpointed periodically. A campaign killed mid-flight is resumed
+//! [`journal`](crate::journal)), which opens with a full state
+//! checkpoint and then records what changed every few probes as a delta
+//! checkpoint. A campaign killed mid-flight is resumed
 //! with [`RunnerConfig::resume_from`]: the runner replays the journal,
 //! restores the checkpointed rate-limiter ledger, network accounting,
 //! resolver cache, and breaker bank, and re-probes only the remainder.
@@ -35,7 +36,9 @@ use govdns_telemetry::{ProgressEvent, Registry};
 use govdns_trace::{TraceSpec, Tracer};
 
 use crate::discovery::{self, DiscoveryConfig};
-use crate::journal::{fnv64, Checkpoint, JournalHeader, JournalReplay, JournalSpec, JournalWriter};
+use crate::journal::{
+    fnv64, Checkpoint, Delta, JournalHeader, JournalReplay, JournalSpec, JournalWriter,
+};
 use crate::probe::{BreakerBank, BreakerPolicy, DomainProbe, ProbeClient, RetryPolicy};
 use crate::ratelimit::RateLimiter;
 use crate::seed;
@@ -342,6 +345,8 @@ pub fn run_campaign_with(
     let mut replayed: Vec<DomainProbe> = Vec::new();
     let mut initial_cache = None;
     let mut initial_clock = 0u64;
+    // Bytes of the resumed journal before its torn tail, if any.
+    let mut intact_len = 0u64;
     if let Some(resume_path) = &config.resume_from {
         let replay = JournalReplay::load(resume_path);
         assert_eq!(
@@ -350,6 +355,9 @@ pub fn run_campaign_with(
             "journal {} belongs to a different campaign or config",
             resume_path.display()
         );
+        intact_len = std::fs::metadata(resume_path)
+            .map_or(0, |m| m.len())
+            .saturating_sub(replay.dropped_bytes);
         let resume_point = replay.checkpoint.as_ref().map_or(0, |cp| cp.probes_done) as usize;
         replayed = replay.probes;
         replayed.truncate(resume_point);
@@ -371,18 +379,42 @@ pub fn run_campaign_with(
     // `retry_child_side`, so `rounds >= 2` is that marker.
     let replayed_retried = replayed.iter().filter(|p| p.rounds >= 2).count();
 
-    // Journal continuation: appending to the journal we resumed from
-    // needs only a resume marker; journaling a resumed campaign to a
-    // *different* path makes the new journal self-contained by
-    // re-journaling the replayed history and the restored state. The
-    // set-up records are written on this thread; the writer then moves
-    // into a dedicated sink I/O thread, and workers only ever send
-    // completed probes down its bounded channel.
+    // Journal continuation. Every new journal opens with a full base
+    // checkpoint of the state probing starts from, which the workers'
+    // delta checkpoints then chain from; capturing it (or restoring a
+    // checkpoint above) leaves no pending changes. Journaling a resumed
+    // campaign to a *different* path makes the new journal
+    // self-contained by re-journaling the replayed history under the
+    // base. Appending to the journal we resumed from needs only a resume
+    // marker — its deltas chain from the checkpoint just restored — plus
+    // a base when there was none to restore. The set-up records are
+    // written on this thread; the writer then moves into a dedicated
+    // sink I/O thread, and workers only ever send down its bounded
+    // channel.
+    let base = || {
+        let cp = Checkpoint {
+            probes_done: resume_point as u64,
+            limiter: limiter.export_state(),
+            traffic: campaign.network.stats(),
+            faults: campaign.network.fault_stats(),
+            net_per_destination: campaign.network.per_destination_snapshot(),
+            cache: initial_cache.clone().unwrap_or_default(),
+            clock_s: initial_clock,
+            breakers: bank.snapshot(),
+        };
+        limiter.take_changes();
+        campaign.network.take_per_destination_changes();
+        bank.take_changes();
+        cp
+    };
     let journal_writer: Option<JournalWriter> = match (&config.journal, &config.resume_from) {
         (Some(spec), Some(resume_path)) if &spec.path == resume_path => {
-            let mut w =
-                JournalWriter::append_to(&spec.path).with_flush_threshold(spec.flush_threshold);
+            let mut w = JournalWriter::append_to(&spec.path, intact_len)
+                .with_flush_threshold(spec.flush_threshold);
             w.resumed(resume_point as u64);
+            if initial_cache.is_none() {
+                w.checkpoint(&base());
+            }
             Some(w)
         }
         (Some(spec), _) => {
@@ -391,17 +423,8 @@ pub fn run_campaign_with(
             for (i, probe) in replayed.iter().enumerate() {
                 w.probe(i as u64, probe);
             }
+            w.checkpoint(&base());
             if resume_point > 0 {
-                w.checkpoint(&Checkpoint {
-                    probes_done: resume_point as u64,
-                    limiter: limiter.export_state(),
-                    traffic: campaign.network.stats(),
-                    faults: campaign.network.fault_stats(),
-                    net_per_destination: campaign.network.per_destination_snapshot(),
-                    cache: initial_cache.clone().unwrap_or_default(),
-                    clock_s: initial_clock,
-                    breakers: bank.snapshot(),
-                });
                 w.resumed(resume_point as u64);
             }
             Some(w)
@@ -447,6 +470,9 @@ pub fn run_campaign_with(
     type ExitState = (Vec<((DomainName, RecordType), CacheEntry)>, u64);
     let exit_state: Vec<Mutex<Option<ExitState>>> =
         (0..workers).map(|_| Mutex::new(None)).collect();
+    // Held while a worker takes its delta and sends it, so the shared
+    // change sets chain in the order the deltas reach the journal.
+    let capture_lock = Mutex::new(());
 
     let probing_span = registry.span("round1");
     if let Some(t) = &tracer {
@@ -462,8 +488,8 @@ pub fn run_campaign_with(
             #[allow(clippy::redundant_locals)]
             let (discovered, registry, limiter, bank, tracer, initial_cache, journal) =
                 (&discovered, &registry, &limiter, &bank, &tracer, &initial_cache, &journal);
-            let (next, completed, retried, chunk_claims, results) =
-                (&next, &completed, &retried, &chunk_claims, &results);
+            let (next, completed, retried, chunk_claims, results, capture_lock) =
+                (&next, &completed, &retried, &chunk_claims, &results, &capture_lock);
             let (probed_counter, retried_counter, busy_ms) =
                 (&probed_counter, &retried_counter, &busy_ms);
             let (busy_slot, exit_slot, config) = (&busy_slots[w], &exit_state[w], &config);
@@ -483,15 +509,16 @@ pub fn run_campaign_with(
                     client.set_clock_s(initial_clock);
                     client.import_cache(cache.clone());
                 }
-                let capture = |done: u64| Checkpoint {
+                let capture = |done: u64| Delta {
                     probes_done: done,
-                    limiter: limiter.export_state(),
+                    worker: w as u64,
+                    limiter: limiter.take_changes(),
                     traffic: campaign.network.stats(),
                     faults: campaign.network.fault_stats(),
-                    net_per_destination: campaign.network.per_destination_snapshot(),
-                    cache: client.export_cache(),
+                    net_per_destination: campaign.network.take_per_destination_changes(),
+                    cache: client.take_cache_changes(),
                     clock_s: client.clock_s(),
-                    breakers: bank.snapshot(),
+                    breakers: bank.take_changes(),
                 };
                 let busy_start = Instant::now();
                 // Chunk-claimed distribution: grab a contiguous run of
@@ -538,7 +565,8 @@ pub fn run_campaign_with(
                         if let Some(journal) = journal {
                             journal.probe(i as u64, Arc::clone(&probe));
                             if done.is_multiple_of(checkpoint_every) {
-                                journal.checkpoint(capture(done as u64));
+                                let _chain = capture_lock.lock();
+                                journal.delta(capture(done as u64));
                             }
                         }
                         *slot.lock() = Some(probe);

@@ -15,13 +15,16 @@
 //! count (and the file byte-stable across identical runs at a fixed
 //! worker count — record *content* carries side-query tallies that
 //! follow per-worker resolver-cache warmth, so cross-worker-count byte
-//! identity was never a journal property). A checkpoint message whose
+//! identity was never a journal property). A delta checkpoint whose
 //! `probes_done` is ahead of the written prefix is *held* and appended
-//! only once the prefix covers it: a checkpoint the replay would have
+//! only once the prefix covers it: a state record the replay would have
 //! to discard (state ahead of the probes on disk) is never written in
-//! that invalid position. With one worker, messages already arrive in
-//! index order and every checkpoint lands exactly where the old
-//! locked writer put it — byte-identical journals.
+//! that invalid position. State records are written strictly in arrival
+//! order — a delta never overtakes one held before it — because each
+//! delta holds only what changed since the one before: workers capture
+//! and send under one lock, so arrival order is the chain's order. With
+//! one worker, messages already arrive in index order and every delta
+//! lands right after the probe that triggered it.
 //!
 //! **Shutdown.** [`JournalSink::finish`] closes the channel and joins
 //! the thread, which drains every queued message first; the reclaimed
@@ -43,19 +46,19 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::journal::{Checkpoint, JournalWriter};
+use crate::journal::{Delta, JournalWriter};
 use crate::probe::DomainProbe;
 
 /// Bounded journal-channel capacity, in messages. Each message is one
-/// completed probe (shared, not cloned) or one checkpoint; the bound
+/// completed probe (shared, not cloned) or one delta checkpoint; the bound
 /// caps how much completed-but-unwritten work a kill can lose.
 const JOURNAL_CHANNEL_CAPACITY: usize = 1024;
 
 enum JournalMsg {
     /// One completed probe at its campaign index.
     Probe(u64, Arc<DomainProbe>),
-    /// A periodic state checkpoint, captured by the sending worker.
-    Checkpoint(Box<Checkpoint>),
+    /// A periodic delta checkpoint, captured by the sending worker.
+    Delta(Box<Delta>),
     /// Drain and hand the writer back through the thread's return
     /// value.
     Finish,
@@ -76,8 +79,8 @@ pub(crate) struct JournalSink {
 
 impl JournalSink {
     /// Spawns the sink I/O thread around an already-set-up writer
-    /// (header, replayed history, and resume markers written by the
-    /// caller). `next_index` is the first campaign index the reorder
+    /// (header, replayed history, base checkpoint, and resume markers
+    /// written by the caller). `next_index` is the first campaign index the reorder
     /// buffer waits for — the resume point.
     pub(crate) fn spawn(mut writer: JournalWriter, next_index: u64) -> Arc<JournalSink> {
         let (tx, rx) = sync_channel::<JournalMsg>(JOURNAL_CHANNEL_CAPACITY);
@@ -93,7 +96,7 @@ impl JournalSink {
             .name("govdns-journal-sink".into())
             .spawn(move || {
                 let mut pending: BTreeMap<u64, Arc<DomainProbe>> = BTreeMap::new();
-                let mut held: VecDeque<Box<Checkpoint>> = VecDeque::new();
+                let mut held: VecDeque<Box<Delta>> = VecDeque::new();
                 let mut next = next_index;
                 // A closed channel (finish, or an unwinding campaign)
                 // drains what arrived and hands the writer back.
@@ -111,17 +114,11 @@ impl JournalSink {
                                 writer.probe(next, &p);
                                 next += 1;
                             }
-                            while held.front().is_some_and(|cp| cp.probes_done <= next) {
-                                let cp = held.pop_front().expect("front checked above");
-                                writer.checkpoint(&cp);
-                            }
+                            write_covered(&mut writer, &mut held, next);
                         }
-                        JournalMsg::Checkpoint(cp) => {
-                            if cp.probes_done <= next {
-                                writer.checkpoint(&cp);
-                            } else {
-                                held.push_back(cp);
-                            }
+                        JournalMsg::Delta(delta) => {
+                            held.push_back(delta);
+                            write_covered(&mut writer, &mut held, next);
                         }
                         JournalMsg::Finish => break,
                     }
@@ -130,10 +127,7 @@ impl JournalSink {
                     writer.probe(next, &p);
                     next += 1;
                 }
-                while held.front().is_some_and(|cp| cp.probes_done <= next) {
-                    let cp = held.pop_front().expect("front checked above");
-                    writer.checkpoint(&cp);
-                }
+                write_covered(&mut writer, &mut held, next);
                 writer
             })
             .expect("spawn journal sink thread");
@@ -164,10 +158,11 @@ impl JournalSink {
         self.send(JournalMsg::Probe(index, probe));
     }
 
-    /// Submits a state checkpoint (held until the written probe prefix
-    /// covers its `probes_done`).
-    pub(crate) fn checkpoint(&self, cp: Checkpoint) {
-        self.send(JournalMsg::Checkpoint(Box::new(cp)));
+    /// Submits a delta checkpoint (held until the written probe prefix
+    /// covers its `probes_done` and every delta sent before it is
+    /// written).
+    pub(crate) fn delta(&self, delta: Delta) {
+        self.send(JournalMsg::Delta(Box::new(delta)));
     }
 
     /// Nanoseconds workers spent blocked on sink backpressure.
@@ -189,9 +184,98 @@ impl JournalSink {
     /// Panics if called twice, or if the sink thread panicked.
     pub(crate) fn finish(&self) -> JournalWriter {
         let handle = self.io.lock().take().expect("journal sink finished twice");
-        // FIFO: every probe and checkpoint submitted before this point
+        // FIFO: every probe and delta submitted before this point
         // is processed before the thread breaks.
         self.tx.send(JournalMsg::Finish).expect("journal sink thread died");
         handle.join().expect("journal sink thread panicked")
+    }
+}
+
+/// Writes held deltas in arrival order while the written probe prefix
+/// (`next` probes) covers them; stops at the first one it does not.
+fn write_covered(writer: &mut JournalWriter, held: &mut VecDeque<Box<Delta>>, next: u64) {
+    while let Some(delta) = held.pop_front() {
+        if delta.probes_done > next {
+            held.push_front(delta);
+            break;
+        }
+        writer.delta(&delta);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::journal::JournalHeader;
+    use crate::ratelimit::LimiterState;
+    use govdns_model::json::{self, Json};
+
+    fn delta(probes_done: u64) -> Delta {
+        Delta {
+            probes_done,
+            worker: 0,
+            limiter: LimiterState::default(),
+            traffic: Default::default(),
+            faults: Default::default(),
+            net_per_destination: Vec::new(),
+            cache: Default::default(),
+            clock_s: 0,
+            breakers: Vec::new(),
+        }
+    }
+
+    fn probe(i: u64) -> Arc<DomainProbe> {
+        Arc::new(DomainProbe {
+            domain: format!("d{i}.zz").parse().unwrap(),
+            parent_zone: None,
+            parent_addrs: Vec::new(),
+            parent_observations: Vec::new(),
+            parent_ns: Vec::new(),
+            child_ns: Vec::new(),
+            servers: Vec::new(),
+            soa: None,
+            queries: 0,
+            elapsed_ms: 0,
+            rounds: 1,
+        })
+    }
+
+    #[test]
+    fn a_covered_delta_never_overtakes_one_held_before_it() {
+        let path = std::env::temp_dir().join(format!("govdns-sink-fifo-{}", std::process::id()));
+        let header = JournalHeader { names_fingerprint: 1, domains: 2, config_echo: String::new() };
+        let sink = JournalSink::spawn(JournalWriter::create(&path, &header), 0);
+        sink.delta(delta(2)); // ahead of the written prefix: held
+        sink.probe(0, probe(0));
+        sink.delta(delta(1)); // covered, but it chains after delta 2
+        sink.probe(1, probe(1));
+        drop(sink.finish());
+
+        // Payloads sit on every second line, after their frame headers.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let records: Vec<(String, Option<u64>)> = text
+            .lines()
+            .skip(1)
+            .step_by(2)
+            .map(|payload| {
+                let v = json::parse(payload).unwrap();
+                (
+                    v.need_str("kind").unwrap().to_owned(),
+                    v.get("probes_done").and_then(Json::as_u64),
+                )
+            })
+            .collect();
+        let kind = |k: &str, done| (k.to_owned(), done);
+        assert_eq!(
+            records,
+            [
+                kind("header", None),
+                kind("probe", None),
+                kind("probe", None),
+                kind("delta", Some(2)),
+                kind("delta", Some(1))
+            ]
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 }

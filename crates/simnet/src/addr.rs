@@ -1,6 +1,8 @@
+use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// A /24 IPv4 prefix, the granularity the paper uses for its first
@@ -55,6 +57,110 @@ pub const DST_SHARDS: usize = 16;
 /// exact under concurrency.
 pub fn dst_shard(addr: Ipv4Addr) -> usize {
     (mix(u64::from(u32::from(addr))) as usize) & (DST_SHARDS - 1)
+}
+
+/// A per-destination `u64` table sharded [`DST_SHARDS`] ways by
+/// [`dst_shard`]: the network's query ordinals and the rate limiter's
+/// ledger maps. Every address lives in exactly one shard, so its value
+/// sequence is exactly what a single global table would hold, while
+/// workers touching different destinations rarely share a lock.
+///
+/// Each shard also lists the addresses whose value moved since the last
+/// [`take_changes`](ShardedCounts::take_changes), marked under the shard
+/// lock the update already holds — a journal delta checkpoint records
+/// only those entries.
+#[derive(Debug)]
+pub struct ShardedCounts {
+    shards: [Mutex<CountShard>; DST_SHARDS],
+}
+
+#[derive(Debug, Default)]
+struct CountShard {
+    /// Each address's value, and whether it is already in `moved`.
+    counts: HashMap<Ipv4Addr, (u64, bool)>,
+    moved: Vec<Ipv4Addr>,
+}
+
+impl Default for ShardedCounts {
+    fn default() -> Self {
+        ShardedCounts { shards: std::array::from_fn(|_| Mutex::new(CountShard::default())) }
+    }
+}
+
+impl ShardedCounts {
+    /// An empty table.
+    pub fn new() -> Self {
+        ShardedCounts::default()
+    }
+
+    /// Applies `f` to `dst`'s value (created at zero if absent) and marks
+    /// the entry moved.
+    pub fn update<R>(&self, dst: Ipv4Addr, f: impl FnOnce(&mut u64) -> R) -> R {
+        let mut shard = self.shards[dst_shard(dst)].lock();
+        let CountShard { counts, moved } = &mut *shard;
+        let (value, marked) = counts.entry(dst).or_insert((0, false));
+        if !*marked {
+            *marked = true;
+            moved.push(dst);
+        }
+        f(value)
+    }
+
+    /// `dst`'s value (zero if absent).
+    pub fn get(&self, dst: Ipv4Addr) -> u64 {
+        self.shards[dst_shard(dst)].lock().counts.get(&dst).map_or(0, |&(v, _)| v)
+    }
+
+    /// Every entry, sorted by address — the byte-stable export order
+    /// journal checkpoints rely on.
+    pub fn snapshot_sorted(&self) -> Vec<(Ipv4Addr, u64)> {
+        let mut all = Vec::new();
+        for shard in &self.shards {
+            all.extend(shard.lock().counts.iter().map(|(&a, &(v, _))| (a, v)));
+        }
+        all.sort_unstable_by_key(|&(a, _)| a);
+        all
+    }
+
+    /// The entries that moved since the previous call (or the last
+    /// [`restore`](ShardedCounts::restore)), at their current values and
+    /// sorted by address; clears the pending set.
+    pub fn take_changes(&self) -> Vec<(Ipv4Addr, u64)> {
+        let mut changed = Vec::new();
+        for shard in &self.shards {
+            let mut shard = shard.lock();
+            let CountShard { counts, moved } = &mut *shard;
+            for addr in moved.drain(..) {
+                if let Some((value, marked)) = counts.get_mut(&addr) {
+                    *marked = false;
+                    changed.push((addr, *value));
+                }
+            }
+        }
+        changed.sort_unstable_by_key(|&(a, _)| a);
+        changed
+    }
+
+    /// Overwrites the whole table, leaving no pending changes.
+    pub fn restore(&self, entries: impl IntoIterator<Item = (Ipv4Addr, u64)>) {
+        for shard in &self.shards {
+            *shard.lock() = CountShard::default();
+        }
+        for (addr, value) in entries {
+            self.shards[dst_shard(addr)].lock().counts.insert(addr, (value, false));
+        }
+    }
+
+    /// Folds `f` over every `(addr, value)` entry, shard by shard.
+    pub fn fold<A>(&self, init: A, mut f: impl FnMut(A, Ipv4Addr, u64) -> A) -> A {
+        let mut acc = init;
+        for shard in &self.shards {
+            for (&addr, &(value, _)) in &shard.lock().counts {
+                acc = f(acc, addr, value);
+            }
+        }
+        acc
+    }
 }
 
 /// SplitMix64 finalizer — the deterministic mixer behind fault

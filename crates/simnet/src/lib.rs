@@ -41,7 +41,7 @@ mod network;
 mod resolver;
 mod server;
 
-pub use addr::{dst_shard, prefix24, Prefix24, DST_SHARDS};
+pub use addr::{dst_shard, prefix24, Prefix24, ShardedCounts, DST_SHARDS};
 pub use asn::{Asn, AsnDb};
 pub use fault::{
     ChaosProfile, FaultDecision, FaultKind, FaultPlan, FaultProfile, FaultRule, FaultScope,
@@ -49,5 +49,5 @@ pub use fault::{
 };
 pub use latency::LatencyModel;
 pub use network::{DeliveryOutcome, DeliveryTrace, SimNetwork, TrafficStats};
-pub use resolver::{CacheEntry, ResolveError, ResolveResult, StubResolver};
+pub use resolver::{CacheChanges, CacheEntry, ResolveError, ResolveResult, StubResolver};
 pub use server::{AuthoritativeServer, LameMode, ServerBehavior};

@@ -3,13 +3,13 @@ use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use govdns_model::{wire, Message, Rcode};
 use govdns_telemetry::{Counter, Histogram, Registry};
 
-use crate::addr::{dst_shard, mix, DST_SHARDS};
+use crate::addr::{mix, ShardedCounts};
 use crate::{AuthoritativeServer, FaultDecision, FaultKind, FaultPlan, FaultStats, LatencyModel};
 
 /// Cached telemetry handles for the per-query hot path: interned once
@@ -241,53 +241,6 @@ impl AtomicFaults {
     }
 }
 
-/// The per-destination query ordinals, sharded [`DST_SHARDS`] ways by
-/// [`dst_shard`] so concurrent workers probing different destinations
-/// rarely contend on the same lock. Every address maps to exactly one
-/// shard, so its ordinal sequence is exactly what a single global table
-/// would have produced — the property `RefusedBurst` fault decisions
-/// and resumed campaigns depend on.
-#[derive(Debug)]
-struct ShardedCounts {
-    shards: [Mutex<HashMap<Ipv4Addr, u64>>; DST_SHARDS],
-}
-
-impl ShardedCounts {
-    fn new() -> Self {
-        ShardedCounts { shards: std::array::from_fn(|_| Mutex::new(HashMap::new())) }
-    }
-
-    /// Post-increments `dst`'s query count, returning the pre-increment
-    /// ordinal (how many queries the destination had absorbed before
-    /// this one).
-    fn next_ordinal(&self, dst: Ipv4Addr) -> u64 {
-        let mut shard = self.shards[dst_shard(dst)].lock();
-        let slot = shard.entry(dst).or_insert(0);
-        *slot += 1;
-        *slot - 1
-    }
-
-    /// Merges every shard, sorted by address — byte-stable export order.
-    fn snapshot_sorted(&self) -> Vec<(Ipv4Addr, u64)> {
-        let mut all: Vec<(Ipv4Addr, u64)> = Vec::new();
-        for shard in &self.shards {
-            all.extend(shard.lock().iter().map(|(&a, &c)| (a, c)));
-        }
-        all.sort_by_key(|&(a, _)| a);
-        all
-    }
-
-    /// Overwrites the whole table, distributing entries to their shards.
-    fn restore(&self, entries: Vec<(Ipv4Addr, u64)>) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-        for (addr, count) in entries {
-            self.shards[dst_shard(addr)].lock().insert(addr, count);
-        }
-    }
-}
-
 /// The simulated internet: a routing table from IPv4 addresses to
 /// authoritative servers, plus latency, loss, and traffic accounting.
 ///
@@ -481,7 +434,12 @@ impl SimNetwork {
         let qbytes = wire::encoded_len(query) as u64;
         self.stats.queries_sent.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_sent.fetch_add(qbytes, Ordering::Relaxed);
-        let dst_queries_so_far = self.per_destination.next_ordinal(dst);
+        // Post-increment: how many queries the destination had absorbed
+        // before this one.
+        let dst_queries_so_far = self.per_destination.update(dst, |n| {
+            *n += 1;
+            *n - 1
+        });
         // One name hash per delivery, shared by the loss and fault
         // decisions; one brief read-lock each to clone the Arc handles,
         // so neither `install_faults` nor `attach_telemetry` can stall
@@ -588,6 +546,13 @@ impl SimNetwork {
     /// [`busiest_destinations`]: SimNetwork::busiest_destinations
     pub fn per_destination_snapshot(&self) -> Vec<(Ipv4Addr, u64)> {
         self.per_destination.snapshot_sorted()
+    }
+
+    /// The per-destination counts that moved since the previous call (or
+    /// the last [`restore_accounting`](SimNetwork::restore_accounting)),
+    /// sorted by address — what a journal delta checkpoint records.
+    pub fn take_per_destination_changes(&self) -> Vec<(Ipv4Addr, u64)> {
+        self.per_destination.take_changes()
     }
 
     /// Overwrites the traffic, fault, and per-destination accounting
@@ -924,6 +889,29 @@ mod tests {
         assert_eq!(other.stats(), stats);
         assert_eq!(other.per_destination_snapshot(), per_dst);
         assert_eq!(other.busiest_destinations(1), vec![(a, 3)]);
+    }
+
+    #[test]
+    fn per_destination_changes_are_the_moved_entries_once() {
+        let net = network_with_one_zone();
+        let q = Message::query(1, n("gov.zz"), RecordType::Ns);
+        let (a, b, c) = (
+            Ipv4Addr::new(192, 0, 2, 1),
+            Ipv4Addr::new(203, 0, 113, 5),
+            Ipv4Addr::new(10, 0, 0, 9),
+        );
+        for dst in [b, a, b, c] {
+            net.deliver(dst, &q);
+        }
+        assert_eq!(net.take_per_destination_changes(), vec![(c, 1), (a, 1), (b, 2)]);
+        assert!(net.take_per_destination_changes().is_empty(), "a second take is empty");
+        net.deliver(c, &q);
+        assert_eq!(net.take_per_destination_changes(), vec![(c, 2)], "absolute, not a diff");
+
+        // Restoring is the new base: it leaves nothing pending.
+        net.deliver(a, &q);
+        net.restore_accounting(net.stats(), net.fault_stats(), net.per_destination_snapshot());
+        assert!(net.take_per_destination_changes().is_empty());
     }
 
     #[test]

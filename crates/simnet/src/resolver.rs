@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
@@ -80,6 +80,26 @@ pub struct CacheEntry {
     pub records: Vec<ResourceRecord>,
 }
 
+/// The positive-cache keys a resolver inserted or evicted since the
+/// previous [`StubResolver::take_cache_changes`], netted per key: a key
+/// present now is an insert carrying its current entry, a key gone now
+/// is an eviction. Both lists are sorted by key.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CacheChanges {
+    /// Keys inserted (or replaced), with their current entries.
+    pub inserted: Vec<((DomainName, RecordType), CacheEntry)>,
+    /// Keys evicted.
+    pub evicted: Vec<(DomainName, RecordType)>,
+}
+
+/// The positive cache and the keys it changed since the last take, under
+/// one lock.
+#[derive(Debug, Default)]
+struct PositiveCache {
+    entries: HashMap<(DomainName, RecordType), CacheEntry>,
+    changed: HashSet<(DomainName, RecordType)>,
+}
+
 /// Why a negatively-cached name fails without a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NegativeKind {
@@ -108,7 +128,7 @@ enum NegativeKind {
 pub struct StubResolver<'net> {
     network: &'net SimNetwork,
     roots: Vec<Ipv4Addr>,
-    cache: Mutex<HashMap<(DomainName, RecordType), CacheEntry>>,
+    cache: Mutex<PositiveCache>,
     /// RFC 2308 negative cache, used only when
     /// [`with_negative_cache`](Self::with_negative_cache) opted in:
     /// campaigns re-probe failures (the paper's protocol), the recovery
@@ -130,7 +150,7 @@ impl<'net> StubResolver<'net> {
         StubResolver {
             network,
             roots,
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(PositiveCache::default()),
             neg_cache: Mutex::new(HashMap::new()),
             negative_caching: AtomicBool::new(false),
             clock_s: AtomicU64::new(0),
@@ -180,9 +200,29 @@ impl<'net> StubResolver<'net> {
     /// state is load-bearing for byte-identical resume).
     pub fn export_cache(&self) -> Vec<((DomainName, RecordType), CacheEntry)> {
         let cache = self.cache.lock();
-        let mut entries: Vec<_> = cache.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        let mut entries: Vec<_> =
+            cache.entries.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries
+    }
+
+    /// The cache inserts and evictions since the previous call — what a
+    /// journal delta checkpoint records instead of the whole cache.
+    /// [`import_cache`](StubResolver::import_cache) is a restored base and
+    /// is not reported.
+    pub fn take_cache_changes(&self) -> CacheChanges {
+        let mut cache = self.cache.lock();
+        let PositiveCache { entries, changed } = &mut *cache;
+        let mut changes = CacheChanges::default();
+        for key in changed.drain() {
+            match entries.get(&key) {
+                Some(entry) => changes.inserted.push((key, entry.clone())),
+                None => changes.evicted.push(key),
+            }
+        }
+        changes.inserted.sort_by(|a, b| a.0.cmp(&b.0));
+        changes.evicted.sort();
+        changes
     }
 
     /// Imports cache entries (from [`export_cache`]), replacing any
@@ -197,7 +237,7 @@ impl<'net> StubResolver<'net> {
         let mut cache = self.cache.lock();
         for (key, entry) in entries {
             if entry.expires_at_s > now {
-                cache.insert(key, entry);
+                cache.entries.insert(key, entry);
             }
         }
     }
@@ -210,7 +250,9 @@ impl<'net> StubResolver<'net> {
             return;
         }
         let expires_at_s = self.now_s().saturating_add(u64::from(ttl));
-        self.cache.lock().insert(key, CacheEntry { expires_at_s, records });
+        let mut cache = self.cache.lock();
+        cache.changed.insert(key.clone());
+        cache.entries.insert(key, CacheEntry { expires_at_s, records });
     }
 
     /// Records a negative outcome (when negative caching is on).
@@ -275,7 +317,7 @@ impl<'net> StubResolver<'net> {
         {
             let now = self.now_s();
             let mut cache = self.cache.lock();
-            match cache.get(&key) {
+            match cache.entries.get(&key) {
                 Some(e) if e.expires_at_s > now => {
                     return Ok(ResolveResult {
                         records: e.records.clone(),
@@ -284,7 +326,8 @@ impl<'net> StubResolver<'net> {
                     });
                 }
                 Some(_) => {
-                    cache.remove(&key);
+                    cache.entries.remove(&key);
+                    cache.changed.insert(key.clone());
                 }
                 None => {}
             }
@@ -599,6 +642,38 @@ mod tests {
         in_window.set_clock_s(1000);
         in_window.import_cache(exported);
         assert_eq!(in_window.resolve(&n("www.gov.zz"), RecordType::A).unwrap().queries, 0);
+    }
+
+    #[test]
+    fn cache_change_log_reports_inserts_and_expiry_evictions_but_not_imports() {
+        let net = test_network();
+        let r = resolver(&net);
+        r.resolve(&n("www.gov.zz"), RecordType::A).unwrap();
+        let changes = r.take_cache_changes();
+        assert_eq!(changes.inserted, r.export_cache(), "every insert so far, sorted");
+        assert!(changes.evicted.is_empty());
+        assert_eq!(r.take_cache_changes(), CacheChanges::default(), "a second take is empty");
+
+        // Expire the answer and make its re-resolution fail: the lookup
+        // evicts the stale entry and inserts nothing in its place.
+        r.set_clock_s(3600);
+        net.install_faults(Some(
+            crate::FaultPlan::new(1)
+                .with_rule(crate::FaultScope::All, crate::FaultProfile::PacketLoss { rate: 1.0 }),
+        ));
+        assert!(r.resolve(&n("www.gov.zz"), RecordType::A).is_err());
+        let changes = r.take_cache_changes();
+        assert!(changes.inserted.is_empty());
+        assert_eq!(changes.evicted, vec![(n("www.gov.zz"), RecordType::A)]);
+        net.install_faults(None);
+
+        // An imported cache is a restored base, not a change.
+        let warm = resolver(&net);
+        warm.resolve(&n("www.glueless.zz"), RecordType::A).unwrap();
+        let fresh = resolver(&net);
+        fresh.import_cache(warm.export_cache());
+        assert!(!fresh.export_cache().is_empty());
+        assert_eq!(fresh.take_cache_changes(), CacheChanges::default());
     }
 
     #[test]

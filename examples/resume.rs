@@ -127,6 +127,10 @@ fn main() {
             println!("{key}: {v}");
         }
     }
+    // Delta checkpoints keep this flat as the campaign grows; full
+    // snapshots made it grow with the state already collected.
+    let journal_bytes = std::fs::metadata(&journal_path).map_or(0, |m| m.len());
+    println!("journal bytes/probe: {}", journal_bytes / dataset.probes.len().max(1) as u64);
     println!();
     let json = dataset.canonical_json();
     println!(

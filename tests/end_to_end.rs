@@ -557,7 +557,123 @@ mod crash_safety {
         );
         let reference = run(63, base);
         assert_eq!(resumed.canonical_json(), reference.canonical_json());
+        // The resume cut the torn bytes off before appending: the whole
+        // resumed segment is reachable.
+        let replay = JournalReplay::load(&journal);
+        assert!(replay.completed, "resumed segment unreachable behind the torn tail");
+        assert_eq!(replay.resumes, 1);
+        assert_eq!(replay.dropped_bytes, 0);
         std::fs::remove_file(&journal).unwrap();
+    }
+
+    /// Delta checkpoints at random crash points: a drawn world, crash
+    /// index, checkpoint cadence and fault profile at one worker, and
+    /// resuming from the delta journal gives the uninterrupted run's
+    /// dataset. Each case runs three campaigns, so at most three cases
+    /// run whatever `PROPTEST_CASES` says.
+    #[test]
+    fn resume_from_delta_checkpoints_is_byte_identical_at_random_crash_points() {
+        use proptest::prelude::*;
+        let cases = (
+            0u64..1_000,
+            0usize..1_000,
+            1usize..20,
+            prop::sample::select(vec![
+                None,
+                Some(ChaosProfile::Flaky),
+                Some(ChaosProfile::Hostile),
+            ]),
+        );
+        let mut rng = proptest::test_runner::rng_for("delta_resume");
+        for _ in 0..proptest::test_runner::cases().min(3) {
+            let (seed, crash_per_mille, every, profile) = cases.generate(&mut rng);
+            let run = |config: RunnerConfig| {
+                let world = WG::new(WorldConfig::small(seed).with_scale(0.005)).generate();
+                let matchers = world.catalog.matchers();
+                let campaign = Campaign::new(&world, &matchers);
+                govdns::core::run_campaign(&campaign, config)
+            };
+            let base = RunnerConfig {
+                workers: 1,
+                retry: if profile.is_some() {
+                    RetryPolicy::adaptive()
+                } else {
+                    RetryPolicy::none()
+                },
+                chaos: profile.map(|profile| ChaosSpec { profile, seed }),
+                breaker: BreakerPolicy::guarded(),
+                ..RunnerConfig::default()
+            };
+            let reference = run(base.clone());
+            let crash = 1 + crash_per_mille * reference.probes.len() / 1_000;
+            let journal = tmp(&format!("delta-{seed}.journal"));
+            let journaled = RunnerConfig {
+                journal: Some(JournalSpec {
+                    checkpoint_every: every,
+                    ..JournalSpec::new(journal.clone())
+                }),
+                ..base
+            };
+            let partial = run(RunnerConfig { stop_after: Some(crash), ..journaled.clone() });
+            assert_eq!(partial.probes.len(), crash.min(reference.probes.len()));
+            let resumed = run(RunnerConfig { resume_from: Some(journal.clone()), ..journaled });
+            assert_eq!(
+                resumed.canonical_json(),
+                reference.canonical_json(),
+                "seed {seed}, crash {crash}, every {every}, {profile:?}: resume diverged"
+            );
+            std::fs::remove_file(&journal).unwrap();
+        }
+    }
+
+    /// Journals written before delta checkpoints hold only full
+    /// checkpoints. One is rebuilt here through `JournalWriter`: every
+    /// state record of a crashed run's journal becomes the full
+    /// checkpoint it replays to, and the base checkpoint goes. Resuming in place from
+    /// it still gives the uninterrupted run's dataset.
+    #[test]
+    fn a_journal_of_full_checkpoints_still_resumes_byte_identically() {
+        use govdns::core::JournalWriter;
+        let (journal, prefix) = (tmp("legacy.journal"), tmp("legacy-prefix.journal"));
+        let base = RunnerConfig { workers: 1, ..RunnerConfig::default() };
+        let journaled = RunnerConfig {
+            journal: Some(JournalSpec { checkpoint_every: 8, ..JournalSpec::new(journal.clone()) }),
+            ..base.clone()
+        };
+        run(63, RunnerConfig { stop_after: Some(150), ..journaled.clone() });
+
+        let bytes = std::fs::read(&journal).unwrap();
+        let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+        let replay = JournalReplay::load(&journal);
+        let mut legacy = JournalWriter::create(&journal, &replay.header);
+        let mut probes = 0usize;
+        // Every record is a frame line and a payload line.
+        for (i, payload) in lines.iter().enumerate().skip(1).step_by(2) {
+            if payload.starts_with(b"{\"kind\":\"probe\"") {
+                legacy.probe(probes as u64, &replay.probes[probes]);
+                probes += 1;
+            } else if payload.starts_with(b"{\"kind\":\"delta\"")
+                || payload.starts_with(b"{\"kind\":\"checkpoint\"")
+            {
+                std::fs::write(&prefix, lines[..=i].concat()).unwrap();
+                let cp = JournalReplay::load(&prefix).checkpoint.unwrap();
+                if cp.probes_done > 0 {
+                    legacy.checkpoint(&cp);
+                }
+            }
+        }
+        drop(legacy);
+        let rebuilt = JournalReplay::load(&journal);
+        assert_eq!(rebuilt.checkpoint, replay.checkpoint);
+        assert_eq!(rebuilt.probes, replay.probes);
+
+        let resumed = run(63, RunnerConfig { resume_from: Some(journal.clone()), ..journaled });
+        assert_eq!(resumed.canonical_json(), run(63, base).canonical_json());
+        let finished = JournalReplay::load(&journal);
+        assert!(finished.completed);
+        assert_eq!(finished.resumes, 1);
+        std::fs::remove_file(&journal).unwrap();
+        std::fs::remove_file(&prefix).unwrap();
     }
 
     /// Regression for the retry ledger: resuming must restore — not
