@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, release build, full test suite (incl. doc
 # tests), warning-free clippy, the benchmark package's own tests, the
-# chaos determinism smoke, the crash/resume smoke, the journal-growth
+# benchmark-scale world fingerprint, the chaos determinism smoke, the crash/resume smoke, the journal-growth
 # gate, the trace
 # determinism smoke, the cross-run diff smoke (self-diff empty,
 # cross-seed divergence deterministic, corpus replay byte-identical),
@@ -35,6 +35,13 @@ echo "== bench harness: the benchmark package still builds and passes =="
 # govdns-perf is a workspace of its own that drives the public API; its
 # tests catch an API change that would break the benchmark.
 cargo test --offline -q --release --manifest-path govdns-perf/Cargo.toml
+
+echo "== world pin: the benchmark-scale world is byte-identical =="
+# The ignored fingerprint case generates the probe workload's world
+# (seed 7, scale 0.2) and checks servers, zones, PDNS, ground truth,
+# registrar and roots against hashes recorded before generation was
+# made linear. It needs a release build to run in seconds.
+cargo test --release -p govdns-world --test generation -- --ignored
 
 echo "== chaos smoke: identical seeds => identical output =="
 chaos_a="$(mktemp)"

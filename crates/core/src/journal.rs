@@ -613,16 +613,9 @@ fn read_frame(bytes: &[u8], offset: usize) -> Option<(&str, usize)> {
     Some((std::str::from_utf8(payload).ok()?, start + len + 1))
 }
 
-/// FNV-1a, 64-bit — the same stable fingerprint the examples print for
-/// datasets, reused as the record checksum.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// The record checksum: the workspace's one FNV-1a, re-exported here
+/// for callers that reach it through the journal.
+pub use govdns_model::fnv64;
 
 // ---------------------------------------------------------------------
 // Codecs over `govdns_model::json`. Encoders build objects with keys in

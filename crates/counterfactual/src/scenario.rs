@@ -27,6 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use govdns_core::{MeasurementDataset, ScenarioSpec};
+use govdns_model::fnv64;
 use govdns_simnet::{prefix24, AsnDb, Prefix24};
 use govdns_world::ProviderMatcher;
 
@@ -234,16 +235,6 @@ fn dial_keep<T: Copy>(items: &[T], dial: PartialDial, key: impl Fn(&T) -> u64) -
         m.saturating_mul(u64::from(dial.k)).div_ceil(u64::from(dial.n).max(1)).min(m) as usize;
     ranked.truncate(keep);
     ranked.into_iter().map(|(_, _, it)| it).collect()
-}
-
-/// FNV-1a, 64-bit — the dial's site-ranking hash.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Enumeration knobs.

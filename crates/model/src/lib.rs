@@ -23,6 +23,8 @@
 //!   byte volumes.
 //! * [`json`] — the one JSON codec behind every on-disk artifact: the
 //!   journal, trace records, corpus cases and the canonical reports.
+//! * [`fnv64`] — the one FNV-1a fingerprint: frame checksums, run
+//!   fingerprints and generated-artifact pins.
 //! * [`SimDate`] — a chrono-free civil date used for the 2011–2020
 //!   longitudinal timeline.
 //!
@@ -54,6 +56,7 @@
 
 mod date;
 mod error;
+mod fnv;
 pub mod json;
 mod message;
 mod name;
@@ -66,6 +69,7 @@ pub mod zonefile;
 
 pub use date::{DateRange, SimDate, Year, DAYS_PER_WEEK};
 pub use error::ModelError;
+pub use fnv::fnv64;
 pub use message::{Message, MessageKind, Question, Rcode};
 pub use name::{DomainName, Label, MAX_LABELS, MAX_NAME_LEN};
 pub use record::{RecordData, RecordType, ResourceRecord, Ttl};

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use govdns_model::{DateRange, DomainName, RecordData};
 
-use crate::PdnsDb;
+use crate::{OwnerBatch, PdnsDb};
 
 /// Parameters of the simulated sensor network.
 ///
@@ -62,6 +62,41 @@ impl SensorNetwork {
     /// record's actual lifetime in the zone). The database receives a
     /// possibly shortened span — or nothing, if no sensor saw the record.
     pub fn report_span(&mut self, name: DomainName, rdata: RecordData, truth: DateRange) {
+        self.at(&name).report_span(rdata, truth);
+    }
+
+    /// Opens a batch of reports at `name` (see [`PdnsDb::at`]). Each
+    /// report draws coverage, lag and lead exactly as
+    /// [`report_span`](Self::report_span) would, in the same order, so a
+    /// seed yields the same database either way.
+    pub fn at<'a>(&'a mut self, name: &'a DomainName) -> OwnerReports<'a> {
+        OwnerReports { config: self.config, rng: &mut self.rng, entries: self.db.at(name) }
+    }
+
+    /// Consumes the network, yielding the accumulated database.
+    pub fn into_db(self) -> PdnsDb {
+        self.db
+    }
+
+    /// The database accumulated so far.
+    pub fn db(&self) -> &PdnsDb {
+        &self.db
+    }
+}
+
+/// Sensor reports at one owner name, open for a batch (see
+/// [`SensorNetwork::at`]).
+#[derive(Debug)]
+pub struct OwnerReports<'a> {
+    config: SensorConfig,
+    rng: &'a mut SmallRng,
+    entries: OwnerBatch<'a>,
+}
+
+impl OwnerReports<'_> {
+    /// Reports that `rdata` existed at the batch's name throughout
+    /// `truth`; see [`SensorNetwork::report_span`].
+    pub fn report_span(&mut self, rdata: RecordData, truth: DateRange) {
         if self.config.coverage < 1.0 && !self.rng.gen_bool(self.config.coverage) {
             return;
         }
@@ -84,17 +119,7 @@ impl SensorNetwork {
         }
         // Report volume scales (roughly) with the record's lifetime.
         let count = (truth.len_days() as u64 / 30).max(1);
-        self.db.observe_span(name, rdata, DateRange::new(start, end), count);
-    }
-
-    /// Consumes the network, yielding the accumulated database.
-    pub fn into_db(self) -> PdnsDb {
-        self.db
-    }
-
-    /// The database accumulated so far.
-    pub fn db(&self) -> &PdnsDb {
-        &self.db
+        self.entries.observe_span(rdata, DateRange::new(start, end), count);
     }
 }
 

@@ -1,9 +1,12 @@
 //! Property tests for passive-DNS coalescing and search invariants.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use govdns_model::{DateRange, DomainName, RecordData, RecordType, SimDate, Soa};
-use govdns_pdns::{filter, PdnsDb, PdnsEntry};
+use govdns_pdns::export::to_tsv;
+use govdns_pdns::{filter, PdnsDb, PdnsEntry, SensorConfig, SensorNetwork};
 
 fn name_strategy() -> impl Strategy<Value = DomainName> {
     prop::collection::vec("[a-z]{1,6}", 1..4)
@@ -164,7 +167,7 @@ proptest! {
         for (name, rdata, span, count) in rows {
             db.observe_span(name, rdata, span, count);
         }
-        let text = govdns_pdns::export::to_tsv(&db);
+        let text = to_tsv(&db);
         let back = govdns_pdns::export::from_tsv(&text).unwrap();
         prop_assert_eq!(back.len(), db.len());
         let mut a: Vec<String> =
@@ -180,5 +183,74 @@ proptest! {
     #[test]
     fn tsv_parse_never_panics(text in "[ -~\t\n]{0,300}") {
         let _ = govdns_pdns::export::from_tsv(&text);
+    }
+}
+
+/// Records observed at one owner name, as `(rdata, span, count)`.
+type Run = (DomainName, Vec<(RecordData, DateRange, u64)>);
+
+/// Runs of records per owner. Owners come partly from a four-name pool,
+/// so later runs reopen names earlier runs created; runs may be empty.
+fn runs_strategy() -> impl Strategy<Value = Vec<Run>> {
+    let owner = prop_oneof![
+        (0u8..4).prop_map(|i| format!("d{i}.gov.zz").parse::<DomainName>().unwrap()),
+        name_strategy(),
+    ];
+    let record = (mixed_rdata_strategy(), span_strategy(), 1u64..500);
+    prop::collection::vec((owner, prop::collection::vec(record, 0..6)), 0..12)
+}
+
+proptest! {
+    /// Observing a name's records through one batch is exactly
+    /// observing them one call at a time, and an empty batch leaves no
+    /// trace (the Debug form would show an empty name slot).
+    #[test]
+    fn batched_observations_match_per_record_calls(runs in runs_strategy()) {
+        let mut batched = PdnsDb::new();
+        let mut per_record = PdnsDb::new();
+        for (name, records) in &runs {
+            let mut batch = batched.at(name);
+            for (rdata, span, count) in records {
+                batch.observe_span(rdata.clone(), *span, *count);
+                per_record.observe_span(name.clone(), rdata.clone(), *span, *count);
+            }
+        }
+        prop_assert_eq!(to_tsv(&batched), to_tsv(&per_record));
+        prop_assert_eq!(batched.len(), per_record.len());
+        prop_assert_eq!(format!("{batched:?}"), format!("{per_record:?}"));
+    }
+
+    /// Realistic sensors reporting through batches keep a seed's exact
+    /// output: the same coverage drops, lags and leads as per-record
+    /// reports, and as the sensor model written out draw by draw.
+    #[test]
+    fn batched_sensor_reports_keep_each_seeds_draws(runs in runs_strategy(), seed in any::<u64>()) {
+        let cfg = SensorConfig::realistic();
+        let mut batched = SensorNetwork::new(cfg, seed);
+        let mut per_record = SensorNetwork::new(cfg, seed);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut reference = PdnsDb::new();
+        for (name, records) in &runs {
+            let mut reports = batched.at(name);
+            for (rdata, truth, _) in records {
+                reports.report_span(rdata.clone(), *truth);
+                per_record.report_span(name.clone(), rdata.clone(), *truth);
+                if !rng.gen_bool(cfg.coverage) {
+                    continue;
+                }
+                let lag = rng.gen_range(0..=cfg.max_first_seen_lag_days);
+                let lead = rng.gen_range(0..=cfg.max_last_seen_lead_days);
+                let (start, end) = (truth.start + lag, truth.end + (-lead));
+                if start <= end {
+                    let count = (truth.len_days() as u64 / 30).max(1);
+                    reference.observe_span(name.clone(), rdata.clone(), DateRange::new(start, end), count);
+                }
+            }
+        }
+        let (batched, per_record) = (batched.into_db(), per_record.into_db());
+        prop_assert_eq!(to_tsv(&batched), to_tsv(&reference));
+        prop_assert_eq!(to_tsv(&per_record), to_tsv(&reference));
+        prop_assert_eq!(batched.len(), reference.len());
+        prop_assert_eq!(format!("{batched:?}"), format!("{reference:?}"));
     }
 }

@@ -12,14 +12,7 @@
 pub const FRAME_HEADER_LEN: usize = 29;
 
 /// FNV-1a 64 over raw bytes — the frame checksum.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+pub use govdns_model::fnv64;
 
 /// Appends one framed payload to `out`.
 pub fn write_frame(out: &mut Vec<u8>, payload: &str) {

@@ -5,7 +5,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use govdns_model::{DateRange, DomainName, RecordData, SimDate};
+use govdns_model::{DateRange, DomainName, RecordData, SimDate, Soa};
 use govdns_pdns::{SensorConfig, SensorNetwork};
 
 use crate::addressing::{AddressPlan, AsnAlloc};
@@ -42,8 +42,9 @@ impl WorldConfig {
     }
 
     /// The paper-scale world: ~192.6k PDNS domains in 2020 and ~147k
-    /// probed domains. Generation takes minutes and several GiB of
-    /// memory; EXPERIMENTS.md uses 10% scale, whose rates are identical.
+    /// probed domains. Generation takes about ten seconds and 3 GiB of
+    /// memory on a 2-vCPU VM; EXPERIMENTS.md uses 10% scale, whose rates
+    /// are identical.
     pub fn paper(seed: u64) -> Self {
         WorldConfig { seed, scale: 1.0, loss_rate: 0.0, sensor: SensorConfig::realistic() }
     }
@@ -214,6 +215,11 @@ pub(crate) struct Build {
     pub plan: AddressPlan,
     /// Two AS handles per country (gov infra, local ISP).
     pub country_asns: Vec<(AsnAlloc, AsnAlloc)>,
+    /// Per country: its local providers, in catalog order.
+    pub locals: Vec<Vec<ProviderId>>,
+    /// Per provider: the SOA RNAME it stamps on customer zones, or
+    /// `None` when customers keep their own `hostmaster.<zone>`.
+    pub soa_rnames: Vec<Option<DomainName>>,
     /// Concrete addresses for each provider pool pair.
     pub provider_pair_ips: Vec<Vec<(Ipv4Addr, Ipv4Addr)>>,
     pub d_gov: BTreeMap<CountryCode, DomainName>,
@@ -229,7 +235,6 @@ pub(crate) struct Build {
 impl Build {
     pub fn run(cfg: WorldConfig) -> World {
         let countries = crate::countries_data::countries();
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
 
         // Per-country diversity profiles (Table I calibration), sharpened
         // into sampling space.
@@ -268,6 +273,18 @@ impl Build {
                 (0..p.pool.len()).map(|_| plan.pair_ips(a, b, p.diversity)).collect()
             })
             .collect();
+        let locals: Vec<Vec<ProviderId>> = countries
+            .iter()
+            .map(|c| {
+                let ids: Vec<ProviderId> = catalog.locals_of(c.code).map(|p| p.id).collect();
+                assert!(!ids.is_empty(), "every country has local providers");
+                ids
+            })
+            .collect();
+        let soa_rnames: Vec<Option<DomainName>> = catalog
+            .iter()
+            .map(|p| p.soa_rname.clone().or_else(|| p.primary_ns_domain()).map(|d| hostmaster(&d)))
+            .collect();
 
         let collection = SimDate::from_ymd(COLLECTION_DATE.0, COLLECTION_DATE.1, COLLECTION_DATE.2);
 
@@ -278,6 +295,8 @@ impl Build {
             catalog,
             plan,
             country_asns,
+            locals,
+            soa_rnames,
             provider_pair_ips,
             d_gov: BTreeMap::new(),
             unkb: UnKnowledgeBase::new(),
@@ -287,11 +306,9 @@ impl Build {
             domains: Vec::new(),
             collection,
         };
-        let _ = rng.gen::<u64>();
-
         build.seeds_and_knowledge_base();
         build.populate();
-        build.assign_market(&profiles);
+        build.assign_market();
         let pdns = build.feed_pdns();
         snapshot::materialize(build, pdns, &profiles)
     }
@@ -660,7 +677,7 @@ impl Build {
 
     /// Phase D: deployment styles and NS hosts, with a yearly market
     /// rebalancing pass that tracks each provider's target trajectory.
-    fn assign_market(&mut self, profiles: &[DiversityTarget]) {
+    fn assign_market(&mut self) {
         // 1. Decide private vs provider-hosted once per domain.
         let mut provider_domains: Vec<usize> = Vec::new();
         for di in 0..self.domains.len() {
@@ -683,7 +700,7 @@ impl Build {
             let transient =
                 self.domains[di].died.is_some_and(|d| d - self.domains[di].created < 30);
             if self.rng.gen_bool(private_p) {
-                let hosts = self.private_hosts(di, profiles);
+                let hosts = self.private_hosts(di);
                 let rec = &mut self.domains[di];
                 rec.epochs.push(EpochSpec {
                     start: rec.created,
@@ -728,8 +745,8 @@ impl Build {
             });
             // Rebalance named providers toward their year targets.
             for &pid in &named_ids {
-                let provider = self.catalog.get(pid).clone();
-                let target = (provider.target_count(year) * self.cfg.scale).round() as i64;
+                let target =
+                    (self.catalog.get(pid).target_count(year) * self.cfg.scale).round() as i64;
                 let have = *counts.get(&pid).unwrap_or(&0) as i64;
                 // A dead provider (target 0) loses every customer; live
                 // ones keep one customer of slack to avoid churn noise.
@@ -759,17 +776,16 @@ impl Build {
         want: usize,
         year: i32,
     ) {
-        let provider = self.catalog.get(pid).clone();
-        let candidates: Vec<usize> = assignment
+        let provider = self.catalog.get(pid);
+        let eligible: Vec<bool> =
+            self.countries.iter().map(|c| provider.eligible_in(c, year)).collect();
+        let mut picked: Vec<usize> = assignment
             .iter()
-            .filter(|(_, &cur)| self.catalog.get(cur).is_local)
-            .map(|(&di, _)| di)
-            .filter(|&di| {
-                let c = &self.countries[self.domains[di].country_idx];
-                provider.eligible_in(c, year)
+            .filter(|(&di, &cur)| {
+                self.catalog.get(cur).is_local && eligible[self.domains[di].country_idx]
             })
+            .map(|(&di, _)| di)
             .collect();
-        let mut picked = candidates;
         picked.shuffle(&mut self.rng);
         for di in picked.into_iter().take(want) {
             let old = assignment.insert(di, pid).expect("candidate was assigned");
@@ -811,16 +827,14 @@ impl Build {
     }
 
     fn pick_local(&mut self, country_idx: usize) -> ProviderId {
-        let code = self.countries[country_idx].code;
-        let locals: Vec<ProviderId> = self.catalog.locals_of(code).map(|p| p.id).collect();
-        assert!(!locals.is_empty(), "every country has local providers");
+        let locals = &self.locals[country_idx];
         locals[self.rng.gen_range(0..locals.len())]
     }
 
     /// Appends a provider epoch (choosing concrete hosts, d1P vs dual, and
     /// NS count) at `start`.
     fn push_provider_epoch(&mut self, di: usize, start: SimDate, pid: ProviderId) {
-        let provider = self.catalog.get(pid).clone();
+        let provider = self.catalog.get(pid);
         let single_domain = self.domains[di].single;
         let dual = !single_domain && !self.rng.gen_bool(provider.d1p_rate);
         let pair_idx = self.rng.gen_range(0..provider.pool.len());
@@ -846,9 +860,10 @@ impl Build {
             // Second provider: a local of the same country.
             let other = self.pick_local(self.domains[di].country_idx);
             if other != pid {
-                let opair = self.catalog.get(other).pool.pair(self.rng.gen_range(0..8)).clone();
+                let other_host =
+                    self.catalog.get(other).pool.pair(self.rng.gen_range(0..8)).0.clone();
                 hosts.pop();
-                hosts.push(opair.0);
+                hosts.push(other_host);
                 DeploymentStyle::DualProvider(pid, other)
             } else {
                 DeploymentStyle::SingleProvider(pid)
@@ -870,14 +885,13 @@ impl Build {
 
     /// Hosts for a private deployment: the domain's own `ns1`/`ns2`, or
     /// the country's shared central pairs.
-    fn private_hosts(&mut self, di: usize, profiles: &[DiversityTarget]) -> Vec<DomainName> {
+    fn private_hosts(&mut self, di: usize) -> Vec<DomainName> {
         let (country_idx, name, single, category) = {
             let rec = &self.domains[di];
             (rec.country_idx, rec.name.clone(), rec.single, rec.category)
         };
         let code = self.countries[country_idx].code;
         let d_gov = self.d_gov[&code].clone();
-        let _ = profiles;
         let central = if category == Category::DeadIntermediate {
             false
         } else {
@@ -904,8 +918,20 @@ impl Build {
         }
     }
 
+    /// The SOA RNAME of `owner`'s zone under `style`: the first
+    /// provider's branded mailbox, else the zone's own `hostmaster`.
+    fn soa_rname(&self, style: DeploymentStyle, owner: &DomainName) -> DomainName {
+        style
+            .providers()
+            .first()
+            .and_then(|&pid| self.soa_rnames[pid].clone())
+            .unwrap_or_else(|| hostmaster(owner))
+    }
+
     /// Phase E: feed the sensor network and return the PDNS database.
-    fn feed_pdns(&mut self) -> govdns_pdns::PdnsDb {
+    /// Each domain's records stream into one batch, so its PDNS slot is
+    /// found once rather than once per record.
+    fn feed_pdns(&self) -> govdns_pdns::PdnsDb {
         let mut sensors = SensorNetwork::new(self.cfg.sensor, self.cfg.seed ^ 0x44);
         let horizon_start = SimDate::from_ymd(2010, 6, 1);
         for rec in &self.domains {
@@ -913,6 +939,7 @@ impl Build {
                 .died
                 .unwrap_or(self.collection)
                 .min(rec.pdns_end_cap.unwrap_or(self.collection));
+            let mut reports = sensors.at(&rec.name);
             for (i, epoch) in rec.epochs.iter().enumerate() {
                 let next_start =
                     rec.epochs.get(i + 1).map(|e| e.start + (-1)).unwrap_or(end_of_life);
@@ -923,26 +950,13 @@ impl Build {
                 }
                 let span = DateRange::new(start, end);
                 for host in &epoch.hosts {
-                    sensors.report_span(rec.name.clone(), RecordData::Ns(host.clone()), span);
+                    reports.report_span(RecordData::Ns(host.clone()), span);
                 }
                 // Sensors also observe the zone's SOA — the paper's
                 // MNAME/RNAME classification evidence.
                 if let Some(primary) = epoch.hosts.first() {
-                    let rname_base = match epoch.style.providers().first() {
-                        Some(&pid) => {
-                            let provider = self.catalog.get(pid);
-                            provider
-                                .soa_rname
-                                .clone()
-                                .or_else(|| provider.primary_ns_domain())
-                                .unwrap_or_else(|| rec.name.clone())
-                        }
-                        None => rec.name.clone(),
-                    };
-                    let rname: DomainName =
-                        format!("hostmaster.{rname_base}").parse().expect("generated rname parses");
-                    let soa = govdns_model::Soa::new(primary.clone(), rname);
-                    sensors.report_span(rec.name.clone(), RecordData::Soa(soa), span);
+                    let soa = Soa::new(primary.clone(), self.soa_rname(epoch.style, &rec.name));
+                    reports.report_span(RecordData::Soa(soa), span);
                 }
             }
         }
@@ -956,26 +970,29 @@ impl EpochSpec {
     }
 }
 
-/// Materializes a rec's epochs into a public timeline.
+/// Materializes a rec's epochs into a public timeline, moving its
+/// names rather than copying them.
 pub(crate) fn materialize_timeline(
-    rec: &DomainRec,
+    rec: DomainRec,
     collection: SimDate,
     code: CountryCode,
 ) -> DomainTimeline {
-    let mut t = DomainTimeline::new(rec.name.clone(), code);
+    let mut t = DomainTimeline::new(rec.name, code);
     let end_of_life = rec.died.unwrap_or(collection);
-    for (i, e) in rec.epochs.iter().enumerate() {
-        let next = rec.epochs.get(i + 1).map(|n| n.start + (-1)).unwrap_or(end_of_life);
+    let mut epochs = rec.epochs.into_iter().peekable();
+    while let Some(e) = epochs.next() {
+        let next = epochs.peek().map(|n| n.start + (-1)).unwrap_or(end_of_life);
         if next < e.start {
             continue;
         }
-        t.push(Epoch {
-            span: DateRange::new(e.start, next),
-            style: e.style,
-            ns_hosts: e.hosts.clone(),
-        });
+        t.push(Epoch { span: DateRange::new(e.start, next), style: e.style, ns_hosts: e.hosts });
     }
     t
+}
+
+/// The `hostmaster` mailbox under `domain`, as an SOA RNAME.
+fn hostmaster(domain: &DomainName) -> DomainName {
+    domain.prepend("hostmaster").expect("generated rname is a valid name")
 }
 
 /// Fig 2's yearly totals, normalized so 2020 = 1.

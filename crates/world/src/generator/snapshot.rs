@@ -427,12 +427,7 @@ impl Materializer {
     /// Hosts of a different provider, as if the domain had migrated away
     /// and the parent was never updated.
     fn previous_provider_hosts(&mut self, di: usize) -> Vec<DomainName> {
-        let ci = self.b.domains[di].country_idx;
-        let code = self.b.countries[ci].code;
-        let locals: Vec<_> = self.b.catalog.locals_of(code).map(|p| p.id).collect();
-        if locals.is_empty() {
-            return Vec::new();
-        }
+        let locals = &self.b.locals[self.b.domains[di].country_idx];
         let pid = locals[self.rng.gen_range(0..locals.len())];
         let provider = self.b.catalog.get(pid);
         let pair = provider.pool.pair(self.rng.gen_range(0..provider.pool.len()));
@@ -661,13 +656,14 @@ impl Materializer {
 
         // Host A records land in their TLD zone when that TLD is a gTLD
         // (provider farms, parking hosts); ccTLD hosts are added below.
-        let host_entries: Vec<(DomainName, Ipv4Addr)> =
-            self.host_ips.iter().map(|(h, &ip)| (h.clone(), ip)).collect();
-        for (host, ip) in &host_entries {
-            let tld = host.suffix(1).to_string();
-            if let Some(zone) = zones.get_mut(&host.suffix(1)) {
-                let _ = tld;
-                zone.add_a(host.clone(), *ip);
+        // Hosts are bucketed by TLD once, so no TLD rescans every host.
+        let mut hosts_by_tld: HashMap<DomainName, Vec<(&DomainName, Ipv4Addr)>> = HashMap::new();
+        for (host, &ip) in &self.host_ips {
+            hosts_by_tld.entry(host.suffix(1)).or_default().push((host, ip));
+        }
+        for (tld, zone) in zones.iter_mut() {
+            for &(host, ip) in hosts_by_tld.get(tld).into_iter().flatten() {
+                zone.add_a(host.clone(), ip);
             }
         }
 
@@ -700,9 +696,10 @@ impl Materializer {
                 format!("hostmaster.nic.{cc}").parse().expect("rname parses"),
             ));
             // Local provider farm addresses live in the ccTLD zone.
-            for (host, ip) in &host_entries {
-                if host.suffix(1) == origin && !host.is_within(&self.b.d_gov[&code]) {
-                    z.add_a(host.clone(), *ip);
+            let d_gov = &self.b.d_gov[&code];
+            for &(host, ip) in hosts_by_tld.get(&origin).into_iter().flatten() {
+                if !host.is_within(d_gov) {
+                    z.add_a(host.clone(), ip);
                 }
             }
             zones.insert(origin, z);
@@ -721,21 +718,7 @@ impl Materializer {
             for host in &out.c {
                 z.add_ns(name.clone(), host.clone());
             }
-            let rname_base = match rec.final_style().providers().first() {
-                Some(&pid) => {
-                    let provider = self.b.catalog.get(pid);
-                    provider
-                        .soa_rname
-                        .clone()
-                        .or_else(|| provider.primary_ns_domain())
-                        .unwrap_or_else(|| name.clone())
-                }
-                None => name.clone(),
-            };
-            z.set_soa(Soa::new(
-                out.c[0].clone(),
-                format!("hostmaster.{rname_base}").parse().expect("rname parses"),
-            ));
+            z.set_soa(Soa::new(out.c[0].clone(), self.b.soa_rname(rec.final_style(), &name)));
             if let Ok(www) = name.prepend("www") {
                 let (gov_asn, _) = self.b.country_asns[rec.country_idx];
                 z.add_a(www, self.b.plan.fresh_host(gov_asn));
@@ -856,8 +839,7 @@ impl Materializer {
         // Every provider host gets a server (so lame hosts answer REFUSED
         // rather than vanishing).
         for provider in self.b.catalog.iter() {
-            for (i, (a, b)) in provider.pool.iter().enumerate() {
-                let _ = i;
+            for (a, b) in provider.pool.iter() {
                 for host in [a, b] {
                     if let Some(&ip) = self.host_ips.get(host) {
                         serve(&mut servers, ip, ServerBehavior::Responsive, None);
@@ -901,17 +883,16 @@ impl Materializer {
         // Central government servers also serve the d_gov zone (they are
         // its apex hosts) — covered above because d_gov's C is central
         // pair 0, but the other central hosts exist too.
-        for ci in 0..self.b.countries.len() {
-            let code = self.b.countries[ci].code;
-            let d_gov = self.b.d_gov[&code].clone();
-            let zone = arcs.get(&d_gov);
-            let dgov_lame = self
-                .b
-                .domains
-                .iter()
-                .position(|r| r.name == d_gov)
-                .map(|di| self.outs[di].lame.clone())
-                .unwrap_or_default();
+        let mut dgov_rec: Vec<Option<usize>> = vec![None; self.b.countries.len()];
+        for (di, rec) in self.b.domains.iter().enumerate() {
+            if rec.category == Category::DGov {
+                dgov_rec[rec.country_idx].get_or_insert(di);
+            }
+        }
+        let no_lame = HashSet::new();
+        for (ci, dgov_di) in dgov_rec.into_iter().enumerate() {
+            let zone = arcs.get(&self.b.d_gov[&self.b.countries[ci].code]);
+            let dgov_lame = dgov_di.map_or(&no_lame, |di| &self.outs[di].lame);
             for host in &self.central_hosts[ci] {
                 if self.dead_hosts.contains(host) || dgov_lame.contains(host) {
                     continue;
@@ -929,19 +910,26 @@ impl Materializer {
         }
         let roots: Vec<Ipv4Addr> = root_hosts.iter().map(|&(_, ip)| ip).collect();
 
-        // Ground truth.
-        let mut truth = WorldTruth { d_gov: self.b.d_gov.clone(), domains: Vec::new() };
-        for (di, rec) in self.b.domains.iter().enumerate() {
-            let out = &self.outs[di];
-            let code = self.b.countries[rec.country_idx].code;
-            truth.domains.push(DomainTruth {
-                timeline: materialize_timeline(rec, collection, code),
-                faults: out.faults.clone(),
-                parent_ns: out.p.clone(),
-                child_ns: out.c.clone(),
-                alive_2021: out.alive,
-            });
-        }
+        // Ground truth: the plan is moved into it, not copied.
+        let domains = std::mem::take(&mut self.b.domains);
+        let outs = std::mem::take(&mut self.outs);
+        let truth = WorldTruth {
+            d_gov: std::mem::take(&mut self.b.d_gov),
+            domains: domains
+                .into_iter()
+                .zip(outs)
+                .map(|(rec, out)| {
+                    let code = self.b.countries[rec.country_idx].code;
+                    DomainTruth {
+                        timeline: materialize_timeline(rec, collection, code),
+                        faults: out.faults,
+                        parent_ns: out.p,
+                        child_ns: out.c,
+                        alive_2021: out.alive,
+                    }
+                })
+                .collect(),
+        };
 
         World {
             countries: self.b.countries,

@@ -2,38 +2,130 @@
 //! calibrated: the probe-facing infrastructure works, the PDNS history has
 //! the paper's shape, and injected faults are observable.
 
-use govdns_model::{DateRange, DomainName, RecordType};
-use govdns_pdns::filter;
-use govdns_simnet::StubResolver;
-use govdns_world::{FaultClass, WorldConfig, WorldGenerator};
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-fn small_world() -> govdns_world::World {
+use govdns_model::{fnv64, zonefile, DateRange, DomainName, RecordType};
+use govdns_pdns::{export, filter, SensorConfig};
+use govdns_simnet::StubResolver;
+use govdns_world::{FaultClass, World, WorldConfig, WorldGenerator};
+
+fn small_world() -> World {
     WorldGenerator::new(WorldConfig::small(7).with_scale(0.02)).generate()
 }
 
-#[test]
-fn world_has_all_substrates() {
-    let w = small_world();
-    assert_eq!(w.countries.len(), 193);
-    assert_eq!(w.unkb.len(), 193);
-    assert!(!w.roots.is_empty());
-    assert!(w.network.server_count() > 500, "servers: {}", w.network.server_count());
-    assert!(!w.pdns.is_empty());
-    assert!(w.registrar.available_count() > 0);
-    assert!(w.truth().domains.len() > 500);
+/// One FNV-1a hash per public surface of a world, in the order servers
+/// (by address, with behaviour and zone origins), zones, PDNS, ground
+/// truth, registrar, roots.
+fn fingerprint(w: &World) -> [u64; 6] {
+    let mut servers: Vec<_> = w.network.servers().collect();
+    servers.sort_by_key(|s| s.addr());
+    let mut server_text = String::new();
+    let mut zones = BTreeMap::new();
+    for s in &servers {
+        write!(server_text, "{} {:?}", s.addr(), s.behavior()).unwrap();
+        for z in s.zones() {
+            write!(server_text, " {}", z.origin()).unwrap();
+            zones.entry(z.origin().clone()).or_insert_with(|| zonefile::serialize(z));
+        }
+        server_text.push('\n');
+    }
+    let zone_text: String = zones.into_values().collect();
+    let truth_text = format!("{:?}", w.truth().domains);
+    let registrar_text: String =
+        w.registrar.iter_available().map(|(d, price)| format!("{d} {price}\n")).collect();
+    let roots_text = format!("{:?}", w.roots);
+    [
+        fnv64(server_text.as_bytes()),
+        fnv64(zone_text.as_bytes()),
+        fnv64(export::to_tsv(&w.pdns).as_bytes()),
+        fnv64(truth_text.as_bytes()),
+        fnv64(registrar_text.as_bytes()),
+        fnv64(roots_text.as_bytes()),
+    ]
+}
+
+fn fingerprint_of(cfg: WorldConfig) -> [u64; 6] {
+    fingerprint(&WorldGenerator::new(cfg).generate())
 }
 
 #[test]
 fn generation_is_deterministic() {
-    let a = WorldGenerator::new(WorldConfig::small(9).with_scale(0.01)).generate();
-    let b = WorldGenerator::new(WorldConfig::small(9).with_scale(0.01)).generate();
-    assert_eq!(a.truth().domains.len(), b.truth().domains.len());
-    for (x, y) in a.truth().domains.iter().zip(&b.truth().domains) {
-        assert_eq!(x.timeline.name, y.timeline.name);
-        assert_eq!(x.parent_ns, y.parent_ns);
-        assert_eq!(x.faults, y.faults);
+    let cfg = WorldConfig::small(9).with_scale(0.01);
+    assert_eq!(fingerprint_of(cfg), fingerprint_of(cfg));
+}
+
+/// Checks a world's fingerprint against pinned hashes; any change to
+/// the RNG draw order or to what is generated moves at least one.
+fn assert_pinned(cfg: WorldConfig, want: [u64; 6]) {
+    const SURFACES: [&str; 6] = ["servers", "zones", "pdns", "truth", "registrar", "roots"];
+    let got = fingerprint_of(cfg);
+    for ((surface, got), want) in SURFACES.iter().zip(got).zip(want) {
+        assert_eq!(got, want, "{surface} fingerprint moved: {got:016x} != {want:016x} ({cfg:?})");
     }
-    assert_eq!(a.pdns.len(), b.pdns.len());
+}
+
+#[test]
+fn generation_is_pinned() {
+    assert_pinned(
+        WorldConfig::small(7).with_scale(0.01),
+        [
+            0x89d6_c35b_090f_f6ec,
+            0xe5c8_a767_5d40_de33,
+            0x1269_8463_6f9c_1f14,
+            0x713c_3dac_57b0_b811,
+            0xb0ae_23b3_1c58_2aef,
+            0x4888_bf9c_aede_c17e,
+        ],
+    );
+    assert_pinned(
+        WorldConfig::small(9).with_scale(0.02),
+        [
+            0x6990_c1b6_c9a3_dbf7,
+            0x5c4f_4b3c_ad1e_dcb1,
+            0x8f51_7ff7_c6af_05b9,
+            0xa15e_4c33_b5ad_24c9,
+            0x1b7d_9bda_aeec_05f2,
+            0x6f09_000d_a420_9eca,
+        ],
+    );
+}
+
+/// Realistic sensors draw coverage, lag and lead per record, so this
+/// pin also fixes the sensor RNG's order; only the PDNS hash differs
+/// from the perfect-sensor world of the same seed.
+#[test]
+fn generation_is_pinned_with_realistic_sensors() {
+    assert_pinned(
+        WorldConfig::small(7).with_scale(0.01).with_sensor(SensorConfig::realistic()),
+        [
+            0x89d6_c35b_090f_f6ec,
+            0xe5c8_a767_5d40_de33,
+            0x5150_93b7_a49f_17f2,
+            0x713c_3dac_57b0_b811,
+            0xb0ae_23b3_1c58_2aef,
+            0x4888_bf9c_aede_c17e,
+        ],
+    );
+}
+
+/// The `probe` benchmark's world (seed 7, scale 0.2). Release-only in
+/// practice: `cargo test --release -p govdns-world --test generation
+/// -- --ignored`.
+#[test]
+#[ignore = "generates a 0.2-scale world; run with --release -- --ignored"]
+fn generation_is_pinned_at_benchmark_scale() {
+    assert_pinned(
+        WorldConfig::small(7).with_scale(0.2),
+        [
+            0x8e02_c39d_4017_5805,
+            0x0e17_84fa_8336_1f8d,
+            0x924f_d232_0130_3000,
+            0xc370_8505_2eee_f650,
+            0x352f_9836_f4fe_8231,
+            0x2d25_04c0_a27a_6b7e,
+        ],
+    );
 }
 
 #[test]

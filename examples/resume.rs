@@ -16,18 +16,8 @@
 //! Add `--profile hostile --breaker` to do the same through injected
 //! faults with destination circuit breakers quarantining dead servers.
 
+use govdns::model::fnv64;
 use govdns::prelude::*;
-
-/// FNV-1a over the canonical dataset encoding: a compact fingerprint
-/// two runs can be compared by.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn main() {
     let mut seed = 7u64;

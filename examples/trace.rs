@@ -29,18 +29,9 @@ use std::process::ExitCode;
 
 use govdns::core::analysis::remedies::{plan_for, Remedy};
 use govdns::core::{BreakerPolicy, DomainProbe};
+use govdns::model::fnv64;
 use govdns::prelude::*;
 use govdns::trace::{DomainBlock, TraceData, TraceEvent};
-
-/// FNV-1a, for compact run fingerprints.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 struct Args {
     seed: u64,
