@@ -1,6 +1,5 @@
-use std::collections::btree_map::{Entry, VacantEntry};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
@@ -53,16 +52,9 @@ struct Stamp {
 /// Reversed-label key: `www.gov.zz` → `zz.gov.www`. Range scans over a
 /// suffix become prefix scans over this key.
 fn rev_key(name: &DomainName) -> String {
-    let labels = name.labels();
-    let len = labels.iter().map(|l| l.len() + 1).sum::<usize>().saturating_sub(1);
-    let mut key = String::with_capacity(len);
-    for (i, label) in labels.iter().rev().enumerate() {
-        if i > 0 {
-            key.push('.');
-        }
-        key.push_str(label.as_str());
-    }
-    key
+    let mut labels: Vec<&str> = name.labels().iter().map(|l| l.as_str()).collect();
+    labels.reverse();
+    labels.join(".")
 }
 
 impl PdnsDb {
@@ -80,34 +72,59 @@ impl PdnsDb {
         span: DateRange,
         count: u64,
     ) {
-        self.at(&name).observe_span(rdata, span, count);
+        self.observe_all(&name, [(rdata, span, count)]);
     }
 
-    /// Opens the entries at `name` for a batch of observations: the
-    /// reversed key is built and the name's slot found once for the
-    /// whole batch, not once per record. Observing through the batch is
-    /// exactly [`observe_span`](Self::observe_span) at `name`, and a
-    /// batch that observes nothing leaves the database unchanged.
+    /// Records a run of `(rdata, span, count)` observations at `name`,
+    /// each exactly as [`observe_span`](Self::observe_span) would. The
+    /// reversed key is built and the name's slot found once for the whole
+    /// run, not once per record. The slot is created at the first
+    /// observation, so an empty run leaves the database unchanged.
     ///
     /// ```
     /// use govdns_pdns::PdnsDb;
-    /// use govdns_model::{DateRange, DomainName, RecordData, SimDate};
+    /// use govdns_model::{DateRange, RecordData, SimDate};
     ///
     /// let mut db = PdnsDb::new();
-    /// let name: DomainName = "portal.gov.zz".parse()?;
     /// let span = DateRange::new(SimDate::from_ymd(2015, 1, 1), SimDate::from_ymd(2019, 6, 1));
-    /// let mut batch = db.at(&name);
-    /// batch.observe_span(RecordData::Ns("ns1.gov.zz".parse()?), span, 10);
-    /// batch.observe_span(RecordData::Ns("ns2.gov.zz".parse()?), span, 10);
+    /// let ns = |host: &str| host.parse().map(RecordData::Ns);
+    /// db.observe_all(
+    ///     &"portal.gov.zz".parse()?,
+    ///     [(ns("ns1.gov.zz")?, span, 10), (ns("ns2.gov.zz")?, span, 10)],
+    /// );
     /// assert_eq!(db.len(), 2);
     /// # Ok::<(), govdns_model::ModelError>(())
     /// ```
-    pub fn at<'a>(&'a mut self, name: &'a DomainName) -> OwnerBatch<'a> {
-        let (vacant, open) = match self.names.entry(rev_key(name)) {
-            Entry::Occupied(slot) => (None, Some(slot.into_mut())),
-            Entry::Vacant(slot) => (Some((slot, name)), None),
-        };
-        OwnerBatch { vacant, open, total_entries: &mut self.total_entries, text: String::new() }
+    pub fn observe_all(
+        &mut self,
+        name: &DomainName,
+        observations: impl IntoIterator<Item = (RecordData, DateRange, u64)>,
+    ) {
+        let mut observations = observations.into_iter();
+        let Some(first) = observations.next() else { return };
+        let slot = self
+            .names
+            .entry(rev_key(name))
+            .or_insert_with(|| NameEntries { name: name.clone(), records: BTreeMap::new() });
+        for (rdata, span, count) in std::iter::once(first).chain(observations) {
+            match slot.records.entry((rdata.rtype().code(), rdata.to_string())) {
+                Entry::Occupied(mut stamp) => {
+                    let stamp = stamp.get_mut();
+                    stamp.first_seen = stamp.first_seen.min(span.start);
+                    stamp.last_seen = stamp.last_seen.max(span.end);
+                    stamp.count += count;
+                }
+                Entry::Vacant(vacant) => {
+                    vacant.insert(Stamp {
+                        rdata,
+                        first_seen: span.start,
+                        last_seen: span.end,
+                        count,
+                    });
+                    self.total_entries += 1;
+                }
+            }
+        }
     }
 
     /// Records a single-day observation.
@@ -184,47 +201,6 @@ impl PdnsDb {
     /// Iterates over every entry in the database, in reversed-name order.
     pub fn iter(&self) -> impl Iterator<Item = PdnsEntry> + '_ {
         self.names.values().flat_map(NameEntries::refs).map(PdnsRef::to_entry)
-    }
-}
-
-/// The entries at one owner name, open for a batch of observations
-/// (see [`PdnsDb::at`]).
-#[derive(Debug)]
-pub struct OwnerBatch<'a> {
-    /// Until the first observation of a name new to the database: where
-    /// its slot goes. Creating the slot lazily keeps a batch whose
-    /// records all went unobserved from leaving an empty name behind.
-    vacant: Option<(VacantEntry<'a, String, NameEntries>, &'a DomainName)>,
-    open: Option<&'a mut NameEntries>,
-    total_entries: &'a mut usize,
-    /// Reused to render each record's presentation form, which is then
-    /// copied into an exactly sized key.
-    text: String,
-}
-
-impl OwnerBatch<'_> {
-    /// Records that `rdata` was observed at the batch's name on every day
-    /// of `span`, contributing `count` sensor reports.
-    pub fn observe_span(&mut self, rdata: RecordData, span: DateRange, count: u64) {
-        if let Some((slot, name)) = self.vacant.take() {
-            self.open =
-                Some(slot.insert(NameEntries { name: name.clone(), records: BTreeMap::new() }));
-        }
-        let slot = self.open.as_mut().expect("a batch's slot is open once it observes");
-        self.text.clear();
-        write!(self.text, "{rdata}").expect("writing to a String cannot fail");
-        match slot.records.entry((rdata.rtype().code(), self.text.clone())) {
-            Entry::Occupied(mut stamp) => {
-                let stamp = stamp.get_mut();
-                stamp.first_seen = stamp.first_seen.min(span.start);
-                stamp.last_seen = stamp.last_seen.max(span.end);
-                stamp.count += count;
-            }
-            Entry::Vacant(vacant) => {
-                vacant.insert(Stamp { rdata, first_seen: span.start, last_seen: span.end, count });
-                *self.total_entries += 1;
-            }
-        }
     }
 }
 

@@ -13,7 +13,7 @@
 //! This crate reproduces exactly that query surface:
 //!
 //! * [`PdnsDb::observe_span`] — ingestion with DNSDB coalescing semantics,
-//!   and [`PdnsDb::at`], the same for a batch of records at one name,
+//!   and [`PdnsDb::observe_all`], the same for a run of records at one name,
 //! * [`PdnsDb::scan_subtree`] — left-hand wildcard search as borrowed
 //!   [`PdnsRef`] views, the one subtree scan every search is built on,
 //! * [`PdnsDb::search_subtree`] — the same, cloned into owned entries,
@@ -38,6 +38,6 @@ pub mod export;
 pub mod filter;
 mod sensor;
 
-pub use db::{OwnerBatch, PdnsDb};
+pub use db::PdnsDb;
 pub use entry::{PdnsEntry, PdnsRef};
-pub use sensor::{OwnerReports, SensorConfig, SensorNetwork};
+pub use sensor::{SensorConfig, SensorNetwork};

@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use govdns_model::{DateRange, DomainName, RecordData};
 
-use crate::{OwnerBatch, PdnsDb};
+use crate::PdnsDb;
 
 /// Parameters of the simulated sensor network.
 ///
@@ -36,6 +36,34 @@ impl SensorConfig {
     pub fn realistic() -> Self {
         SensorConfig { coverage: 0.97, max_first_seen_lag_days: 14, max_last_seen_lead_days: 7 }
     }
+
+    /// Draws whether a record that lived throughout `truth` is observed
+    /// and, if so, the span sensors saw it over and its report count.
+    fn sense(&self, rng: &mut SmallRng, truth: DateRange) -> Option<(DateRange, u64)> {
+        if self.coverage < 1.0 && !rng.gen_bool(self.coverage) {
+            return None;
+        }
+        let lag = if self.max_first_seen_lag_days > 0 {
+            rng.gen_range(0..=self.max_first_seen_lag_days)
+        } else {
+            0
+        };
+        let lead = if self.max_last_seen_lead_days > 0 {
+            rng.gen_range(0..=self.max_last_seen_lead_days)
+        } else {
+            0
+        };
+        let start = truth.start + lag;
+        let end = truth.end + (-lead);
+        if start > end {
+            // The record lived for less time than the observation jitter;
+            // sensors never caught a stable view of it.
+            return None;
+        }
+        // Report volume scales (roughly) with the record's lifetime.
+        let count = (truth.len_days() as u64 / 30).max(1);
+        Some((DateRange::new(start, end), count))
+    }
 }
 
 impl Default for SensorConfig {
@@ -62,15 +90,23 @@ impl SensorNetwork {
     /// record's actual lifetime in the zone). The database receives a
     /// possibly shortened span — or nothing, if no sensor saw the record.
     pub fn report_span(&mut self, name: DomainName, rdata: RecordData, truth: DateRange) {
-        self.at(&name).report_span(rdata, truth);
+        self.report_all(&name, [(rdata, truth)]);
     }
 
-    /// Opens a batch of reports at `name` (see [`PdnsDb::at`]). Each
-    /// report draws coverage, lag and lead exactly as
-    /// [`report_span`](Self::report_span) would, in the same order, so a
-    /// seed yields the same database either way.
-    pub fn at<'a>(&'a mut self, name: &'a DomainName) -> OwnerReports<'a> {
-        OwnerReports { config: self.config, rng: &mut self.rng, entries: self.db.at(name) }
+    /// Reports a run of `(rdata, truth)` records at `name`, streamed into
+    /// one [`PdnsDb::observe_all`] run. Each record draws coverage, lag
+    /// and lead exactly as [`report_span`](Self::report_span) would, in
+    /// the same order, so a seed yields the same database either way.
+    pub fn report_all(
+        &mut self,
+        name: &DomainName,
+        records: impl IntoIterator<Item = (RecordData, DateRange)>,
+    ) {
+        let SensorNetwork { config, rng, db } = self;
+        let observed = records.into_iter().filter_map(|(rdata, truth)| {
+            config.sense(rng, truth).map(|(span, n)| (rdata, span, n))
+        });
+        db.observe_all(name, observed);
     }
 
     /// Consumes the network, yielding the accumulated database.
@@ -81,45 +117,6 @@ impl SensorNetwork {
     /// The database accumulated so far.
     pub fn db(&self) -> &PdnsDb {
         &self.db
-    }
-}
-
-/// Sensor reports at one owner name, open for a batch (see
-/// [`SensorNetwork::at`]).
-#[derive(Debug)]
-pub struct OwnerReports<'a> {
-    config: SensorConfig,
-    rng: &'a mut SmallRng,
-    entries: OwnerBatch<'a>,
-}
-
-impl OwnerReports<'_> {
-    /// Reports that `rdata` existed at the batch's name throughout
-    /// `truth`; see [`SensorNetwork::report_span`].
-    pub fn report_span(&mut self, rdata: RecordData, truth: DateRange) {
-        if self.config.coverage < 1.0 && !self.rng.gen_bool(self.config.coverage) {
-            return;
-        }
-        let lag = if self.config.max_first_seen_lag_days > 0 {
-            self.rng.gen_range(0..=self.config.max_first_seen_lag_days)
-        } else {
-            0
-        };
-        let lead = if self.config.max_last_seen_lead_days > 0 {
-            self.rng.gen_range(0..=self.config.max_last_seen_lead_days)
-        } else {
-            0
-        };
-        let start = truth.start + lag;
-        let end = truth.end + (-lead);
-        if start > end {
-            // The record lived for less time than the observation jitter;
-            // sensors never caught a stable view of it.
-            return;
-        }
-        // Report volume scales (roughly) with the record's lifetime.
-        let count = (truth.len_days() as u64 / 30).max(1);
-        self.entries.observe_span(rdata, DateRange::new(start, end), count);
     }
 }
 

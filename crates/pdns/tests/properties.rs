@@ -201,17 +201,16 @@ fn runs_strategy() -> impl Strategy<Value = Vec<Run>> {
 }
 
 proptest! {
-    /// Observing a name's records through one batch is exactly
-    /// observing them one call at a time, and an empty batch leaves no
-    /// trace (the Debug form would show an empty name slot).
+    /// Observing a name's records as one run is exactly observing them
+    /// one call at a time, and an empty run leaves no trace (the Debug
+    /// form would show an empty name slot).
     #[test]
     fn batched_observations_match_per_record_calls(runs in runs_strategy()) {
         let mut batched = PdnsDb::new();
         let mut per_record = PdnsDb::new();
         for (name, records) in &runs {
-            let mut batch = batched.at(name);
+            batched.observe_all(name, records.iter().cloned());
             for (rdata, span, count) in records {
-                batch.observe_span(rdata.clone(), *span, *count);
                 per_record.observe_span(name.clone(), rdata.clone(), *span, *count);
             }
         }
@@ -220,7 +219,7 @@ proptest! {
         prop_assert_eq!(format!("{batched:?}"), format!("{per_record:?}"));
     }
 
-    /// Realistic sensors reporting through batches keep a seed's exact
+    /// Realistic sensors reporting in per-name runs keep a seed's exact
     /// output: the same coverage drops, lags and leads as per-record
     /// reports, and as the sensor model written out draw by draw.
     #[test]
@@ -231,9 +230,8 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut reference = PdnsDb::new();
         for (name, records) in &runs {
-            let mut reports = batched.at(name);
+            batched.report_all(name, records.iter().map(|(rdata, truth, _)| (rdata.clone(), *truth)));
             for (rdata, truth, _) in records {
-                reports.report_span(rdata.clone(), *truth);
                 per_record.report_span(name.clone(), rdata.clone(), *truth);
                 if !rng.gen_bool(cfg.coverage) {
                     continue;

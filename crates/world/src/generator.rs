@@ -929,7 +929,7 @@ impl Build {
     }
 
     /// Phase E: feed the sensor network and return the PDNS database.
-    /// Each domain's records stream into one batch, so its PDNS slot is
+    /// Each domain's records stream into one run, so its PDNS slot is
     /// found once rather than once per record.
     fn feed_pdns(&self) -> govdns_pdns::PdnsDb {
         let mut sensors = SensorNetwork::new(self.cfg.sensor, self.cfg.seed ^ 0x44);
@@ -939,26 +939,24 @@ impl Build {
                 .died
                 .unwrap_or(self.collection)
                 .min(rec.pdns_end_cap.unwrap_or(self.collection));
-            let mut reports = sensors.at(&rec.name);
-            for (i, epoch) in rec.epochs.iter().enumerate() {
+            let spans = rec.epochs.iter().enumerate().filter_map(|(i, epoch)| {
                 let next_start =
                     rec.epochs.get(i + 1).map(|e| e.start + (-1)).unwrap_or(end_of_life);
                 let start = epoch.start.max(horizon_start);
                 let end = next_start.min(end_of_life);
-                if start > end {
-                    continue;
-                }
-                let span = DateRange::new(start, end);
-                for host in &epoch.hosts {
-                    reports.report_span(RecordData::Ns(host.clone()), span);
-                }
+                (start <= end).then(|| (epoch, DateRange::new(start, end)))
+            });
+            let records = spans.flat_map(|(epoch, span)| {
+                let ns = epoch.hosts.iter().map(move |host| (RecordData::Ns(host.clone()), span));
                 // Sensors also observe the zone's SOA — the paper's
                 // MNAME/RNAME classification evidence.
-                if let Some(primary) = epoch.hosts.first() {
+                let soa = epoch.hosts.first().map(|primary| {
                     let soa = Soa::new(primary.clone(), self.soa_rname(epoch.style, &rec.name));
-                    reports.report_span(RecordData::Soa(soa), span);
-                }
-            }
+                    (RecordData::Soa(soa), span)
+                });
+                ns.chain(soa)
+            });
+            sensors.report_all(&rec.name, records);
         }
         sensors.into_db()
     }

@@ -14,6 +14,18 @@ fn small_world() -> World {
     WorldGenerator::new(WorldConfig::small(7).with_scale(0.02)).generate()
 }
 
+#[test]
+fn world_has_all_substrates() {
+    let w = small_world();
+    assert_eq!(w.countries.len(), 193);
+    assert_eq!(w.unkb.len(), 193);
+    assert!(!w.roots.is_empty());
+    assert!(w.network.server_count() > 500, "servers: {}", w.network.server_count());
+    assert!(!w.pdns.is_empty());
+    assert!(w.registrar.available_count() > 0);
+    assert!(w.truth().domains.len() > 500);
+}
+
 /// One FNV-1a hash per public surface of a world, in the order servers
 /// (by address, with behaviour and zone origins), zones, PDNS, ground
 /// truth, registrar, roots.
