@@ -1096,6 +1096,46 @@ mod sink_pipeline {
         assert_eq!(t_a, t_8, "trace file differs across worker counts");
     }
 
+    /// Pins the exact bytes both sinks write, so a change to framing,
+    /// ordering or the sink machinery shows up as a moved hash rather
+    /// than passing the run-to-run comparisons unseen. One worker under
+    /// hostile chaos, journaled with delta checkpoints, stopped
+    /// mid-run and resumed once in place; the trace samples every
+    /// domain in both legs.
+    #[test]
+    fn journal_and_trace_bytes_are_pinned() {
+        let journal = tmp("pinned.journal");
+        let traces = [tmp("pinned-1.trace"), tmp("pinned-2.trace")];
+        let config = |trace: &std::path::Path| RunnerConfig {
+            workers: 1,
+            retry: RetryPolicy::adaptive(),
+            chaos: Some(ChaosSpec { profile: ChaosProfile::Hostile, seed: 7 }),
+            breaker: BreakerPolicy::guarded(),
+            journal: Some(JournalSpec { checkpoint_every: 5, ..JournalSpec::new(journal.clone()) }),
+            trace: Some(TraceSpec::new(trace).with_seed(7)),
+            ..RunnerConfig::default()
+        };
+        let partial = run(7, RunnerConfig { stop_after: Some(117), ..config(&traces[0]) });
+        assert_eq!(partial.probes.len(), 117);
+        run(7, RunnerConfig { resume_from: Some(journal.clone()), ..config(&traces[1]) });
+        let replay = JournalReplay::load(&journal);
+        assert_eq!(replay.resumes, 1);
+        assert!(replay.completed);
+
+        let hash = |path: &std::path::Path| {
+            let bytes = std::fs::read(path).unwrap();
+            std::fs::remove_file(path).unwrap();
+            govdns::model::fnv64(&bytes)
+        };
+        let got = [hash(&journal), hash(&traces[0]), hash(&traces[1])];
+        let want = [0xf213_f579_caea_8ccb, 0xbda3_bce6_43e3_2aa7, 0x0929_331d_2234_37a1];
+        for ((file, got), want) in
+            ["journal", "trace leg 1", "trace leg 2"].iter().zip(got).zip(want)
+        {
+            assert_eq!(got, want, "{file} fingerprint moved: {got:016x} != {want:016x}");
+        }
+    }
+
     /// The async sink's crash window: a hard kill can lose messages
     /// still queued behind the I/O thread, leaving the journal a valid
     /// but shorter prefix — fewer probes on disk than were completed.
