@@ -29,7 +29,7 @@ echo "== doc tests =="
 cargo test -q --doc
 
 echo "== clippy =="
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== bench harness: the benchmark package still builds and passes =="
 # govdns-perf is a workspace of its own that drives the public API; its

@@ -596,10 +596,10 @@ fn cite(kind: SmellKind, domain: &DomainName, block: &DomainBlock) -> Vec<Citati
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::testutil::{dataset, n, CampaignFixture, ProbeBuilder};
+    use crate::analysis::testutil::{dataset, CampaignFixture, ProbeBuilder};
     use govdns_world::{MatchRule, MatchTarget, ProviderMatcher};
 
-    fn kinds_for<'a>(a: &'a SmellAnalysis, domain: &str) -> Vec<SmellKind> {
+    fn kinds_for(a: &SmellAnalysis, domain: &str) -> Vec<SmellKind> {
         a.for_domain(domain).iter().map(|v| v.kind).collect()
     }
 
@@ -735,12 +735,14 @@ mod tests {
 
     #[test]
     fn single_provider_without_fallback_is_monoculture() {
-        let mut f = CampaignFixture::default();
-        f.matchers = vec![ProviderMatcher {
-            label: "hichina.com".to_owned(),
-            rule: MatchRule::RegisteredDomain("hichina.com".parse().unwrap()),
-            target: MatchTarget::Hostname,
-        }];
+        let f = CampaignFixture {
+            matchers: vec![ProviderMatcher {
+                label: "hichina.com".to_owned(),
+                rule: MatchRule::RegisteredDomain("hichina.com".parse().unwrap()),
+                target: MatchTarget::Hostname,
+            }],
+            ..CampaignFixture::default()
+        };
         let probes = vec![
             (
                 ProbeBuilder::new("a.gov.cn")

@@ -11,6 +11,9 @@
 //!
 //! # Record framing
 //!
+//! Records use the workspace's one frame codec,
+//! [`govdns_model::frame`], under the tag `J1`:
+//!
 //! ```text
 //! J1 <16-hex fnv64(payload)> <8-hex payload length>\n
 //! <payload>\n
@@ -46,6 +49,7 @@ use std::io::Write as _;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 
+use govdns_model::frame::{read_frame, write_frame};
 use govdns_model::json::{self, Json};
 use govdns_model::{DomainName, RecordData, RecordType, ResourceRecord, Soa};
 use govdns_simnet::{CacheChanges, CacheEntry, FaultStats, TrafficStats};
@@ -183,6 +187,9 @@ pub struct JournalWriter {
     flush_threshold: usize,
 }
 
+/// The journal's frame tag.
+const JOURNAL_TAG: &[u8; 2] = b"J1";
+
 /// Default buffered probe bytes that trigger a flush; checkpoints and
 /// drops flush regardless of the threshold.
 pub const DEFAULT_FLUSH_THRESHOLD: usize = 64 * 1024;
@@ -318,12 +325,7 @@ impl JournalWriter {
     fn write_record(&mut self, value: &Json) {
         let mut payload = String::new();
         value.encode(&mut payload);
-        let _ = write!(
-            self.buf,
-            "J1 {:016x} {:08x}\n{payload}\n",
-            fnv64(payload.as_bytes()),
-            payload.len()
-        );
+        write_frame(&mut self.buf, JOURNAL_TAG, &payload);
         self.records += 1;
     }
 }
@@ -391,7 +393,7 @@ impl JournalReplay {
         let mut records: Vec<Json> = Vec::new();
         // A frame that fails its length or checksum test is the torn
         // tail: drop it and everything after it.
-        while let Some((payload, next)) = read_frame(bytes, offset) {
+        while let Some((payload, next)) = read_frame(bytes, offset, JOURNAL_TAG) {
             records
                 .push(json::parse(payload).map_err(|e| format!("record {}: {e}", records.len()))?);
             offset = next;
@@ -592,25 +594,6 @@ impl Fold {
         cp.cache = self.caches.remove(&self.worker).unwrap_or_default().into_iter().collect();
         cp
     }
-}
-
-/// Reads one frame starting at `offset`; returns the payload slice and
-/// the offset past the frame, or `None` if the frame is incomplete or
-/// fails its checksum.
-fn read_frame(bytes: &[u8], offset: usize) -> Option<(&str, usize)> {
-    // "J1 " + 16 hex + " " + 8 hex + "\n" = 29 bytes.
-    let head = bytes.get(offset..offset + 29)?;
-    if &head[..3] != b"J1 " || head[19] != b' ' || head[28] != b'\n' {
-        return None;
-    }
-    let sum = u64::from_str_radix(std::str::from_utf8(&head[3..19]).ok()?, 16).ok()?;
-    let len = usize::from_str_radix(std::str::from_utf8(&head[20..28]).ok()?, 16).ok()?;
-    let start = offset + 29;
-    let payload = bytes.get(start..start + len)?;
-    if bytes.get(start + len) != Some(&b'\n') || fnv64(payload) != sum {
-        return None;
-    }
-    Some((std::str::from_utf8(payload).ok()?, start + len + 1))
 }
 
 /// The record checksum: the workspace's one FNV-1a, re-exported here
@@ -1141,7 +1124,7 @@ mod tests {
                         attempts: 0,
                     },
                 ],
-                recovered_in_round2: idx % 2 == 0,
+                recovered_in_round2: idx.is_multiple_of(2),
             }],
             soa: Some(Soa {
                 mname: n("ns1.gov.zz"),

@@ -25,6 +25,8 @@
 //!   journal, trace records, corpus cases and the canonical reports.
 //! * [`fnv64`] — the one FNV-1a fingerprint: frame checksums, run
 //!   fingerprints and generated-artifact pins.
+//! * [`frame`] — the one checksummed record framing, with its torn-tail
+//!   discipline: the journal's `J1` and the trace file's `T1` records.
 //! * [`SimDate`] — a chrono-free civil date used for the 2011–2020
 //!   longitudinal timeline.
 //!
@@ -57,6 +59,7 @@
 mod date;
 mod error;
 mod fnv;
+pub mod frame;
 pub mod json;
 mod message;
 mod name;

@@ -293,7 +293,7 @@ mod tests {
         assert_eq!(lame.analysis.verdicts.len(), 1);
         assert_eq!(lame.analysis.domains_affected, 1);
         assert_eq!(lame.analysis.evidence_cited, 1);
-        assert!(lame.analysis.by_kind.get("single_homed_glue").is_none());
+        assert!(!lame.analysis.by_kind.contains_key("single_homed_glue"));
         let empty = sample().filtered(SmellKind::CyclicDependency);
         assert!(empty.analysis.verdicts.is_empty());
     }

@@ -5,8 +5,12 @@
 //! *why*. Every attempt and every decision about it — fault verdicts,
 //! limiter charges, breaker denials, backoffs, response classes — is a
 //! [`TraceEvent`] recorded into a per-worker ring buffer
-//! ([`WorkerTracer`]) and flushed per domain into a `T1`-framed trace
-//! file with the journal's torn-tail discipline.
+//! ([`WorkerTracer`]) and flushed per domain into a trace file framed by
+//! [`govdns_model::frame`] under the tag `T1` — the journal's codec and
+//! torn-tail discipline.
+//!
+//! [`OrderedSink`] is also the sink the write-ahead journal in
+//! `govdns-core` writes through.
 //!
 //! Three properties drive the design:
 //!
@@ -18,8 +22,10 @@
 //! 2. **Bounded memory.** The flight recorder keeps at most one ring of
 //!    events per worker; on a breaker trip, retry exhaustion, REFUSED
 //!    burst, or analysis panic it dumps the last-N events it holds.
-//! 3. **A lock-free hot path.** Workers record into their own ring; the
-//!    shared sink is locked once per domain, never per query.
+//! 3. **A lock-free hot path.** Workers record into their own ring and
+//!    hand each finished domain to an [`OrderedSink`] as one channel
+//!    send; encoding and file writes run on the sink thread, and no
+//!    worker ever takes a sink lock.
 //!
 //! ```
 //! use govdns_trace::{EventRing, Step, TraceData, TraceRecord};
@@ -47,10 +53,10 @@
 mod codec;
 mod diff;
 mod event;
-mod frame;
 mod read;
 mod ring;
 mod sample;
+mod sink;
 mod tracer;
 
 pub use codec::TraceRecord;
@@ -59,8 +65,8 @@ pub use diff::{
     EventDivergence,
 };
 pub use event::{DomainBlock, FlightDump, Step, TraceData, TraceEvent};
-pub use frame::{fnv64, read_frame, write_frame, FRAME_HEADER_LEN};
 pub use read::{read_trace, TraceHeader, TraceLog};
 pub use ring::EventRing;
 pub use sample::{TraceSampler, SAMPLE_FULL};
+pub use sink::{OrderedSink, SinkEncoder};
 pub use tracer::{TraceSpec, Tracer, WorkerTracer, DEFAULT_FLIGHT_CAPACITY, DEFAULT_MAX_DUMPS};

@@ -1,16 +1,19 @@
 //! Reading a trace file back: frames → records → causal timelines.
 //!
-//! The reader applies the same torn-tail discipline as the journal
-//! replayer: it walks `T1` frames until one fails its header, length,
-//! or checksum test, keeps everything before the tear, and reports the
-//! remainder as [`TraceLog::dropped_bytes`].
+//! The reader applies the journal replayer's torn-tail discipline
+//! through the shared [`govdns_model::frame`] codec: it walks `T1`
+//! frames until one fails its header, length, or checksum test, keeps
+//! everything before the tear, and reports the remainder as
+//! [`TraceLog::dropped_bytes`].
 
 use std::io;
 use std::path::Path;
 
+use govdns_model::frame::read_frame;
+
 use crate::codec::TraceRecord;
 use crate::event::{DomainBlock, FlightDump};
-use crate::frame::read_frame;
+use crate::tracer::TRACE_TAG;
 
 /// The header frame's fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +82,7 @@ pub fn read_trace(path: impl AsRef<Path>) -> io::Result<TraceLog> {
     let mut log = TraceLog::default();
     let mut offset = 0usize;
     while offset < bytes.len() {
-        let Some((payload, next)) = read_frame(&bytes, offset) else {
+        let Some((payload, next)) = read_frame(&bytes, offset, TRACE_TAG) else {
             break;
         };
         let record = TraceRecord::decode(payload).map_err(|e| {
@@ -108,7 +111,7 @@ pub fn read_trace(path: impl AsRef<Path>) -> io::Result<TraceLog> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::write_frame;
+    use govdns_model::frame::write_frame;
 
     #[test]
     fn torn_tail_is_dropped_not_fatal() {
@@ -118,6 +121,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(
             &mut buf,
+            TRACE_TAG,
             &TraceRecord::Stage { name: "round1".into(), mark: "begin".into() }.encode(),
         );
         buf.extend_from_slice(b"T1 0123456789abcdef 000000ff\n{\"kind\":\"dom");
@@ -134,7 +138,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("undecodable.trace");
         let mut buf = Vec::new();
-        write_frame(&mut buf, "{\"kind\":\"mystery\"}");
+        write_frame(&mut buf, TRACE_TAG, "{\"kind\":\"mystery\"}");
         std::fs::write(&path, &buf).unwrap();
         let err = read_trace(&path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
