@@ -157,6 +157,15 @@ GOVDNS_FAIL_ANALYSIS=providers cargo run -q --release --example diff -- run --se
 grep -q "corpus case captured" "$diff_dir/fail.out"
 cargo run -q --release --example diff -- replay "$diff_dir/corpus/smoke.json" > "$diff_dir/replay.out"
 grep -q "byte-identical" "$diff_dir/replay.out"
+# A failed longitudinal reconstruction fails its stage and skips its
+# four dependants; that run's corpus case replays byte-identically too.
+GOVDNS_FAIL_ANALYSIS=longitudinal cargo run -q --release --example diff -- run --seed 7 --scale 0.004 \
+    --out "$diff_dir/fail-lon" --corpus-dir "$diff_dir/corpus" --case longitudinal \
+    > "$diff_dir/fail-lon.out" 2>/dev/null
+grep -q "analysis failures: 5" "$diff_dir/fail-lon.out"
+grep -q "corpus case captured" "$diff_dir/fail-lon.out"
+cargo run -q --release --example diff -- replay "$diff_dir/corpus/longitudinal.json" > "$diff_dir/replay-lon.out"
+grep -q "byte-identical" "$diff_dir/replay-lon.out"
 # The checked-in regression corpus still replays byte-identically —
 # every case, and loudly empty-checked so a bad glob can never turn
 # the replay gate into a no-op.

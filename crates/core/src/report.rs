@@ -5,6 +5,14 @@
 //! with its own `analysis.<stage>` span, so one analysis blowing up
 //! degrades the report to a partial one — the failed stage renders as
 //! an `analysis.failed` entry while every other section survives.
+//!
+//! The stages only read the dataset and the campaign, so they run on two
+//! lanes, each in stage order: the first six (the longitudinal
+//! reconstruction, its four dependants and yearly) on the calling
+//! thread, the last seven on a named scoped thread. The second lane's
+//! failures are appended to the first's, so the report and its failures
+//! are the same whichever lane finishes first. Failpoints are read on
+//! the calling thread before the lanes start.
 
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -223,9 +231,11 @@ pub mod failpoint {
         ARMED.with(|a| *a.borrow_mut() = None);
     }
 
-    pub(crate) fn hit(stage: &str) -> bool {
-        ARMED.with(|a| a.borrow().as_deref() == Some(stage))
-            || std::env::var("GOVDNS_FAIL_ANALYSIS").is_ok_and(|v| v == stage)
+    /// The stages armed for the calling thread: its [`arm`]ed one and
+    /// the process-wide one.
+    pub(crate) fn armed() -> Vec<String> {
+        let local = ARMED.with(|a| a.borrow().clone());
+        local.into_iter().chain(std::env::var("GOVDNS_FAIL_ANALYSIS").ok()).collect()
     }
 }
 
@@ -270,17 +280,28 @@ fn trace_exemplars(dataset: &MeasurementDataset, log: &govdns_trace::TraceLog) -
     out
 }
 
+/// What each analysis stage's guard needs: the registry for its span,
+/// and the armed failpoints. These are read once on the calling thread,
+/// because [`failpoint::arm`] is thread-local and half the stages run on
+/// a lane of their own.
+#[derive(Clone, Copy)]
+struct Guard<'a> {
+    registry: Option<&'a govdns_telemetry::Registry>,
+    armed: &'a [String],
+}
+
 /// Runs one analysis stage under `catch_unwind`, recording a span for
 /// it; a panic yields the stage's `Default` value plus a failure entry.
 fn guarded<T: Default>(
-    registry: Option<&govdns_telemetry::Registry>,
+    guard: Guard<'_>,
     failures: &mut Vec<AnalysisFailure>,
     stage: &str,
     body: impl FnOnce() -> T,
 ) -> T {
-    let span = registry.map(|r| r.span(&format!("analysis.{stage}")));
+    let span = guard.registry.map(|r| r.span(&format!("analysis.{stage}")));
+    let armed = guard.armed.iter().any(|a| a == stage);
     let result = catch_unwind(AssertUnwindSafe(|| {
-        assert!(!failpoint::hit(stage), "forced failure (failpoint) in analysis stage {stage}");
+        assert!(!armed, "forced failure (failpoint) in analysis stage {stage}");
         body()
     }));
     if let Some(span) = span {
@@ -298,6 +319,54 @@ fn guarded<T: Default>(
             T::default()
         }
     }
+}
+
+/// The sections that depend on the longitudinal reconstruction, and the
+/// failures among those five stages, in stage order.
+struct LongitudinalSections {
+    per_country_2020: DomainsPerCountry,
+    churn: SingleNsChurn,
+    private_share: PrivateShare,
+    providers: ProviderAnalysis,
+    failures: Vec<AnalysisFailure>,
+}
+
+/// Runs the longitudinal reconstruction and the four stages that feed
+/// on it. If the reconstruction fails they are skipped (marked failed),
+/// not run against fabricated history.
+fn longitudinal_sections(
+    guard: Guard<'_>,
+    campaign: &Campaign<'_>,
+    dataset: &MeasurementDataset,
+) -> LongitudinalSections {
+    let mut failures = Vec::new();
+    let f = &mut failures;
+    let lon =
+        guarded(guard, f, "longitudinal", || Some(Longitudinal::build(campaign, &dataset.seeds)));
+    fn skipped<T: Default>(failures: &mut Vec<AnalysisFailure>, stage: &str) -> T {
+        failures.push(AnalysisFailure {
+            stage: stage.to_owned(),
+            message: "skipped: longitudinal reconstruction failed".to_owned(),
+        });
+        T::default()
+    }
+    let per_country_2020 = match &lon {
+        Some(lon) => guarded(guard, f, "per_country", || DomainsPerCountry::compute(lon, 2020)),
+        None => skipped(f, "per_country"),
+    };
+    let churn = match &lon {
+        Some(lon) => guarded(guard, f, "churn", || SingleNsChurn::compute(lon)),
+        None => skipped(f, "churn"),
+    };
+    let private_share = match &lon {
+        Some(lon) => guarded(guard, f, "private_share", || PrivateShare::compute(lon)),
+        None => skipped(f, "private_share"),
+    };
+    let providers = match &lon {
+        Some(lon) => guarded(guard, f, "providers", || ProviderAnalysis::compute(lon, campaign)),
+        None => skipped(f, "providers"),
+    };
+    LongitudinalSections { per_country_2020, churn, private_share, providers, failures }
 }
 
 /// Everything the paper's evaluation section reports, regenerated.
@@ -361,7 +430,8 @@ impl Report {
     ) -> Self {
         let dataset = run_campaign_with(campaign, config, ctl);
         let analysis_span = ctl.registry().span("analysis");
-        let mut report = Report::from_dataset_guarded(campaign, dataset, Some(ctl.registry()));
+        let mut report =
+            Report::from_dataset_guarded(campaign, dataset, Some(ctl.registry()), true);
         analysis_span.finish();
         report.busiest_server_queries =
             campaign.network.busiest_destinations(1).first().map(|&(_, c)| c).unwrap_or(0);
@@ -394,7 +464,7 @@ impl Report {
     /// Runs the analyses over an existing dataset (reuse between
     /// experiments).
     pub fn from_dataset(campaign: &Campaign<'_>, dataset: MeasurementDataset) -> Self {
-        Report::from_dataset_guarded(campaign, dataset, None)
+        Report::from_dataset_guarded(campaign, dataset, None, true)
     }
 
     /// The domains worth archiving when this run failed — the corpus
@@ -428,79 +498,86 @@ impl Report {
     /// guard, so a panicking analysis degrades its section to `Default`
     /// and records an [`AnalysisFailure`] instead of tearing down the
     /// whole report. With a registry, each stage gets an
-    /// `analysis.<stage>` span.
+    /// `analysis.<stage>` span. With `split`, the last seven stages run
+    /// on a second lane; the report is the same either way.
     fn from_dataset_guarded(
         campaign: &Campaign<'_>,
         dataset: MeasurementDataset,
         registry: Option<&govdns_telemetry::Registry>,
+        split: bool,
     ) -> Self {
-        let mut failures = Vec::new();
-        let f = &mut failures;
-        // The longitudinal reconstruction feeds four downstream stages;
-        // if it fails they are skipped (marked failed), not run against
-        // fabricated history.
-        let lon = guarded(registry, f, "longitudinal", || {
-            Some(Longitudinal::build(campaign, &dataset.seeds))
-        });
-        fn skipped<T: Default>(failures: &mut Vec<AnalysisFailure>, stage: &str) -> T {
-            failures.push(AnalysisFailure {
-                stage: stage.to_owned(),
-                message: "skipped: longitudinal reconstruction failed".to_owned(),
+        let armed = failpoint::armed();
+        let g = Guard { registry, armed: &armed };
+        let ds = &dataset;
+        // The last seven stages, in stage order, and their failures.
+        let rest = || {
+            let mut f = Vec::new();
+            let sections = (
+                guarded(g, &mut f, "replication", || ActiveReplication::compute(ds)),
+                guarded(g, &mut f, "diversity", || DiversityTable::compute(ds, campaign)),
+                guarded(g, &mut f, "delegation", || DelegationAnalysis::compute(ds, campaign)),
+                guarded(g, &mut f, "consistency", || ConsistencyAnalysis::compute(ds, campaign)),
+                guarded(g, &mut f, "concentration", || {
+                    ConcentrationAnalysis::compute(ds, campaign)
+                }),
+                guarded(g, &mut f, "remedies", || RemediationSummary::compute(ds, campaign)),
+                guarded(g, &mut f, "smells", || SmellAnalysis::compute(ds, campaign)),
+            );
+            (sections, f)
+        };
+        let (mut lon, yearly, (sections, mut rest_failures)) = std::thread::scope(|scope| {
+            // The first six stages (the longitudinal chain and yearly)
+            // take about as long as the last seven, so those get a lane
+            // of their own. The chain stays on the calling thread: run
+            // on the spawned one, the analysis cost 25% more CPU than
+            // sequentially instead of 9%, probably because the chain's
+            // allocations then went to a fresh malloc arena.
+            let lane = split
+                .then(|| {
+                    std::thread::Builder::new()
+                        .name("analysis-1".to_owned())
+                        .spawn_scoped(scope, rest)
+                        .ok()
+                })
+                .flatten();
+            let mut lon = longitudinal_sections(g, campaign, ds);
+            let yearly = guarded(g, &mut lon.failures, "yearly", || {
+                YearlyTotals::compute_raw(campaign, &ds.seeds)
             });
-            T::default()
-        }
-        let per_country_2020 = match &lon {
-            Some(lon) => {
-                guarded(registry, f, "per_country", || DomainsPerCountry::compute(lon, 2020))
-            }
-            None => skipped(f, "per_country"),
-        };
-        let churn = match &lon {
-            Some(lon) => guarded(registry, f, "churn", || SingleNsChurn::compute(lon)),
-            None => skipped(f, "churn"),
-        };
-        let private_share = match &lon {
-            Some(lon) => guarded(registry, f, "private_share", || PrivateShare::compute(lon)),
-            None => skipped(f, "private_share"),
-        };
-        let providers = match &lon {
-            Some(lon) => {
-                guarded(registry, f, "providers", || ProviderAnalysis::compute(lon, campaign))
-            }
-            None => skipped(f, "providers"),
-        };
+            let rest = match lane {
+                Some(lane) => lane.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
+                None => rest(),
+            };
+            (lon, yearly, rest)
+        });
+        let (
+            active_replication,
+            diversity,
+            delegation,
+            consistency,
+            concentration,
+            remedies,
+            smells,
+        ) = sections;
+        lon.failures.append(&mut rest_failures);
         let mut report = Report {
             funnel: dataset.funnel(),
             levels: LevelMix::compute(&dataset),
-            yearly: guarded(registry, f, "yearly", || {
-                YearlyTotals::compute_raw(campaign, &dataset.seeds)
-            }),
-            per_country_2020,
-            churn,
-            private_share,
-            active_replication: guarded(registry, f, "replication", || {
-                ActiveReplication::compute(&dataset)
-            }),
-            diversity: guarded(registry, f, "diversity", || {
-                DiversityTable::compute(&dataset, campaign)
-            }),
-            providers,
-            delegation: guarded(registry, f, "delegation", || {
-                DelegationAnalysis::compute(&dataset, campaign)
-            }),
-            consistency: guarded(registry, f, "consistency", || {
-                ConsistencyAnalysis::compute(&dataset, campaign)
-            }),
-            concentration: guarded(registry, f, "concentration", || {
-                ConcentrationAnalysis::compute(&dataset, campaign)
-            }),
-            remedies: guarded(registry, f, "remedies", || {
-                RemediationSummary::compute(&dataset, campaign)
-            }),
-            smells: guarded(registry, f, "smells", || SmellAnalysis::compute(&dataset, campaign)),
+            yearly,
+            per_country_2020: lon.per_country_2020,
+            churn: lon.churn,
+            private_share: lon.private_share,
+            active_replication,
+            diversity,
+            providers: lon.providers,
+            delegation,
+            consistency,
+            concentration,
+            remedies,
+            smells,
             health: MeasurementHealth::compute(&dataset),
             busiest_server_queries: 0,
-            analysis_failures: failures,
+            analysis_failures: lon.failures,
             dataset,
         };
         report.health.smell_verdicts = report.smells.verdicts.len();
@@ -864,5 +941,33 @@ impl Report {
             section("analysis.failed", body);
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use govdns_world::{WorldConfig, WorldGenerator};
+
+    #[test]
+    fn the_second_lane_does_not_change_the_report() {
+        let world = WorldGenerator::new(WorldConfig::small(44).with_scale(0.004)).generate();
+        let matchers = world.catalog.matchers();
+        let campaign = Campaign::new(&world, &matchers);
+        let dataset = crate::run_campaign(&campaign, RunnerConfig::default());
+        let report = |split| Report::from_dataset_guarded(&campaign, dataset.clone(), None, split);
+        for armed in [None, Some("longitudinal"), Some("diversity")] {
+            if let Some(stage) = armed {
+                failpoint::arm(stage);
+            }
+            let (inline, split) = (report(false), report(true));
+            failpoint::disarm();
+            assert_eq!(inline.analysis_failures, split.analysis_failures, "armed {armed:?}");
+            assert_eq!(inline.analysis_failures.is_empty(), armed.is_none(), "armed {armed:?}");
+            assert!(
+                format!("{inline:?}") == format!("{split:?}"),
+                "armed {armed:?}: reports differ"
+            );
+        }
     }
 }

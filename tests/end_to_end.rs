@@ -231,6 +231,59 @@ fn csv_bundle_writes_all_tables() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Pins the exact bytes of every CSV the report bundle writes, so a
+/// reordered row, section or analysis failure shows up as a moved hash.
+/// The `telemetry*` files carry wall times and are left out. One worker
+/// keeps the resolver-cache schedule, and hence the traffic totals,
+/// deterministic.
+#[test]
+fn report_csv_bytes_are_pinned() {
+    let world = tiny(7);
+    let matchers = world.catalog.matchers();
+    let campaign = Campaign::new(&world, &matchers);
+    let report = Report::generate(&campaign, RunnerConfig { workers: 1, ..Default::default() });
+    let dir = std::env::temp_dir().join(format!("govdns-pinned-bundle-{}", std::process::id()));
+    report.write_csv_bundle(&dir).unwrap();
+    let mut got: Vec<(String, u64)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| !name.starts_with("telemetry"))
+        .map(|name| {
+            let hash = govdns::model::fnv64(&std::fs::read(dir.join(&name)).unwrap());
+            (name, hash)
+        })
+        .collect();
+    got.sort();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let want: [(&str, u64); 19] = [
+        ("concentration.csv", 0xdb6e2053e40e71a4),
+        ("dataset_summary.csv", 0xd54aa2231871f459),
+        ("fig02_03_yearly.csv", 0x0788805fc5cfc23c),
+        ("fig04_domains_per_country.csv", 0x8e7ed7f5a16376ff),
+        ("fig06_d1ns_churn.csv", 0x3495b305db8d3d01),
+        ("fig07_private_share.csv", 0xb4c208303ddcc912),
+        ("fig08_d1ns_stale.csv", 0x53b0673bfd96d224),
+        ("fig09_ns_cdf.csv", 0xef1406e3f65f2afb),
+        ("fig10_defective_by_country.csv", 0x7a6e9b1534f21a49),
+        ("fig11_available_dns.csv", 0xdd71012e3530897b),
+        ("fig12_costs.csv", 0x2f0d4aa095e7f18d),
+        ("fig13_consistency.csv", 0x85c3cbc593f7a80d),
+        ("fig14_disagreement.csv", 0xc19005df0e12c7c0),
+        ("measurement_health.csv", 0x9468795fff320a17),
+        ("smells.csv", 0x6305ed8f20c818f1),
+        ("table1_diversity.csv", 0x2a95ff88c3089897),
+        ("table2_major_providers.csv", 0xb3a1266102e23278),
+        ("table3_top_providers_2011.csv", 0xad6f6bc4ef0133b4),
+        ("table3_top_providers_2020.csv", 0xa5269a3e96a50351),
+    ];
+    let listing: Vec<String> = got.iter().map(|(n, h)| format!("(\"{n}\", 0x{h:016x})")).collect();
+    assert_eq!(got.len(), want.len(), "bundle files moved:\n{}", listing.join(",\n"));
+    for ((name, got), (want_name, want)) in got.iter().zip(want) {
+        assert_eq!(name, want_name, "bundle files moved:\n{}", listing.join(",\n"));
+        assert_eq!(*got, want, "{name} fingerprint moved: {got:016x} != {want:016x}");
+    }
+}
+
 #[test]
 fn telemetry_snapshot_covers_the_whole_pipeline() {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -781,6 +834,55 @@ mod crash_safety {
         let failed_csv = std::fs::read_to_string(dir.join("analysis_failed.csv")).unwrap();
         assert!(failed_csv.contains("providers"), "{failed_csv}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every stage's failpoint, armed on the calling thread, fails that
+    /// stage and no other; a failed longitudinal reconstruction skips
+    /// its four dependants, named in the report's fixed stage order.
+    #[test]
+    fn each_armed_stage_fails_alone_and_longitudinal_skips_its_dependants() {
+        use govdns::core::report::{failpoint, AnalysisFailure};
+        const STAGES: [&str; 13] = [
+            "longitudinal",
+            "per_country",
+            "churn",
+            "private_share",
+            "providers",
+            "yearly",
+            "replication",
+            "diversity",
+            "delegation",
+            "consistency",
+            "concentration",
+            "remedies",
+            "smells",
+        ];
+        let world = WG::new(WorldConfig::small(44).with_scale(0.004)).generate();
+        let matchers = world.catalog.matchers();
+        let campaign = Campaign::new(&world, &matchers);
+        let dataset = govdns::core::run_campaign(&campaign, RunnerConfig::default());
+        let forced = |stage: &str| AnalysisFailure {
+            stage: stage.to_owned(),
+            message: format!("forced failure (failpoint) in analysis stage {stage}"),
+        };
+        let skipped = |stage: &str| AnalysisFailure {
+            stage: stage.to_owned(),
+            message: "skipped: longitudinal reconstruction failed".to_owned(),
+        };
+        for stage in STAGES {
+            failpoint::arm(stage);
+            let report = Report::from_dataset(&campaign, dataset.clone());
+            failpoint::disarm();
+            let want = if stage == "longitudinal" {
+                std::iter::once(forced(stage))
+                    .chain(STAGES[1..5].iter().map(|s| skipped(s)))
+                    .collect()
+            } else {
+                vec![forced(stage)]
+            };
+            assert_eq!(report.analysis_failures, want, "armed {stage}");
+        }
+        assert!(Report::from_dataset(&campaign, dataset).analysis_failures.is_empty());
     }
 }
 
