@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, release build, full test suite (incl. doc
-# tests), warning-free clippy, the benchmark package's own tests, the
-# benchmark-scale world fingerprint, the chaos determinism smoke, the crash/resume smoke, the journal-growth
-# gate, the trace
+# The CI gate, run locally and by .github/workflows/ci.yml on every
+# push, pull request and nightly schedule: formatting, release build,
+# full test suite (incl. doc tests, and the end-to-end suite again in
+# release mode), warning-free clippy, the benchmark package's own tests,
+# the benchmark-scale world fingerprint, the chaos determinism smoke,
+# the crash/resume smoke, the journal-growth gate, the trace
 # determinism smoke, the cross-run diff smoke (self-diff empty,
 # cross-seed divergence deterministic, corpus replay byte-identical),
 # the counterfactual SPOF smoke (seeded sweeps
@@ -11,8 +13,8 @@
 # smell verdicts byte-stable across runs and worker counts, every
 # detector firing, and matching the checked-in corpus artifact), and
 # the bench guards (telemetry, campaign scaling, flight-recorder
-# overhead).
-# Mirrored by .github/workflows/ci.yml.
+# overhead). The smokes drive the release `govdns` binary that the
+# build stage produces.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -27,6 +29,12 @@ cargo test -q
 
 echo "== doc tests =="
 cargo test -q --doc
+
+echo "== end-to-end tests (release) =="
+# The same suite as above, optimized: release-only arithmetic and
+# timing behaviour in the chaos, crash-safety, sink, trace,
+# counterfactual and smell pipelines gets exercised too.
+cargo test -q --release --test end_to_end
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -43,35 +51,40 @@ echo "== world pin: the benchmark-scale world is byte-identical =="
 # made linear. It needs a release build to run in seconds.
 cargo test --release -p govdns-world --test generation -- --ignored
 
+# Every smoke below writes under one scratch directory.
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+govdns=target/release/govdns
+# expect_exit CODE CMD...: CMD must exit with exactly CODE.
+expect_exit() {
+    local want="$1" got=0
+    shift
+    "$@" > /dev/null 2>&1 || got=$?
+    [ "$got" = "$want" ] || { echo "expected exit $want, got $got: $*" >&2; exit 1; }
+}
+
 echo "== chaos smoke: identical seeds => identical output =="
-chaos_a="$(mktemp)"
-chaos_b="$(mktemp)"
-trap 'rm -f "$chaos_a" "$chaos_b"' EXIT
-cargo run -q --release --example chaos -- --seed 7 > "$chaos_a"
-cargo run -q --release --example chaos -- --seed 7 > "$chaos_b"
-diff -u "$chaos_a" "$chaos_b"
-grep -q "dataset fingerprint" "$chaos_a"
+"$govdns" chaos --seed 7 > "$work/chaos_a"
+"$govdns" chaos --seed 7 > "$work/chaos_b"
+diff -u "$work/chaos_a" "$work/chaos_b"
+grep -q "dataset fingerprint" "$work/chaos_a"
 
 echo "== breaker smoke: quarantine under hostile chaos is deterministic =="
-breaker_a="$(mktemp)"
-breaker_b="$(mktemp)"
-trap 'rm -f "$chaos_a" "$chaos_b" "$breaker_a" "$breaker_b"' EXIT
-cargo run -q --release --example chaos -- --seed 3 --profile hostile --scale 0.01 --breaker > "$breaker_a"
-cargo run -q --release --example chaos -- --seed 3 --profile hostile --scale 0.01 --breaker > "$breaker_b"
-diff -u "$breaker_a" "$breaker_b"
-grep -q "circuit breakers" "$breaker_a"
+"$govdns" chaos --seed 3 --profile hostile --scale 0.01 --breaker > "$work/breaker_a"
+"$govdns" chaos --seed 3 --profile hostile --scale 0.01 --breaker > "$work/breaker_b"
+diff -u "$work/breaker_a" "$work/breaker_b"
+grep -q "circuit breakers" "$work/breaker_a"
 
 echo "== resume smoke: crash at half-campaign, resume, identical fingerprint =="
-resume_dir="$(mktemp -d)"
-trap 'rm -f "$chaos_a" "$chaos_b" "$breaker_a" "$breaker_b"; rm -rf "$resume_dir"' EXIT
+resume_dir="$work/resume"
+mkdir "$resume_dir"
 # Full uninterrupted run: the reference fingerprint.
-cargo run -q --release --example resume -- --seed 7 --scale 0.01 \
-    --journal "$resume_dir/full.journal" > "$resume_dir/full.out"
+"$govdns" resume --seed 7 --scale 0.01 --journal "$resume_dir/full.journal" > "$resume_dir/full.out"
 # Crash hard (exit 9) mid-campaign; the journal survives.
-cargo run -q --release --example resume -- --seed 7 --scale 0.01 \
-    --journal "$resume_dir/crash.journal" --crash-after 200 > "$resume_dir/crash.out" || true
+expect_exit 9 "$govdns" resume --seed 7 --scale 0.01 \
+    --journal "$resume_dir/crash.journal" --crash-after 200
 # Resume from the journal and finish.
-cargo run -q --release --example resume -- --seed 7 --scale 0.01 \
+"$govdns" resume --seed 7 --scale 0.01 \
     --journal "$resume_dir/crash.journal" --resume > "$resume_dir/resumed.out"
 full_fp="$(grep 'dataset fingerprint' "$resume_dir/full.out")"
 resumed_fp="$(grep 'dataset fingerprint' "$resume_dir/resumed.out")"
@@ -90,8 +103,7 @@ echo "== sink smoke: channel-fed journal sink is byte-stable run to run =="
 # records carry side-query tallies that follow per-worker resolver
 # cache warmth — so the journal gate is run-to-run at a fixed count,
 # and the diff smoke below gates the dataset view across counts.)
-cargo run -q --release --example resume -- --seed 7 --scale 0.01 \
-    --journal "$resume_dir/full2.journal" > /dev/null
+"$govdns" resume --seed 7 --scale 0.01 --journal "$resume_dir/full2.journal" > /dev/null
 cmp "$resume_dir/full.journal" "$resume_dir/full2.journal" || {
     echo "sink smoke: identical runs produced different journal bytes" >&2
     exit 1
@@ -104,7 +116,7 @@ echo "== journal growth: delta checkpoints keep bytes/probe flat =="
 # random crash points; the scale 0.01 figure comes from the resume
 # smoke's full run above.
 cargo test -q -p govdns-core --test delta_journal
-cargo run -q --release --example resume -- --seed 7 --scale 0.04 \
+"$govdns" resume --seed 7 --scale 0.04 \
     --journal "$resume_dir/large.journal" > "$resume_dir/large.out"
 small="$(awk '/^journal bytes\/probe:/ {print $3}' "$resume_dir/full.out")"
 large="$(awk '/^journal bytes\/probe:/ {print $3}' "$resume_dir/large.out")"
@@ -114,12 +126,10 @@ awk -v s="$small" -v l="$large" 'BEGIN { exit !(s > 0 && l <= 1.25 * s) }' || {
 }
 
 echo "== trace smoke: identical seeds => byte-identical traces at any worker count =="
-trace_dir="$(mktemp -d)"
-trap 'rm -f "$chaos_a" "$chaos_b" "$breaker_a" "$breaker_b"; rm -rf "$resume_dir" "$trace_dir"' EXIT
-cargo run -q --release --example trace -- --seed 7 --workers 1 --scale 0.01 \
-    --out "$trace_dir/w1.trace" > "$trace_dir/w1.out"
-cargo run -q --release --example trace -- --seed 7 --workers 8 --scale 0.01 \
-    --out "$trace_dir/w8.trace" > "$trace_dir/w8.out"
+trace_dir="$work/trace"
+mkdir "$trace_dir"
+"$govdns" trace --seed 7 --workers 1 --scale 0.01 --out "$trace_dir/w1.trace" > "$trace_dir/w1.out"
+"$govdns" trace --seed 7 --workers 8 --scale 0.01 --out "$trace_dir/w8.trace" > "$trace_dir/w8.out"
 cmp "$trace_dir/w1.trace" "$trace_dir/w8.trace" || {
     echo "trace smoke: trace files differ between 1 and 8 workers" >&2
     exit 1
@@ -128,43 +138,43 @@ diff -u "$trace_dir/w1.out" "$trace_dir/w8.out"
 grep -q "trace fingerprint" "$trace_dir/w1.out"
 
 echo "== diff smoke: self-diff empty, cross-seed diff deterministic, corpus replays =="
-diff_dir="$(mktemp -d)"
-trap 'rm -f "$chaos_a" "$chaos_b" "$breaker_a" "$breaker_b"; rm -rf "$resume_dir" "$trace_dir" "$diff_dir"' EXIT
-cargo run -q --release --example diff -- run --seed 7 --workers 1 --scale 0.01 --out "$diff_dir/a"
-cargo run -q --release --example diff -- run --seed 7 --workers 8 --scale 0.01 --out "$diff_dir/a8"
-cargo run -q --release --example diff -- run --seed 8 --workers 4 --scale 0.01 --out "$diff_dir/b"
+diff_dir="$work/diff"
+mkdir "$diff_dir"
+"$govdns" diff run --seed 7 --workers 1 --scale 0.01 --out "$diff_dir/a"
+"$govdns" diff run --seed 7 --workers 8 --scale 0.01 --out "$diff_dir/a8"
+"$govdns" diff run --seed 8 --workers 4 --scale 0.01 --out "$diff_dir/b"
 # Same seed at different worker counts: the gate must pass with zero differences.
-cargo run -q --release --example diff -- diff "$diff_dir/a" "$diff_dir/a8" --gate > "$diff_dir/self.out"
+"$govdns" diff diff "$diff_dir/a" "$diff_dir/a8" --gate > "$diff_dir/self.out"
 grep -q "runs are identical" "$diff_dir/self.out"
 # Different seeds: nonzero divergence with a first-divergence timeline,
 # deterministic (the same comparison twice is byte-identical), and the
-# gate exits nonzero.
-cargo run -q --release --example diff -- diff "$diff_dir/a" "$diff_dir/b" > "$diff_dir/x1.out"
-cargo run -q --release --example diff -- diff "$diff_dir/a" "$diff_dir/b" > "$diff_dir/x2.out"
+# gate reports the finding (exit 1).
+"$govdns" diff diff "$diff_dir/a" "$diff_dir/b" > "$diff_dir/x1.out"
+"$govdns" diff diff "$diff_dir/a" "$diff_dir/b" > "$diff_dir/x2.out"
 cmp "$diff_dir/x1.out" "$diff_dir/x2.out"
 grep -q "first divergence in" "$diff_dir/x1.out"
 grep -q "total differences:" "$diff_dir/x1.out"
-! cargo run -q --release --example diff -- diff "$diff_dir/a" "$diff_dir/b" --gate > /dev/null
+expect_exit 1 "$govdns" diff diff "$diff_dir/a" "$diff_dir/b" --gate
 # The JSON diff is worker-count invariant: seed 7 vs seed 8 reads the
 # same whichever worker count produced the seed-7 archive.
-cargo run -q --release --example diff -- diff "$diff_dir/a" "$diff_dir/b" --json > "$diff_dir/j1.json"
-cargo run -q --release --example diff -- diff "$diff_dir/a8" "$diff_dir/b" --json > "$diff_dir/j2.json"
+"$govdns" diff diff "$diff_dir/a" "$diff_dir/b" --json > "$diff_dir/j1.json"
+"$govdns" diff diff "$diff_dir/a8" "$diff_dir/b" --json > "$diff_dir/j2.json"
 cmp "$diff_dir/j1.json" "$diff_dir/j2.json"
 # A forced analysis failure captures a corpus case that replays
 # byte-identically against a fresh simnet.
-GOVDNS_FAIL_ANALYSIS=providers cargo run -q --release --example diff -- run --seed 7 --scale 0.004 \
+GOVDNS_FAIL_ANALYSIS=providers "$govdns" diff run --seed 7 --scale 0.004 \
     --out "$diff_dir/fail" --corpus-dir "$diff_dir/corpus" --case smoke > "$diff_dir/fail.out" 2>/dev/null
 grep -q "corpus case captured" "$diff_dir/fail.out"
-cargo run -q --release --example diff -- replay "$diff_dir/corpus/smoke.json" > "$diff_dir/replay.out"
+"$govdns" diff replay "$diff_dir/corpus/smoke.json" > "$diff_dir/replay.out"
 grep -q "byte-identical" "$diff_dir/replay.out"
 # A failed longitudinal reconstruction fails its stage and skips its
 # four dependants; that run's corpus case replays byte-identically too.
-GOVDNS_FAIL_ANALYSIS=longitudinal cargo run -q --release --example diff -- run --seed 7 --scale 0.004 \
+GOVDNS_FAIL_ANALYSIS=longitudinal "$govdns" diff run --seed 7 --scale 0.004 \
     --out "$diff_dir/fail-lon" --corpus-dir "$diff_dir/corpus" --case longitudinal \
     > "$diff_dir/fail-lon.out" 2>/dev/null
 grep -q "analysis failures: 5" "$diff_dir/fail-lon.out"
 grep -q "corpus case captured" "$diff_dir/fail-lon.out"
-cargo run -q --release --example diff -- replay "$diff_dir/corpus/longitudinal.json" > "$diff_dir/replay-lon.out"
+"$govdns" diff replay "$diff_dir/corpus/longitudinal.json" > "$diff_dir/replay-lon.out"
 grep -q "byte-identical" "$diff_dir/replay-lon.out"
 # The checked-in regression corpus still replays byte-identically —
 # every case, and loudly empty-checked so a bad glob can never turn
@@ -177,21 +187,18 @@ shopt -u nullglob
     exit 1
 }
 echo "replaying ${#corpus_cases[@]} corpus case(s)"
-cargo run -q --release --example diff -- replay "${corpus_cases[@]}"
+"$govdns" diff replay "${corpus_cases[@]}"
 
 echo "== counterfactual smoke: seeded SPOF sweep is byte-stable =="
-cf_dir="$(mktemp -d)"
-trap 'rm -f "$chaos_a" "$chaos_b" "$breaker_a" "$breaker_b"; rm -rf "$resume_dir" "$trace_dir" "$diff_dir" "$cf_dir"' EXIT
+cf_dir="$work/cf"
+mkdir "$cf_dir"
 cf_args=(--seed 7 --scale 0.002 --max-per-kind 3)
 # Same seed twice at 8 workers, once at 1 worker: the canonical JSON
 # must be byte-identical across all three, and stdout must carry the
 # ranked table.
-cargo run -q --release --example counterfactual -- rank "${cf_args[@]}" --workers 8 \
-    --out "$cf_dir/a.json" > "$cf_dir/a.out"
-cargo run -q --release --example counterfactual -- rank "${cf_args[@]}" --workers 8 \
-    --out "$cf_dir/b.json" > "$cf_dir/b.out"
-cargo run -q --release --example counterfactual -- rank "${cf_args[@]}" --workers 1 \
-    --out "$cf_dir/w1.json" > "$cf_dir/w1.out"
+"$govdns" counterfactual rank "${cf_args[@]}" --workers 8 --out "$cf_dir/a.json" > "$cf_dir/a.out"
+"$govdns" counterfactual rank "${cf_args[@]}" --workers 8 --out "$cf_dir/b.json" > "$cf_dir/b.out"
+"$govdns" counterfactual rank "${cf_args[@]}" --workers 1 --out "$cf_dir/w1.json" > "$cf_dir/w1.out"
 cmp "$cf_dir/a.json" "$cf_dir/b.json" || {
     echo "counterfactual smoke: identical seeds produced different SPOF JSON" >&2
     exit 1
@@ -206,7 +213,7 @@ grep -q "single points of failure" "$cf_dir/a.out"
 cmp corpus/spof/rank-seed7.json "$cf_dir/a.json" || {
     echo "counterfactual smoke: sweep no longer matches corpus/spof/rank-seed7.json" >&2
     echo "(if the change is intentional, regenerate the artifact with:" >&2
-    echo "  cargo run --release --example counterfactual -- rank ${cf_args[*]} --workers 8 --out corpus/spof/rank-seed7.json)" >&2
+    echo "  target/release/govdns counterfactual rank ${cf_args[*]} --workers 8 --out corpus/spof/rank-seed7.json)" >&2
     exit 1
 }
 
@@ -216,9 +223,9 @@ echo "== degraded-mode smoke: compound+partial+recovery sweep is byte-stable =="
 # byte-for-byte, and the checked-in artifact pins the exact bytes.
 rec_args=(--seed 7 --scale 0.002 --max-per-kind 2 --combo --partial 1/2
     --recovery-window 7200 --recovery-step 600)
-cargo run -q --release --example counterfactual -- rank "${rec_args[@]}" --workers 8 \
+"$govdns" counterfactual rank "${rec_args[@]}" --workers 8 \
     --out "$cf_dir/r8.json" > "$cf_dir/r8.out"
-cargo run -q --release --example counterfactual -- rank "${rec_args[@]}" --workers 1 \
+"$govdns" counterfactual rank "${rec_args[@]}" --workers 1 \
     --out "$cf_dir/r1.json" > "$cf_dir/r1.out"
 cmp "$cf_dir/r8.json" "$cf_dir/r1.json" || {
     echo "degraded-mode smoke: recovery JSON differs between 1 and 8 workers" >&2
@@ -229,29 +236,24 @@ grep -q "recovery timelines" "$cf_dir/r8.out"
 cmp corpus/spof/recovery-seed7.json "$cf_dir/r8.json" || {
     echo "degraded-mode smoke: sweep no longer matches corpus/spof/recovery-seed7.json" >&2
     echo "(if the change is intentional, regenerate the artifact with:" >&2
-    echo "  cargo run --release --example counterfactual -- rank ${rec_args[*]} --workers 8 --out corpus/spof/recovery-seed7.json)" >&2
+    echo "  target/release/govdns counterfactual rank ${rec_args[*]} --workers 8 --out corpus/spof/recovery-seed7.json)" >&2
     exit 1
 }
-# A sweep that enumerates nothing must fail loudly — an empty ranked
-# report upstream of the byte-gates above would pass them vacuously.
-if cargo run -q --release --example counterfactual -- rank --seed 7 --scale 0.002 \
-    --scenario no-such-scenario-xyzzy > /dev/null 2>&1; then
-    echo "degraded-mode smoke: empty scenario enumeration exited zero" >&2
-    exit 1
-fi
+# A sweep that enumerates nothing must fail loudly (exit 1) — an empty
+# ranked report upstream of the byte-gates above would pass them
+# vacuously.
+expect_exit 1 "$govdns" counterfactual rank --seed 7 --scale 0.002 \
+    --scenario no-such-scenario-xyzzy
 
 echo "== smell smoke: trace-cited verdicts are byte-stable =="
-smell_dir="$(mktemp -d)"
-trap 'rm -f "$chaos_a" "$chaos_b" "$breaker_a" "$breaker_b"; rm -rf "$resume_dir" "$trace_dir" "$diff_dir" "$cf_dir" "$smell_dir"' EXIT
+smell_dir="$work/smell"
+mkdir "$smell_dir"
 smell_args=(--seed 7 --scale 0.002)
 # Same seed twice at 8 workers, once at 1 worker: canonical JSON and
 # stdout must be byte-identical across all three.
-cargo run -q --release --example smell -- run "${smell_args[@]}" --workers 8 \
-    --out "$smell_dir/a.json" > "$smell_dir/a.out"
-cargo run -q --release --example smell -- run "${smell_args[@]}" --workers 8 \
-    --out "$smell_dir/b.json" > "$smell_dir/b.out"
-cargo run -q --release --example smell -- run "${smell_args[@]}" --workers 1 \
-    --out "$smell_dir/w1.json" > "$smell_dir/w1.out"
+"$govdns" smell run "${smell_args[@]}" --workers 8 --out "$smell_dir/a.json" > "$smell_dir/a.out"
+"$govdns" smell run "${smell_args[@]}" --workers 8 --out "$smell_dir/b.json" > "$smell_dir/b.out"
+"$govdns" smell run "${smell_args[@]}" --workers 1 --out "$smell_dir/w1.json" > "$smell_dir/w1.out"
 cmp "$smell_dir/a.json" "$smell_dir/b.json" || {
     echo "smell smoke: identical seeds produced different smell JSON" >&2
     exit 1
@@ -261,6 +263,7 @@ cmp "$smell_dir/a.json" "$smell_dir/w1.json" || {
     exit 1
 }
 diff -u "$smell_dir/a.out" "$smell_dir/w1.out"
+grep -q "operational smells" "$smell_dir/a.out"
 # Every detector fires on the seed-7 world.
 for kind in cyclic_dependency single_homed_glue stale_parent_ns \
     provider_monoculture lame_delegation; do
@@ -273,27 +276,18 @@ done
 cmp corpus/smell/smells-seed7.json "$smell_dir/a.json" || {
     echo "smell smoke: run no longer matches corpus/smell/smells-seed7.json" >&2
     echo "(if the change is intentional, regenerate the artifact with:" >&2
-    echo "  cargo run --release --example smell -- run ${smell_args[*]} --workers 8 --out corpus/smell/smells-seed7.json)" >&2
+    echo "  target/release/govdns smell run ${smell_args[*]} --workers 8 --out corpus/smell/smells-seed7.json)" >&2
     exit 1
 }
 # Inspect mode round-trips the archived report byte-for-byte.
-cargo run -q --release --example smell -- inspect corpus/smell/smells-seed7.json --json \
-    > "$smell_dir/roundtrip.json"
+"$govdns" smell inspect corpus/smell/smells-seed7.json --json > "$smell_dir/roundtrip.json"
 cmp <(cat corpus/smell/smells-seed7.json; echo) "$smell_dir/roundtrip.json" || {
     echo "smell smoke: inspect --json did not round-trip the corpus artifact" >&2
     exit 1
 }
-# A typo'd --explain domain must exit nonzero, not report a clean run.
-if cargo run -q --release --example smell -- inspect corpus/smell/smells-seed7.json \
-    --explain no.such.domain > /dev/null 2>&1; then
-    echo "smell smoke: --explain on an unknown domain exited zero" >&2
-    exit 1
-fi
-if cargo run -q --release --example trace -- --seed 7 --scale 0.002 \
-    --explain no.such.domain > /dev/null 2>&1; then
-    echo "smell smoke: trace --explain on an unknown domain exited zero" >&2
-    exit 1
-fi
+# A typo'd --explain domain is a finding (exit 1), not a clean run.
+expect_exit 1 "$govdns" smell inspect corpus/smell/smells-seed7.json --explain no.such.domain
+expect_exit 1 "$govdns" trace --seed 7 --scale 0.002 --explain no.such.domain
 
 echo "== bench guard: telemetry hot path =="
 # The vendored criterion stand-in prints one "ns/iter" line per bench;

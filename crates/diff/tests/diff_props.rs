@@ -32,7 +32,7 @@ struct RunArtifacts {
 }
 
 /// The replay-safe configuration the diff CLI's `run` mode uses: flaky
-/// chaos, no breakers, unlimited retry budget (see `examples/diff.rs`).
+/// chaos, no breakers, unlimited retry budget (see `govdns diff run`).
 fn replay_safe_config(seed: u64, workers: usize, trace: &std::path::Path) -> RunnerConfig {
     RunnerConfig {
         workers,

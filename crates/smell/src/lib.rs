@@ -15,7 +15,7 @@
 //!   by `(domain, seq)`; `govdns_trace::TraceLog::resolve` checks each
 //!   citation against the trace file;
 //! * **filters and explain** — per-kind filtering and per-domain
-//!   drill-downs for the `examples/smell.rs` CLI;
+//!   drill-downs for the `govdns smell` CLI;
 //! * **round-tripping** — [`SmellReport::from_canonical_json`] parses a
 //!   written report back, exactly, for `inspect` mode and for the
 //!   smell-transition section of `govdns-diff`.

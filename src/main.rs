@@ -1,246 +1,21 @@
 //! The `govdns` command-line tool: generate a calibrated world, run the
 //! measurement campaign, and query the results — the operational face of
-//! the library.
+//! the library. Every subcommand shares one argument reader and one exit
+//! mapping (see `cli`).
 
 use std::process::ExitCode;
 
-use govdns::core::analysis::remedies;
-use govdns::prelude::*;
-use govdns::world::CountryCode;
-
-const USAGE: &str = "\
-govdns — government-DNS measurement pipeline (DSN 2022 reproduction)
-
-USAGE:
-    govdns <command> [options]
-
-COMMANDS:
-    audit                 regenerate every table and figure of the paper
-    hijack                list registrable dangling NS domains with prices
-    country <iso2>        one-country health report
-    remedies [iso2]       remediation plans for broken domains
-    check <zonefile>      lint a zone master file (parse + local checks)
-
-OPTIONS:
-    --scale <f>           fraction of paper scale (default 0.05)
-    --seed <n>            world seed (default 42)
-    --loss <f>            network packet-loss rate (default 0)
-    --workers <n>         probe workers (default 8)
-";
-
-struct Options {
-    scale: f64,
-    seed: u64,
-    loss: f64,
-    workers: usize,
-    positional: Vec<String>,
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options { scale: 0.05, seed: 42, loss: 0.0, workers: 8, positional: Vec::new() };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut flag = |name: &str| -> Result<Option<f64>, String> {
-            if arg == name {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("{name} needs a value"))?
-                    .parse::<f64>()
-                    .map_err(|_| format!("{name} needs a number"))?;
-                Ok(Some(v))
-            } else {
-                Ok(None)
-            }
-        };
-        if let Some(v) = flag("--scale")? {
-            opts.scale = v;
-        } else if let Some(v) = flag("--seed")? {
-            opts.seed = v as u64;
-        } else if let Some(v) = flag("--loss")? {
-            opts.loss = v;
-        } else if let Some(v) = flag("--workers")? {
-            opts.workers = v as usize;
-        } else if arg.starts_with("--") {
-            return Err(format!("unknown option {arg}"));
-        } else {
-            opts.positional.push(arg.clone());
-        }
-    }
-    Ok(opts)
-}
-
-fn build_report(opts: &Options) -> Report {
-    eprintln!("generating world (scale {}, seed {}, loss {})...", opts.scale, opts.seed, opts.loss);
-    let world = WorldGenerator::new(
-        WorldConfig::small(opts.seed).with_scale(opts.scale).with_loss_rate(opts.loss),
-    )
-    .generate();
-    eprintln!("running campaign...");
-    let matchers = world.catalog.matchers();
-    let campaign = Campaign::new(&world, &matchers);
-    Report::generate(&campaign, RunnerConfig { workers: opts.workers, ..RunnerConfig::default() })
-}
-
-fn cmd_audit(opts: &Options) -> ExitCode {
-    let report = build_report(opts);
-    println!("{}", report.render());
-    ExitCode::SUCCESS
-}
-
-fn cmd_hijack(opts: &Options) -> ExitCode {
-    let report = build_report(opts);
-    let d = &report.delegation;
-    for a in &d.available {
-        println!(
-            "{}\t{:.2} USD\t{} domains\t{} countries",
-            a.name,
-            a.price_usd,
-            a.affected.len(),
-            a.countries.len()
-        );
-    }
-    eprintln!(
-        "{} registrable d_ns over {} domains in {} countries",
-        d.available.len(),
-        d.affected_domains,
-        d.affected_countries
-    );
-    if d.available.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        // Non-zero so scripts can alert on exposure.
-        ExitCode::from(2)
-    }
-}
-
-fn cmd_country(opts: &Options) -> ExitCode {
-    let Some(code) = opts.positional.get(1) else {
-        eprintln!("country needs an ISO code");
-        return ExitCode::FAILURE;
-    };
-    let Ok(code) = code.parse::<CountryCode>() else {
-        eprintln!("`{code}` is not an ISO alpha-2 code");
-        return ExitCode::FAILURE;
-    };
-    let report = build_report(opts);
-    let probes: Vec<_> =
-        report.dataset.probes_with_country().filter(|&(_, c)| c == code).map(|(p, _)| p).collect();
-    let responsive = probes.iter().filter(|p| p.parent_nonempty()).count();
-    let defective = probes.iter().filter(|p| p.defective().0).count();
-    let single = probes.iter().filter(|p| p.parent_nonempty() && p.ns_union().len() == 1).count();
-    println!("country: {code}");
-    println!("probed: {}  responsive: {responsive}", probes.len());
-    println!("defective delegations: {defective}");
-    println!("single-nameserver domains: {single}");
-    ExitCode::SUCCESS
-}
-
-fn cmd_remedies(opts: &Options) -> ExitCode {
-    let filter: Option<CountryCode> = opts.positional.get(1).and_then(|s| s.parse().ok());
-    let world = WorldGenerator::new(
-        WorldConfig::small(opts.seed).with_scale(opts.scale).with_loss_rate(opts.loss),
-    )
-    .generate();
-    let matchers = world.catalog.matchers();
-    let campaign = Campaign::new(&world, &matchers);
-    let report = Report::generate(
-        &campaign,
-        RunnerConfig { workers: opts.workers, ..RunnerConfig::default() },
-    );
-    let mut printed = 0;
-    for (probe, country) in report.dataset.probes_with_country() {
-        if filter.is_some_and(|c| c != country) || !probe.parent_nonempty() {
-            continue;
-        }
-        let plan = remedies::plan_for(probe, &campaign);
-        if plan.is_empty() {
-            continue;
-        }
-        println!("{} ({country}):", plan.domain);
-        for r in &plan.remedies {
-            println!("  - {r:?}");
-        }
-        printed += 1;
-        if printed >= 50 {
-            println!("... (truncated at 50 domains)");
-            break;
-        }
-    }
-    eprintln!(
-        "{} of {} domains need action",
-        report.remedies.needing_action, report.remedies.domains
-    );
-    ExitCode::SUCCESS
-}
-
-fn cmd_check(opts: &Options) -> ExitCode {
-    let Some(path) = opts.positional.get(1) else {
-        eprintln!("check needs a zone-file path");
-        return ExitCode::FAILURE;
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match govdns::model::zonefile::parse(&text) {
-        Ok(zone) => {
-            println!("{}: OK — origin {}, {} rrsets", path, zone.origin(), zone.rrset_count());
-            // The lint the paper would have loved: single-label NS
-            // targets are almost always trailing-dot typos.
-            let mut warnings = 0;
-            for set in zone.iter() {
-                for target in set.ns_targets() {
-                    if target.level() == 1 {
-                        println!(
-                            "warning: NS target `{target}` at {} is a single label — \
-                             likely a trailing-dot typo",
-                            set.name()
-                        );
-                        warnings += 1;
-                    }
-                }
-            }
-            if warnings > 0 {
-                ExitCode::from(2)
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
+mod cli;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match opts.positional.first().map(String::as_str) {
-        Some("audit") => cmd_audit(&opts),
-        Some("hijack") => cmd_hijack(&opts),
-        Some("country") => cmd_country(&opts),
-        Some("remedies") => cmd_remedies(&opts),
-        Some("check") => cmd_check(&opts),
-        _ => {
-            print!("{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    cli::exit_code(cli::run(&argv))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::cli::paper::parse_args;
+    use crate::cli::Error;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -255,6 +30,9 @@ mod tests {
         assert_eq!(o.seed, 9);
         assert_eq!(o.loss, 0.1);
         assert_eq!(o.workers, 8);
+        // Integers parse as integers: no round trip through f64.
+        let o = parse_args(&args(&["audit", "--seed", "9007199254740993"])).unwrap();
+        assert_eq!(o.seed, 9_007_199_254_740_993);
     }
 
     #[test]
@@ -266,8 +44,17 @@ mod tests {
 
     #[test]
     fn rejects_unknown_and_valueless_flags() {
-        assert!(parse_args(&args(&["--nope"])).is_err());
-        assert!(parse_args(&args(&["--scale"])).is_err());
-        assert!(parse_args(&args(&["--seed", "abc"])).is_err());
+        let usage_error = |list: &[&str]| matches!(parse_args(&args(list)), Err(Error::Usage(_)));
+        assert!(usage_error(&["--nope"]));
+        assert!(usage_error(&["--scale"]));
+        assert!(usage_error(&["--seed", "abc"]));
+        // Values a cast would have silently changed.
+        assert!(usage_error(&["--seed", "-5"]));
+        assert!(usage_error(&["--seed", "7.5"]));
+        assert!(usage_error(&["--workers", "0.5"]));
+        // Outside the generator's (0, 2] bound: rejected before it can panic.
+        assert!(usage_error(&["--scale", "0"]));
+        assert!(usage_error(&["--scale", "2.5"]));
+        assert!(usage_error(&["--scale", "NaN"]));
     }
 }

@@ -1,0 +1,144 @@
+//! The `govdns` exit-code contract: 0 for a clean run, 1 for a finding
+//! the caller gates on, 2 for a usage or input error — and never a
+//! panic (101), whatever the argument vector or file.
+//!
+//! Every row is cheap: it fails before a campaign starts, or reads a
+//! small archived artifact. The finding paths that need a campaign run
+//! in the `ci.sh` smokes.
+
+use std::process::Command;
+
+/// A path no file can exist at (its parent is a regular file), so reads
+/// and writes fail even for a privileged user.
+const MISSING: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/missing");
+/// A file that exists but is no artifact of ours.
+const NOT_AN_ARTIFACT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+const SMELLS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/smell/smells-seed7.json");
+
+/// Runs `govdns` with `args`; returns its exit code and stderr.
+fn govdns(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_govdns"))
+        .args(args)
+        .output()
+        .expect("the govdns binary runs");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// Runs every row; returns one line per row that panicked, exited
+/// with another code, or gave no reason for an error exit.
+fn mismatches(code: i32, rows: &[&[&str]]) -> Vec<String> {
+    let mut wrong = Vec::new();
+    for args in rows {
+        let (got, stderr) = govdns(args);
+        if got == Some(101) {
+            wrong.push(format!("govdns {args:?} panicked:\n{stderr}"));
+        } else if got != Some(code) {
+            wrong.push(format!("govdns {args:?}: exit {got:?}, want {code}\n{stderr}"));
+        } else if code == 2 && !stderr.starts_with("error: ") {
+            wrong.push(format!("govdns {args:?} gave no reason:\n{stderr}"));
+        }
+    }
+    wrong
+}
+
+fn expect_exit(code: i32, rows: &[&[&str]]) {
+    let wrong = mismatches(code, rows);
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+#[test]
+fn usage_errors_exit_2() {
+    expect_exit(
+        2,
+        &[
+            &[],
+            &["bogus"],
+            &["audit", "--bogus"],
+            &["audit", "--scale"],
+            &["audit", "--seed", "-5"],
+            &["audit", "--seed", "7.5"],
+            &["audit", "--workers", "0.5"],
+            &["audit", "--scale", "0"],
+            &["audit", "--scale", "2.5"],
+            &["hijack", "--scale", "NaN"],
+            &["country"],
+            &["country", "zzz"],
+            &["remedies", "nope"],
+            &["check"],
+            &["chaos", "--bogus"],
+            &["chaos", "--seed"],
+            &["chaos", "--profile", "nope"],
+            &["chaos", "--scale", "0"],
+            &["resume", "--crash-after", "half"],
+            &["resume", "--scale", "0"],
+            &["trace", "--bogus"],
+            &["trace", "--dst", "not-an-ip"],
+            &["trace", "--sample-ppm", "-1"],
+            &["trace", "--scale", "0"],
+            &["diff"],
+            &["diff", "bogus"],
+            &["diff", "run", "--bogus"],
+            &["diff", "run", "--scale", "0"],
+            &["diff", "diff", "a"],
+            &["diff", "diff", "a", "b", "--bogus"],
+            &["diff", "replay"],
+            &["diff", "replay", "--bogus"],
+            &["smell"],
+            &["smell", "run", "--smell", "nope"],
+            &["smell", "run", "--scale", "0"],
+            &["smell", "inspect"],
+            &["smell", "inspect", SMELLS, "--bogus"],
+            &["counterfactual"],
+            &["counterfactual", "rank", "--partial", "3/2"],
+            &["counterfactual", "rank", "--scale", "0"],
+            // Rounds to 0 ppm, which the generator would reject.
+            &["counterfactual", "rank", "--scale", "0.0000001"],
+            &["counterfactual", "run", "--workers", "-1"],
+        ],
+    );
+}
+
+#[test]
+fn unreadable_undecodable_and_unwritable_files_exit_2() {
+    expect_exit(
+        2,
+        &[
+            &["check", MISSING],
+            &["check", NOT_AN_ARTIFACT],
+            &["resume", "--resume", "--journal", MISSING],
+            &["resume", "--resume", "--journal", NOT_AN_ARTIFACT],
+            &["trace", "--inspect", MISSING],
+            &["diff", "run", "--out", MISSING],
+            &["diff", "diff", MISSING, MISSING],
+            &["diff", "replay", MISSING],
+            &["diff", "replay", NOT_AN_ARTIFACT],
+            &["smell", "inspect", MISSING],
+            &["smell", "inspect", NOT_AN_ARTIFACT],
+            &["counterfactual", "rank", "--journal-dir", MISSING],
+        ],
+    );
+}
+
+#[test]
+fn findings_exit_1() {
+    let zone = std::env::temp_dir().join(format!("govdns-cli-{}.zone", std::process::id()));
+    // `ns1.` is a single label: the trailing-dot typo the lint warns on.
+    std::fs::write(
+        &zone,
+        "$ORIGIN gov.zz.\n$TTL 3600\n@ IN SOA ns1 hostmaster 1 7200 900 1209600 3600\n\
+         @ IN NS ns1.\n",
+    )
+    .expect("write the zone file");
+    let zone_arg = zone.to_str().expect("a UTF-8 temp path");
+    let wrong = mismatches(
+        1,
+        &[&["check", zone_arg], &["smell", "inspect", SMELLS, "--explain", "no.such.domain"]],
+    );
+    let _ = std::fs::remove_file(&zone);
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+#[test]
+fn clean_runs_exit_0() {
+    expect_exit(0, &[&["smell", "inspect", SMELLS, "--json"]]);
+}

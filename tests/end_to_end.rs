@@ -1157,7 +1157,7 @@ mod sink_pipeline {
     /// byte-identical across worker counts. (Full dataset/journal
     /// bytes follow per-worker resolver-cache warmth — side-query
     /// tallies — so only the trace makes the cross-worker-count
-    /// promise; see the chaos/trace examples.)
+    /// promise; see the `govdns chaos` and `govdns trace` subcommands.)
     #[test]
     fn sink_outputs_are_byte_stable_and_traces_worker_invariant() {
         let outputs = |workers: usize, tag: &str| {
