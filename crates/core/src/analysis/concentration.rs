@@ -4,12 +4,11 @@
 //! most-used provider holds only ~6%. This module measures that mix for
 //! every seed, plus a Herfindahl–Hirschman concentration index.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use govdns_model::DomainName;
 
+use crate::analysis::attribution::ProbedAttribution;
 use crate::stats;
 use crate::tables::{fmt_pct, TextTable};
 use crate::{Campaign, MeasurementDataset};
@@ -48,59 +47,18 @@ impl ConcentrationAnalysis {
     /// Classifies every responsive domain's nameservers and aggregates
     /// per seed.
     pub fn compute(ds: &MeasurementDataset, campaign: &Campaign<'_>) -> Self {
-        let mut per_seed: BTreeMap<DomainName, (usize, usize, BTreeMap<String, usize>)> =
-            BTreeMap::new();
-        for (i, probe) in ds.probes.iter().enumerate() {
-            if !probe.parent_nonempty() {
-                continue;
-            }
-            let seed = ds.seed_of(i).clone();
-            let slot = per_seed.entry(seed.clone()).or_default();
-            slot.0 += 1;
-            let mut labels: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-            let mut private = false;
-            for host in probe.ns_union() {
-                if host.is_within(&seed) {
-                    private = true;
-                    continue;
-                }
-                if host.level() < 2 {
-                    continue; // relative-label artifacts
-                }
-                let by_host = campaign
-                    .matchers
-                    .iter()
-                    .filter(|m| m.target == govdns_world::MatchTarget::Hostname)
-                    .find(|m| m.matches(&host))
-                    .map(|m| m.label.clone());
-                let label = by_host
-                    .or_else(|| {
-                        // The paper's fallback: the fetched SOA's
-                        // MNAME/RNAME identify white-label providers.
-                        probe.soa.as_ref().and_then(|soa| {
-                            campaign
-                                .matchers
-                                .iter()
-                                .filter(|m| m.target == govdns_world::MatchTarget::SoaName)
-                                .find(|m| m.matches(&soa.mname) || m.matches(&soa.rname))
-                                .map(|m| m.label.clone())
-                        })
-                    })
-                    .unwrap_or_else(|| host.suffix(2).to_string());
-                labels.insert(label);
-            }
-            if private {
-                slot.1 += 1;
-            }
-            for label in labels {
-                *slot.2.entry(label).or_insert(0) += 1;
-            }
-        }
+        ConcentrationAnalysis::from_attribution(&ProbedAttribution::build(ds, campaign.matchers))
+    }
 
-        let mut seeds: Vec<SeedConcentration> = per_seed
-            .into_iter()
-            .map(|(seed, (responsive, private, counts))| {
-                let mut providers: Vec<(String, usize)> = counts.into_iter().collect();
+    /// Reports the per-seed tallies of a probed attribution table.
+    pub(crate) fn from_attribution(table: &ProbedAttribution<'_>) -> Self {
+        let mut seeds: Vec<SeedConcentration> = table
+            .seeds
+            .iter()
+            .map(|(&seed, tally)| {
+                let (responsive, private) = (tally.responsive, tally.private);
+                let mut providers: Vec<(String, usize)> =
+                    tally.domains.iter().map(|(label, &n)| (label.clone(), n)).collect();
                 providers.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
                 let hhi = if responsive == 0 {
                     0.0
@@ -113,7 +71,7 @@ impl ConcentrationAnalysis {
                     let private_share = 100.0 * private as f64 / responsive as f64;
                     sum + private_share * private_share
                 };
-                SeedConcentration { seed, responsive, private, providers, hhi }
+                SeedConcentration { seed: seed.clone(), responsive, private, providers, hhi }
             })
             .collect();
         seeds.sort_by_key(|s| std::cmp::Reverse(s.responsive));

@@ -2,6 +2,7 @@
 //! paper's characterization, producing typed results that the report
 //! renders as the corresponding tables and figures.
 
+pub(crate) mod attribution;
 pub mod concentration;
 pub mod consistency;
 pub mod delegation;

@@ -7,9 +7,10 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use serde::{Deserialize, Serialize};
 
 use govdns_model::{DateRange, DomainName, Year};
-use govdns_world::{Country, CountryCode, MatchTarget, ProviderMatcher};
+use govdns_world::{Country, CountryCode};
 
-use crate::analysis::longitudinal::{DomainHistory, Longitudinal};
+use crate::analysis::attribution::{classify_hosts, soa_rule};
+use crate::analysis::longitudinal::Longitudinal;
 use crate::stats;
 use crate::tables::{fmt_pct, TextTable};
 use crate::Campaign;
@@ -79,57 +80,11 @@ pub struct ProviderAnalysis {
     pub total_groups: usize,
 }
 
-/// What the hostname rules say about one NS host. It does not depend on
-/// the year, so each distinct host is classified once per analysis.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum HostLabel<'c> {
-    /// A hostname rule matched.
-    Provider(&'c str),
-    /// No hostname rule matched: the zone's SOA MNAME/RNAME decide if a
-    /// rule matches them in the window, else this registered domain.
-    Anonymous(String),
-}
-
-/// Classifies every distinct NS host that some domain uses outside its
-/// own `d_gov`.
-fn classify_hosts<'l, 'c>(
-    lon: &'l Longitudinal,
-    matchers: &'c [ProviderMatcher],
-) -> HashMap<&'l DomainName, HostLabel<'c>> {
-    let mut labels = HashMap::new();
-    for h in &lon.histories {
-        for host in h.ns_entries.iter().filter_map(|e| e.rdata.as_ns()) {
-            if host.is_within(&h.seed) {
-                continue;
-            }
-            labels.entry(host).or_insert_with(|| {
-                matchers
-                    .iter()
-                    .filter(|m| m.target == MatchTarget::Hostname)
-                    .find(|m| m.matches(host))
-                    .map_or_else(
-                        || HostLabel::Anonymous(host.suffix(2).to_string()),
-                        |m| HostLabel::Provider(&m.label),
-                    )
-            });
-        }
-    }
-    labels
-}
-
-/// The paper's secondary evidence for an anonymous hostname: the first
-/// SOA MNAME/RNAME pair active in `window` that an SOA rule matches.
-fn soa_label<'c>(
-    h: &DomainHistory,
-    window: &DateRange,
-    matchers: &'c [ProviderMatcher],
-) -> Option<&'c str> {
-    h.soa_names_in(window).iter().find_map(|(mname, rname)| {
-        matchers
-            .iter()
-            .filter(|m| m.target == MatchTarget::SoaName)
-            .find(|m| m.matches(mname) || m.matches(rname))
-            .map(|m| m.label.as_str())
+/// Every NS host some domain uses outside its own `d_gov`.
+fn external_hosts(lon: &Longitudinal) -> impl Iterator<Item = &DomainName> {
+    lon.histories.iter().flat_map(|h| {
+        let hosts = h.ns_entries.iter().filter_map(|e| e.rdata.as_ns());
+        hosts.filter(|host| !host.is_within(&h.seed))
     })
 }
 
@@ -154,7 +109,7 @@ impl ProviderAnalysis {
         }
         // 22 sub-regions + one group per top-10 country.
         let total_groups = govdns_world::SubRegion::all().len() + top10.len();
-        let hosts = classify_hosts(lon, campaign.matchers);
+        let hosts = classify_hosts(campaign.matchers, external_hosts(lon));
 
         let years = Longitudinal::years()
             .map(|year| {
@@ -168,18 +123,17 @@ impl ProviderAnalysis {
                     // Hostname rules first; for anonymous hostnames, fall
                     // back to the zone's SOA (looked up at most once per
                     // domain-year); else the host's registered domain.
-                    let mut by_soa: Option<Option<&str>> = None;
+                    let mut by_soa = None;
+                    let soa = || {
+                        let soa_names = h.soa_names_in(&window);
+                        soa_names.iter().find_map(|(m, r)| soa_rule(campaign.matchers, m, r))
+                    };
                     for host in h.ns_hosts_in(&window) {
                         if host.is_within(&h.seed) {
                             private = true;
                             continue;
                         }
-                        labels.insert(match &hosts[host] {
-                            HostLabel::Provider(label) => label,
-                            HostLabel::Anonymous(registered) => by_soa
-                                .get_or_insert_with(|| soa_label(h, &window, campaign.matchers))
-                                .unwrap_or(registered),
-                        });
+                        labels.insert(hosts[host].resolve(|| *by_soa.get_or_insert_with(soa)));
                     }
                     let single = labels.len() == 1 && !private;
                     let group = &groups[&h.country];
@@ -286,10 +240,11 @@ impl ProviderAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::attribution::HostLabel;
     use crate::analysis::testutil::{
         history, longitudinal, n, ns_entry, soa_entry, CampaignFixture,
     };
-    use govdns_world::MatchRule;
+    use govdns_world::{MatchRule, MatchTarget, ProviderMatcher};
 
     #[allow(clippy::field_reassign_with_default)]
     fn fixture_with_matchers() -> CampaignFixture {
@@ -409,7 +364,7 @@ mod tests {
                 vec![ns_entry("b.gov.de", "ada.ns.cloudflare.com", (2015, 3, 1), (2020, 12, 31))],
             ),
         ]);
-        let hosts = classify_hosts(&lon, &f.matchers);
+        let hosts = classify_hosts(&f.matchers, external_hosts(&lon));
         assert_eq!(hosts.len(), 1, "one distinct host, one classification");
         assert_eq!(hosts[&n("ada.ns.cloudflare.com")], HostLabel::Provider("cloudflare.com"));
         let p = ProviderAnalysis::compute(&lon, &f.campaign());
@@ -454,7 +409,7 @@ mod tests {
             ),
         ];
         let lon = longitudinal(vec![h]);
-        let hosts = classify_hosts(&lon, &f.matchers);
+        let hosts = classify_hosts(&f.matchers, external_hosts(&lon));
         assert_eq!(hosts[&n("ns1.anon-host.net")], HostLabel::Anonymous("anon-host.net".into()));
         let p = ProviderAnalysis::compute(&lon, &f.campaign());
         let labels = |year| p.year(year).unwrap().per_label.keys().cloned().collect::<Vec<_>>();

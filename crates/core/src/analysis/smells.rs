@@ -24,19 +24,19 @@
 //! verdict. A citation is `(domain, seq)`; `govdns_trace::TraceLog::resolve`
 //! checks it against the trace file.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 use serde::{Deserialize, Serialize};
 
-use govdns_model::DomainName;
+use govdns_model::{DomainName, Label};
 use govdns_simnet::prefix24;
 use govdns_trace::{DomainBlock, Step, TraceData, TraceLog};
 use govdns_world::CountryCode;
 
+use crate::analysis::attribution::{ProbeAttribution, ProbedAttribution};
 use crate::analysis::consistency::{classify, ConsistencyClass};
-use crate::probe::DomainProbe;
 use crate::tables::TextTable;
 use crate::{Campaign, MeasurementDataset};
 
@@ -207,80 +207,32 @@ fn name_list(names: &BTreeSet<&DomainName>) -> String {
     format!("[{}]", rendered.join(", "))
 }
 
-/// The provider labels of one probe's external nameservers plus whether
-/// any nameserver is private (inside the seed) — the same attribution
-/// the concentration analysis uses (hostname matchers, SOA fallback,
-/// registered-domain fallback).
-fn provider_labels(
-    probe: &DomainProbe,
-    seed: &DomainName,
-    campaign: &Campaign<'_>,
-) -> (BTreeSet<String>, bool) {
-    let mut labels = BTreeSet::new();
-    let mut private = false;
-    for host in probe.ns_union() {
-        if host.is_within(seed) {
-            private = true;
-            continue;
-        }
-        if host.level() < 2 {
-            continue; // relative-label artifacts
-        }
-        let by_host = campaign
-            .matchers
-            .iter()
-            .filter(|m| m.target == govdns_world::MatchTarget::Hostname)
-            .find(|m| m.matches(&host))
-            .map(|m| m.label.clone());
-        let label = by_host
-            .or_else(|| {
-                probe.soa.as_ref().and_then(|soa| {
-                    campaign
-                        .matchers
-                        .iter()
-                        .filter(|m| m.target == govdns_world::MatchTarget::SoaName)
-                        .find(|m| m.matches(&soa.mname) || m.matches(&soa.rname))
-                        .map(|m| m.label.clone())
-                })
-            })
-            .unwrap_or_else(|| host.suffix(2).to_string());
-        labels.insert(label);
-    }
-    (labels, private)
-}
-
 impl SmellAnalysis {
     /// Runs every detector over the dataset. Verdicts are ordered by
     /// `(domain, kind)`; evidence chains stay empty until
     /// [`attach_evidence`](SmellAnalysis::attach_evidence) sees the
     /// trace log.
     pub fn compute(ds: &MeasurementDataset, campaign: &Campaign<'_>) -> Self {
-        // Pass 1a: seed-level provider tallies for monoculture severity
-        // (identical attribution to the concentration analysis).
-        let mut seed_stats: BTreeMap<DomainName, (usize, BTreeMap<String, usize>)> =
-            BTreeMap::new();
-        for (i, probe) in ds.probes.iter().enumerate() {
-            if !probe.parent_nonempty() {
-                continue;
-            }
-            let slot = seed_stats.entry(ds.seed_of(i).clone()).or_default();
-            slot.0 += 1;
-            let (labels, _) = provider_labels(probe, ds.seed_of(i), campaign);
-            for label in labels {
-                *slot.1.entry(label).or_insert(0) += 1;
-            }
-        }
+        SmellAnalysis::from_attribution(ds, &ProbedAttribution::build(ds, campaign.matchers))
+    }
 
-        // Pass 1b: the cross-domain dependency graph for mutual cycles —
+    /// Runs every detector; the monoculture detector reads the probes'
+    /// provider labels and per-seed tallies from `providers`.
+    pub(crate) fn from_attribution(
+        ds: &MeasurementDataset,
+        providers: &ProbedAttribution<'_>,
+    ) -> Self {
+        // Pass 1: the cross-domain dependency graph for mutual cycles —
         // domain i depends on probed domain j when one of i's
         // nameservers lives inside j's zone.
-        let index_of: BTreeMap<String, usize> =
-            ds.discovered.iter().enumerate().map(|(i, d)| (d.name.to_string(), i)).collect();
+        let index_of: HashMap<&[Label], usize> =
+            ds.discovered.iter().enumerate().map(|(i, d)| (d.name.labels(), i)).collect();
         let mut deps: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); ds.probes.len()];
         for (i, probe) in ds.probes.iter().enumerate() {
-            for host in probe.ns_union() {
-                for k in 2..host.level() {
-                    if let Some(&j) = index_of.get(&host.suffix(k).to_string()) {
+            for host in probe.parent_ns.iter().chain(&probe.child_ns) {
+                let labels = host.labels();
+                for k in 2..labels.len() {
+                    if let Some(&j) = index_of.get(&labels[labels.len() - k..]) {
                         if j != i {
                             deps[i].insert(j);
                         }
@@ -397,12 +349,13 @@ impl SmellAnalysis {
             }
 
             // --- provider monoculture ----------------------------------
-            let (labels, private) = provider_labels(probe, seed, campaign);
+            let ProbeAttribution { labels, private } =
+                providers.probes[i].as_ref().expect("responsive probes are attributed");
             if !private && labels.len() == 1 && ns.len() >= 2 {
                 let label = labels.iter().next().expect("nonempty");
-                let (responsive, counts) =
-                    seed_stats.get(seed).map(|(r, c)| (*r, c)).expect("seed seen in pass 1");
-                let on_provider = counts.get(label).copied().unwrap_or(0);
+                let tally = &providers.seeds[seed];
+                let responsive = tally.responsive;
+                let on_provider = tally.domains.get(label).copied().unwrap_or(0);
                 let share_ppm = if responsive == 0 {
                     0
                 } else {
@@ -438,15 +391,19 @@ impl SmellAnalysis {
             }
         }
 
-        verdicts.sort_by(|a, b| {
-            a.domain.to_string().cmp(&b.domain.to_string()).then(a.kind.cmp(&b.kind))
-        });
+        // String order, not `DomainName`'s label-vector order: the two
+        // differ (`a-b.x` sorts before `a.x` only as a string).
+        verdicts.sort_by_cached_key(|v| (v.domain.to_string(), v.kind));
         let mut by_kind: BTreeMap<String, usize> = BTreeMap::new();
         for v in &verdicts {
             *by_kind.entry(v.kind.as_str().to_owned()).or_insert(0) += 1;
         }
-        let domains_affected =
-            verdicts.iter().map(|v| v.domain.to_string()).collect::<BTreeSet<_>>().len();
+        // A domain's verdicts are adjacent once sorted.
+        let domains_affected = verdicts
+            .iter()
+            .enumerate()
+            .filter(|&(k, v)| k == 0 || verdicts[k - 1].domain != v.domain)
+            .count();
         SmellAnalysis { verdicts, by_kind, domains_affected, evidence_cited: 0 }
     }
 
@@ -491,12 +448,8 @@ impl SmellAnalysis {
     /// The worst verdicts: severity descending, then `(domain, kind)`.
     pub fn verdict_table(&self, top: usize) -> TextTable {
         let mut ranked: Vec<&SmellVerdict> = self.verdicts.iter().collect();
-        ranked.sort_by(|a, b| {
-            b.severity
-                .cmp(&a.severity)
-                .then_with(|| a.domain.to_string().cmp(&b.domain.to_string()))
-                .then(a.kind.cmp(&b.kind))
-        });
+        ranked
+            .sort_by_cached_key(|v| (std::cmp::Reverse(v.severity), v.domain.to_string(), v.kind));
         let mut t = TextTable::new(["domain", "smell", "severity", "evidence", "refactoring"]);
         for v in ranked.into_iter().take(top) {
             t.push_row([

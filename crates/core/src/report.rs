@@ -14,11 +14,13 @@
 //! are the same whichever lane finishes first. Failpoints are read on
 //! the calling thread before the lanes start.
 
+use std::cell::OnceCell;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use serde::{Deserialize, Serialize};
 
+use crate::analysis::attribution::ProbedAttribution;
 use crate::analysis::concentration::ConcentrationAnalysis;
 use crate::analysis::consistency::ConsistencyAnalysis;
 use crate::analysis::delegation::DelegationAnalysis;
@@ -512,16 +514,21 @@ impl Report {
         // The last seven stages, in stage order, and their failures.
         let rest = || {
             let mut f = Vec::new();
+            // Concentration and smells read one provider attribution of the
+            // probes: whichever of them runs first builds it.
+            let attribution = OnceCell::new();
+            let providers =
+                || attribution.get_or_init(|| ProbedAttribution::build(ds, campaign.matchers));
             let sections = (
                 guarded(g, &mut f, "replication", || ActiveReplication::compute(ds)),
                 guarded(g, &mut f, "diversity", || DiversityTable::compute(ds, campaign)),
                 guarded(g, &mut f, "delegation", || DelegationAnalysis::compute(ds, campaign)),
                 guarded(g, &mut f, "consistency", || ConsistencyAnalysis::compute(ds, campaign)),
                 guarded(g, &mut f, "concentration", || {
-                    ConcentrationAnalysis::compute(ds, campaign)
+                    ConcentrationAnalysis::from_attribution(providers())
                 }),
                 guarded(g, &mut f, "remedies", || RemediationSummary::compute(ds, campaign)),
-                guarded(g, &mut f, "smells", || SmellAnalysis::compute(ds, campaign)),
+                guarded(g, &mut f, "smells", || SmellAnalysis::from_attribution(ds, providers())),
             );
             (sections, f)
         };

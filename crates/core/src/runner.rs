@@ -480,7 +480,7 @@ pub fn run_campaign_with(
         }
         t.stage("round1", "begin");
     }
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for w in 0..workers {
             // `move` closures so each worker knows its slot index;
             // shared state crosses as plain references.
@@ -492,7 +492,7 @@ pub fn run_campaign_with(
             let (probed_counter, retried_counter, busy_ms) =
                 (&probed_counter, &retried_counter, &busy_ms);
             let (busy_slot, exit_slot, config) = (&busy_slots[w], &exit_state[w], &config);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 // One client (and resolver cache) per worker, as the real
                 // pipeline sharded its query load. On resume every worker
                 // starts from the checkpointed cache warmth.
@@ -588,8 +588,7 @@ pub fn run_campaign_with(
                 busy_slot.store(elapsed_ms.to_bits(), Ordering::Relaxed);
             });
         }
-    })
-    .expect("probe workers do not panic");
+    });
     probing_span.finish();
     if let Some(t) = &tracer {
         t.stage("round1", "end");

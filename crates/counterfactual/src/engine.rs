@@ -161,9 +161,9 @@ pub fn run_sweep(config: &SweepConfig) -> SpofReport {
     let results: Vec<Mutex<Option<Outcome>>> = scenarios.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = config.workers.clamp(1, scenarios.len().max(1));
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(scenario) = scenarios.get(i) else { break };
                 // A fresh world per scenario: same seed, same internet,
@@ -190,8 +190,7 @@ pub fn run_sweep(config: &SweepConfig) -> SpofReport {
                 *results[i].lock() = Some((entry, recovery));
             });
         }
-    })
-    .expect("sweep workers do not panic");
+    });
 
     let (entries, recovery): (Vec<SpofEntry>, Vec<Option<RecoveryEntry>>) = results
         .into_iter()

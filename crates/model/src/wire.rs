@@ -19,8 +19,6 @@
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 use crate::{
     DomainName, Label, Message, MessageKind, ModelError, Question, Rcode, RecordData, RecordType,
     ResourceRecord, Soa,
@@ -33,11 +31,11 @@ const CLASS_IN: u16 = 1;
 const POINTER_MASK: u8 = 0b1100_0000;
 
 /// Encodes a message to wire format with name compression.
-pub fn encode(msg: &Message) -> Bytes {
-    let mut buf = BytesMut::with_capacity(512);
+pub fn encode(msg: &Message) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(512);
     let mut compress: HashMap<DomainName, u16> = HashMap::new();
 
-    buf.put_u16(msg.id);
+    put_u16(&mut buf, msg.id);
     let mut flags = 0u16;
     if msg.kind == MessageKind::Response {
         flags |= FLAG_QR;
@@ -49,20 +47,28 @@ pub fn encode(msg: &Message) -> Bytes {
         flags |= FLAG_TC;
     }
     flags |= u16::from(msg.rcode.code());
-    buf.put_u16(flags);
-    buf.put_u16(1); // qdcount
-    buf.put_u16(msg.answers.len() as u16);
-    buf.put_u16(msg.authority.len() as u16);
-    buf.put_u16(msg.additional.len() as u16);
+    put_u16(&mut buf, flags);
+    put_u16(&mut buf, 1); // qdcount
+    put_u16(&mut buf, msg.answers.len() as u16);
+    put_u16(&mut buf, msg.authority.len() as u16);
+    put_u16(&mut buf, msg.additional.len() as u16);
 
     encode_name(&mut buf, &msg.question.name, &mut compress);
-    buf.put_u16(msg.question.rtype.code());
-    buf.put_u16(CLASS_IN);
+    put_u16(&mut buf, msg.question.rtype.code());
+    put_u16(&mut buf, CLASS_IN);
 
     for rr in msg.answers.iter().chain(&msg.authority).chain(&msg.additional) {
         encode_record(&mut buf, rr, &mut compress);
     }
-    buf.freeze()
+    buf
+}
+
+fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_be_bytes());
+}
+
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_be_bytes());
 }
 
 /// Size in bytes of the encoded form of `msg`.
@@ -70,12 +76,12 @@ pub fn encoded_len(msg: &Message) -> usize {
     encode(msg).len()
 }
 
-fn encode_name(buf: &mut BytesMut, name: &DomainName, compress: &mut HashMap<DomainName, u16>) {
+fn encode_name(buf: &mut Vec<u8>, name: &DomainName, compress: &mut HashMap<DomainName, u16>) {
     let labels = name.labels();
     for i in 0..labels.len() {
         let suffix = name.suffix(labels.len() - i);
         if let Some(&off) = compress.get(&suffix) {
-            buf.put_u16(0xC000 | off);
+            put_u16(buf, 0xC000 | off);
             return;
         }
         // Pointers can only address the first 16 KiB - 2 bits of a message.
@@ -83,43 +89,43 @@ fn encode_name(buf: &mut BytesMut, name: &DomainName, compress: &mut HashMap<Dom
             compress.insert(suffix, buf.len() as u16);
         }
         let l = labels[i].as_str().as_bytes();
-        buf.put_u8(l.len() as u8);
-        buf.put_slice(l);
+        buf.push(l.len() as u8);
+        buf.extend_from_slice(l);
     }
-    buf.put_u8(0);
+    buf.push(0);
 }
 
-fn encode_record(buf: &mut BytesMut, rr: &ResourceRecord, compress: &mut HashMap<DomainName, u16>) {
+fn encode_record(buf: &mut Vec<u8>, rr: &ResourceRecord, compress: &mut HashMap<DomainName, u16>) {
     encode_name(buf, &rr.name, compress);
-    buf.put_u16(rr.rtype().code());
-    buf.put_u16(CLASS_IN);
-    buf.put_u32(rr.ttl);
+    put_u16(buf, rr.rtype().code());
+    put_u16(buf, CLASS_IN);
+    put_u32(buf, rr.ttl);
     let len_pos = buf.len();
-    buf.put_u16(0); // rdlength placeholder
+    put_u16(buf, 0); // rdlength placeholder
     let rdata_start = buf.len();
     match &rr.data {
-        RecordData::A(a) => buf.put_slice(&a.octets()),
-        RecordData::Aaaa(a) => buf.put_slice(&a.octets()),
+        RecordData::A(a) => buf.extend_from_slice(&a.octets()),
+        RecordData::Aaaa(a) => buf.extend_from_slice(&a.octets()),
         RecordData::Ns(n) | RecordData::Cname(n) | RecordData::Ptr(n) => {
             encode_name(buf, n, compress)
         }
         RecordData::Soa(soa) => {
             encode_name(buf, &soa.mname, compress);
             encode_name(buf, &soa.rname, compress);
-            buf.put_u32(soa.serial);
-            buf.put_u32(soa.refresh);
-            buf.put_u32(soa.retry);
-            buf.put_u32(soa.expire);
-            buf.put_u32(soa.minimum);
+            put_u32(buf, soa.serial);
+            put_u32(buf, soa.refresh);
+            put_u32(buf, soa.retry);
+            put_u32(buf, soa.expire);
+            put_u32(buf, soa.minimum);
         }
         RecordData::Txt(t) => {
             // Character-strings of up to 255 bytes each.
             for chunk in t.as_bytes().chunks(255) {
-                buf.put_u8(chunk.len() as u8);
-                buf.put_slice(chunk);
+                buf.push(chunk.len() as u8);
+                buf.extend_from_slice(chunk);
             }
             if t.is_empty() {
-                buf.put_u8(0);
+                buf.push(0);
             }
         }
     }

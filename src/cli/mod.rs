@@ -212,9 +212,15 @@ pub(crate) fn read_to_string(path: &Path) -> Result<String, Error> {
         .map_err(|e| Error::File(format!("cannot read {}: {e}", path.display())))
 }
 
-/// Reads a trace file, or a file error naming the path.
+/// Reads a trace file, or a file error naming the path. A file with no
+/// intact header frame is no trace, whatever follows.
 pub(crate) fn read_trace_file(path: &Path) -> Result<TraceLog, Error> {
-    read_trace(path).map_err(|e| Error::File(format!("cannot read trace {}: {e}", path.display())))
+    let log = read_trace(path)
+        .map_err(|e| Error::File(format!("cannot read trace {}: {e}", path.display())))?;
+    if log.header.is_none() {
+        return Err(Error::File(format!("{} is not a trace: no header frame", path.display())));
+    }
+    Ok(log)
 }
 
 /// Generates the calibrated world for `seed` at `scale`.

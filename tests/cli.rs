@@ -108,6 +108,7 @@ fn unreadable_undecodable_and_unwritable_files_exit_2() {
             &["resume", "--resume", "--journal", MISSING],
             &["resume", "--resume", "--journal", NOT_AN_ARTIFACT],
             &["trace", "--inspect", MISSING],
+            &["trace", "--inspect", NOT_AN_ARTIFACT],
             &["diff", "run", "--out", MISSING],
             &["diff", "diff", MISSING, MISSING],
             &["diff", "replay", MISSING],
@@ -140,5 +141,14 @@ fn findings_exit_1() {
 
 #[test]
 fn clean_runs_exit_0() {
-    expect_exit(0, &[&["smell", "inspect", SMELLS, "--json"]]);
+    // A real trace stays readable with a torn tail.
+    let trace = std::env::temp_dir().join(format!("govdns-cli-{}.trace", std::process::id()));
+    let path = trace.to_str().expect("temp paths are UTF-8");
+    expect_exit(0, &[&["trace", "--scale", "0.002", "--out", path]]);
+    let mut bytes = std::fs::read(&trace).expect("the trace was written");
+    bytes.extend_from_slice(b"T1 0123");
+    std::fs::write(&trace, bytes).expect("temp dir is writable");
+    let inspect = ["trace", "--inspect", path, "--domain", "no.such.domain"];
+    expect_exit(0, &[&["smell", "inspect", SMELLS, "--json"], &inspect]);
+    let _ = std::fs::remove_file(&trace);
 }

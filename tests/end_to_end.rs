@@ -884,6 +884,34 @@ mod crash_safety {
         }
         assert!(Report::from_dataset(&campaign, dataset).analysis_failures.is_empty());
     }
+
+    /// Concentration and smells read one provider attribution, built by
+    /// whichever runs first: a failure in either leaves the other's
+    /// section as in a clean run.
+    #[test]
+    fn concentration_and_smells_fail_independently() {
+        use govdns::core::report::failpoint;
+        let world = WG::new(WorldConfig::small(44).with_scale(0.004)).generate();
+        let matchers = world.catalog.matchers();
+        let campaign = Campaign::new(&world, &matchers);
+        let dataset = govdns::core::run_campaign(&campaign, RunnerConfig::default());
+        let clean = Report::from_dataset(&campaign, dataset.clone());
+        assert!(!clean.concentration.seeds.is_empty());
+        assert!(
+            clean.smells.by_kind.contains_key("provider_monoculture"),
+            "{:?}",
+            clean.smells.by_kind
+        );
+        let armed = |stage: &str| {
+            failpoint::arm(stage);
+            let report = Report::from_dataset(&campaign, dataset.clone());
+            failpoint::disarm();
+            assert_eq!(report.analysis_failures.len(), 1, "armed {stage}");
+            report
+        };
+        assert_eq!(armed("concentration").smells, clean.smells);
+        assert_eq!(armed("smells").concentration, clean.concentration);
+    }
 }
 
 mod trace {
