@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # The CI gate, run locally and by .github/workflows/ci.yml on every
 # push, pull request and nightly schedule: formatting, release build,
-# full test suite (incl. doc tests, and the end-to-end suite again in
-# release mode), warning-free clippy, the benchmark package's own tests,
-# the benchmark-scale world fingerprint, the chaos determinism smoke,
-# the crash/resume smoke, the journal-growth gate, the trace
-# determinism smoke, the cross-run diff smoke (self-diff empty,
-# cross-seed divergence deterministic, corpus replay byte-identical),
-# the counterfactual SPOF smoke (seeded sweeps
+# every workspace member's tests (incl. doc tests, and the end-to-end
+# suite again in release mode), warning-free clippy, the benchmark
+# package's own tests, the benchmark-scale world fingerprint, the chaos
+# determinism smoke, the crash/resume smoke, the journal-growth gate,
+# the trace determinism smoke, the cross-run diff smoke (self-diff
+# empty, cross-seed divergence deterministic, corpus replay
+# byte-identical), the counterfactual SPOF smoke (seeded sweeps
 # byte-identical across runs and worker counts, and matching the
 # checked-in corpus artifact), the smell smoke (trace-cited operational
 # smell verdicts byte-stable across runs and worker counts, every
@@ -25,10 +25,10 @@ echo "== build (release) =="
 cargo build --release
 
 echo "== tests =="
-cargo test -q
-
-echo "== doc tests =="
-cargo test -q --doc
+# --workspace: the root manifest is also a package, so a bare
+# `cargo test` would run only the root package's tests. Doc tests run
+# here too.
+cargo test -q --workspace
 
 echo "== end-to-end tests (release) =="
 # The same suite as above, optimized: release-only arithmetic and
@@ -111,11 +111,11 @@ cmp "$resume_dir/full.journal" "$resume_dir/full2.journal" || {
 
 echo "== journal growth: delta checkpoints keep bytes/probe flat =="
 # Each periodic checkpoint records only what changed since the previous
-# one, so journal bytes per probe must not grow with the campaign. The
-# property test checks that delta replay equals full-snapshot replay at
-# random crash points; the scale 0.01 figure comes from the resume
-# smoke's full run above.
-cargo test -q -p govdns-core --test delta_journal
+# one, so journal bytes per probe must not grow with the campaign. (The
+# property test that delta replay equals full-snapshot replay at random
+# crash points, `govdns-core`'s `delta_journal`, runs in the tests
+# stage.) The scale 0.01 figure comes from the resume smoke's full run
+# above.
 "$govdns" resume --seed 7 --scale 0.04 \
     --journal "$resume_dir/large.journal" > "$resume_dir/large.out"
 small="$(awk '/^journal bytes\/probe:/ {print $3}' "$resume_dir/full.out")"

@@ -4,8 +4,6 @@
 //! most-used provider holds only ~6%. This module measures that mix for
 //! every seed, plus a Herfindahl–Hirschman concentration index.
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::DomainName;
 
 use crate::analysis::attribution::ProbedAttribution;
@@ -14,7 +12,7 @@ use crate::tables::{fmt_pct, TextTable};
 use crate::{Campaign, MeasurementDataset};
 
 /// Provider mix under one seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeedConcentration {
     /// The `d_gov`.
     pub seed: DomainName,
@@ -37,7 +35,7 @@ impl SeedConcentration {
 }
 
 /// Concentration for every seed with responsive domains.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConcentrationAnalysis {
     /// Per-seed mixes, ordered by responsive-domain count descending.
     pub seeds: Vec<SeedConcentration>,

@@ -3,8 +3,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::DomainName;
 use govdns_world::CountryCode;
 
@@ -14,7 +12,7 @@ use crate::tables::{fmt_pct, TextTable};
 use crate::{Campaign, MeasurementDataset};
 
 /// The consistency categories of Fig 13.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ConsistencyClass {
     /// `P == C`.
     Equal,
@@ -93,7 +91,7 @@ pub fn classify(probe: &DomainProbe) -> Option<ConsistencyClass> {
 }
 
 /// One registrable domain reachable only through inconsistency.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParkedDanglingNs {
     /// The registrable registered domain.
     pub name: DomainName,
@@ -106,7 +104,7 @@ pub struct ParkedDanglingNs {
 }
 
 /// The full §IV-D result.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConsistencyAnalysis {
     /// Domains with both sides observable.
     pub comparable: usize,

@@ -3,8 +3,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::DomainName;
 use govdns_world::CountryCode;
 
@@ -13,7 +11,7 @@ use crate::tables::{fmt_pct, TextTable};
 use crate::{Campaign, MeasurementDataset};
 
 /// Per-country defective-delegation counts.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CountryDefects {
     /// Responsive domains examined.
     pub domains: usize,
@@ -29,7 +27,7 @@ pub struct CountryDefects {
 }
 
 /// One registrable dangling NS domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AvailableNsDomain {
     /// The registrable registered domain.
     pub name: DomainName,
@@ -42,7 +40,7 @@ pub struct AvailableNsDomain {
 }
 
 /// The full §IV-C result.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DelegationAnalysis {
     /// Responsive domains examined.
     pub domains: usize,

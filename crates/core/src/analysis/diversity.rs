@@ -4,8 +4,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use govdns_simnet::prefix24;
 use govdns_world::CountryCode;
 
@@ -14,7 +12,7 @@ use crate::tables::{fmt_pct, TextTable};
 use crate::{Campaign, MeasurementDataset};
 
 /// One Table I row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiversityRow {
     /// Country code, or `None` for the all-country aggregate.
     pub country: Option<CountryCode>,
@@ -30,7 +28,7 @@ pub struct DiversityRow {
 
 /// Table I: the aggregate row plus the ten countries with the most
 /// multi-NS domains.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DiversityTable {
     /// Aggregate first, then the top ten countries.
     pub rows: Vec<DiversityRow>,

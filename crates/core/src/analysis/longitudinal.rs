@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::{DateRange, DomainName, RecordType, SimDate, Year};
 use govdns_pdns::{filter, PdnsEntry, PdnsRef};
 use govdns_world::CountryCode;
@@ -27,7 +25,7 @@ pub(crate) fn year_mask(first: SimDate, last: SimDate) -> u16 {
 }
 
 /// One domain's NS record history.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainHistory {
     /// The domain.
     pub name: DomainName,
@@ -83,7 +81,7 @@ impl DomainHistory {
 }
 
 /// The longitudinal dataset: every domain history under every seed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Longitudinal {
     /// Domain histories, sorted by name.
     pub histories: Vec<DomainHistory>,

@@ -4,8 +4,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::{DateRange, DomainName, Year};
 use govdns_world::{Country, CountryCode};
 
@@ -29,7 +27,7 @@ pub const MAJOR_PROVIDERS: [&str; 8] = [
 ];
 
 /// Usage of one provider in one year.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabelStats {
     /// Domains with at least one NS at this provider.
     pub domains: usize,
@@ -43,7 +41,7 @@ pub struct LabelStats {
 }
 
 /// One year's provider market.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProviderYearStats {
     /// The year.
     pub year: Year,
@@ -71,7 +69,7 @@ impl ProviderYearStats {
 }
 
 /// The full longitudinal provider analysis.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProviderAnalysis {
     /// Per-year markets, 2011–2020.
     pub years: Vec<ProviderYearStats>,

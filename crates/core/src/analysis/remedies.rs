@@ -4,8 +4,6 @@
 //! (zonemaster-style checks, CSYNC child-to-parent synchronization, EPP
 //! updates, registry locks).
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::DomainName;
 
 use crate::analysis::consistency::{classify, ConsistencyClass};
@@ -13,7 +11,7 @@ use crate::probe::DomainProbe;
 use crate::{Campaign, MeasurementDataset};
 
 /// One remediation action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Remedy {
     /// Remove a stale delegation from the parent zone (the whole domain
     /// no longer answers).
@@ -57,7 +55,7 @@ pub enum Remedy {
 }
 
 /// The remediation plan for one domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemediationPlan {
     /// The domain.
     pub domain: DomainName,
@@ -170,7 +168,7 @@ pub fn plan_for(probe: &DomainProbe, campaign: &Campaign<'_>) -> RemediationPlan
 }
 
 /// Aggregate remediation statistics over a dataset.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RemediationSummary {
     /// Domains examined (with a live delegation).
     pub domains: usize,

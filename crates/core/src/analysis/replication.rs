@@ -3,8 +3,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::{DateRange, DomainName, Year};
 use govdns_world::CountryCode;
 
@@ -14,7 +12,7 @@ use crate::tables::{fmt_pct, TextTable};
 use crate::MeasurementDataset;
 
 /// Fig 2 + Fig 3: yearly PDNS totals.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct YearlyTotals {
     /// Per year: `(domains, countries, nameserver hostnames)`.
     pub rows: Vec<(Year, usize, usize, usize)>,
@@ -101,7 +99,7 @@ impl YearlyTotals {
 }
 
 /// Fig 4: domains per country in the 2020 PDNS data.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DomainsPerCountry {
     /// `(country, domains)` sorted descending.
     pub rows: Vec<(CountryCode, usize)>,
@@ -130,7 +128,7 @@ impl DomainsPerCountry {
 }
 
 /// The per-year single-nameserver cohort and its churn (Fig 6).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SingleNsChurn {
     /// Per year: the count of `d_1NS` domains.
     pub d1ns_per_year: Vec<(Year, usize)>,
@@ -198,7 +196,7 @@ impl SingleNsChurn {
 }
 
 /// Fig 7: private-deployment share, `d_1NS` vs all domains, per year.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PrivateShare {
     /// Per year: `(year, d1ns_private_pct, all_private_pct)`.
     pub rows: Vec<(Year, f64, f64)>,
@@ -245,7 +243,7 @@ impl PrivateShare {
 
 /// The active-measurement replication view (Figs 8 and 9 plus the §IV-A
 /// headline shares).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ActiveReplication {
     /// CDF of the number of nameservers (`|P ∪ C|`) per responsive
     /// domain (Fig 9).

@@ -28,8 +28,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::{DomainName, Label};
 use govdns_simnet::prefix24;
 use govdns_trace::{DomainBlock, Step, TraceData, TraceLog};
@@ -41,7 +39,7 @@ use crate::tables::TextTable;
 use crate::{Campaign, MeasurementDataset};
 
 /// The smell catalogue, report order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SmellKind {
     /// Resolution of the zone's NS set depends on the zone itself.
     CyclicDependency,
@@ -88,7 +86,7 @@ impl SmellKind {
 /// verdict, by per-domain sequence number. The rendered line is carried
 /// for human consumption; the `(domain, seq)` pair is what a checker
 /// resolves against the trace file.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Citation {
     /// Per-domain event sequence number.
     pub seq: u32,
@@ -99,7 +97,7 @@ pub struct Citation {
 }
 
 /// One detected smell on one domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmellVerdict {
     /// Which smell.
     pub kind: SmellKind,
@@ -120,7 +118,7 @@ pub struct SmellVerdict {
 }
 
 /// The full smell pass over a dataset.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SmellAnalysis {
     /// All verdicts, ordered by `(domain, kind)`.
     pub verdicts: Vec<SmellVerdict>,

@@ -1,8 +1,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::{DomainName, SimDate};
 use govdns_simnet::{FaultStats, TrafficStats};
 use govdns_telemetry::TelemetrySnapshot;
@@ -13,7 +11,7 @@ use crate::probe::{DomainProbe, ResponseClass, ServerObservation, ServerProbe};
 use crate::seed::SeedDomain;
 
 /// The §III-B collection funnel: how many domains survived each stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Funnel {
     /// Domains queried after discovery and filtering.
     pub queried: usize,
@@ -27,7 +25,7 @@ pub struct Funnel {
 
 /// The complete output of a measurement campaign: seeds, the discovered
 /// domain list, one probe per domain, and bookkeeping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MeasurementDataset {
     /// The seed domains.
     pub seeds: Vec<SeedDomain>,
@@ -98,11 +96,6 @@ impl MeasurementDataset {
             *map.entry(d.country).or_insert(0) += 1;
         }
         map
-    }
-
-    /// The seed domains indexed by country.
-    pub fn seeds_by_country(&self) -> BTreeMap<CountryCode, &SeedDomain> {
-        self.seeds.iter().map(|s| (s.country, s)).collect()
     }
 
     /// One-row-per-domain CSV of the campaign's outcome — the artifact a

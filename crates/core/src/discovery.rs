@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::{DateRange, DomainName, RecordType, SimDate};
 use govdns_pdns::filter;
 use govdns_world::CountryCode;
@@ -13,7 +11,7 @@ use crate::seed::SeedDomain;
 use crate::Campaign;
 
 /// One domain selected for active measurement.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiscoveredDomain {
     /// The domain to probe.
     pub name: DomainName,
@@ -24,7 +22,7 @@ pub struct DiscoveredDomain {
 }
 
 /// Discovery parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiscoveryConfig {
     /// Recency window: only records seen inside it qualify (the paper
     /// used 2020-01-01 through collection in February 2021).

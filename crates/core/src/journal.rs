@@ -86,13 +86,6 @@ impl JournalSpec {
             flush_threshold: DEFAULT_FLUSH_THRESHOLD,
         }
     }
-
-    /// Sets the probe append-buffer flush threshold (builder style).
-    #[must_use]
-    pub fn with_flush_threshold(mut self, bytes: usize) -> Self {
-        self.flush_threshold = bytes;
-        self
-    }
 }
 
 /// The journal's first record: enough of the campaign's identity to

@@ -14,7 +14,6 @@ use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use govdns_model::{DomainName, Message, Rcode, RecordType, Soa};
 use govdns_simnet::{
@@ -37,7 +36,7 @@ const MAX_CHILD_HOSTS: usize = 32;
 /// charged to the [`RateLimiter`]'s per-destination retry budget; when
 /// the budget is exhausted the client takes the degraded observation as
 /// final rather than hammering a struggling server (§III-D ethics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total delivery attempts per exchange (1 = never retry).
     pub max_attempts: u32,
@@ -110,7 +109,7 @@ impl Default for RetryPolicy {
 /// exchanges all failed. The cooldown is measured in ledger rounds
 /// ([`QueryRound::rank`]), not wall-clock time, so breaker behaviour is
 /// deterministic and byte-identical across identically-seeded runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerPolicy {
     /// Consecutive failed exchanges (after retries) that trip the
     /// breaker. `0` disables breakers entirely — the default.
@@ -147,7 +146,7 @@ impl Default for BreakerPolicy {
 }
 
 /// Where a destination's breaker currently stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerPhase {
     /// Healthy: exchanges flow normally.
     Closed,
@@ -180,7 +179,7 @@ impl BreakerPhase {
 
 /// One destination's breaker state, as exported for journaling and the
 /// measurement-health report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerSnapshot {
     /// The destination address.
     pub addr: Ipv4Addr,
@@ -431,7 +430,7 @@ impl BreakerBank {
 }
 
 /// What one address said when asked for the domain's NS records.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ResponseClass {
     /// An authoritative answer carrying these NS targets.
     Authoritative(Vec<DomainName>),
@@ -561,7 +560,7 @@ impl ResponseClass {
 }
 
 /// One query observation against one address.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerObservation {
     /// The address queried.
     pub addr: Ipv4Addr,
@@ -573,7 +572,7 @@ pub struct ServerObservation {
 }
 
 /// Everything learned about one nameserver of the probed domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerProbe {
     /// The NS target hostname (as listed in `P` and/or `C`).
     pub host: DomainName,
@@ -625,7 +624,7 @@ impl ServerProbe {
 }
 
 /// The full probe record for one domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainProbe {
     /// The probed domain.
     pub domain: DomainName,
@@ -734,7 +733,7 @@ impl DomainProbe {
 
 /// The per-domain outcome classes a cross-run diff reports transitions
 /// between, ordered worst-to-best along the §III-B funnel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DomainClass {
     /// No parent-zone nameserver responded at all.
     Unreachable,

@@ -18,8 +18,6 @@ use std::cell::OnceCell;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use serde::{Deserialize, Serialize};
-
 use crate::analysis::attribution::ProbedAttribution;
 use crate::analysis::concentration::ConcentrationAnalysis;
 use crate::analysis::consistency::ConsistencyAnalysis;
@@ -37,7 +35,7 @@ use crate::{
 };
 
 /// Level mix of the studied domains (§III-B).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LevelMix {
     /// Second-level share (%).
     pub second: f64,
@@ -76,7 +74,7 @@ impl LevelMix {
 /// that needed retries or a second round, the retry-budget spend, and
 /// the injected-fault tally (zero on a clean network). Chaos runs use
 /// this section to check the probing machinery absorbed the faults.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MeasurementHealth {
     /// Responsive domains whose answers needed retries or round 2.
     pub degraded_domains: usize,
@@ -120,10 +118,8 @@ pub struct MeasurementHealth {
     /// off or no degraded domain was sampled).
     pub exemplars: Vec<String>,
     /// Operational smell verdicts emitted by the smell pass (§V).
-    #[serde(default)]
     pub smell_verdicts: usize,
     /// Distinct domains with at least one smell verdict.
-    #[serde(default)]
     pub smell_domains: usize,
 }
 
@@ -243,7 +239,7 @@ pub mod failpoint {
 
 /// One analysis stage that panicked during report generation: the
 /// partial report carries these instead of aborting.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisFailure {
     /// Stage name (matches the `analysis.<stage>` span).
     pub stage: String,
@@ -372,7 +368,7 @@ fn longitudinal_sections(
 }
 
 /// Everything the paper's evaluation section reports, regenerated.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// The measurement dataset the analyses ran on.
     pub dataset: MeasurementDataset,
@@ -404,7 +400,6 @@ pub struct Report {
     pub remedies: RemediationSummary,
     /// §V: operational smell verdicts with proposed refactorings
     /// (evidence chains attach when a trace log is available).
-    #[serde(default)]
     pub smells: SmellAnalysis,
     /// Chaos hardening: retry spend, fault tally, degraded share.
     pub health: MeasurementHealth,

@@ -2,8 +2,6 @@
 //! link to the `d_gov` (reserved suffix or registered domain) that roots
 //! the study of that country.
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::{DomainName, SimDate};
 use govdns_simnet::StubResolver;
 use govdns_world::CountryCode;
@@ -11,7 +9,7 @@ use govdns_world::CountryCode;
 use crate::Campaign;
 
 /// How a seed domain was justified.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeedKind {
     /// A suffix documented as reserved for government use (`gov.au`).
     ReservedSuffix,
@@ -22,7 +20,7 @@ pub enum SeedKind {
 }
 
 /// Where the FQDN used for extraction came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeedProvenance {
     /// The Knowledge Base portal link itself.
     PortalLink,
@@ -32,7 +30,7 @@ pub enum SeedProvenance {
 }
 
 /// One selected seed domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeedDomain {
     /// The country.
     pub country: CountryCode,

@@ -2,8 +2,6 @@
 //! `NS_daily` mode (Fig 5), empirical CDFs (Figs 9 and 12), and
 //! percentages.
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::DateRange;
 
 /// The mode of a multiset given as `(value, weight)` pairs; ties break
@@ -53,7 +51,7 @@ pub fn ns_daily_mode(spans: &[DateRange], year: DateRange) -> Option<usize> {
 }
 
 /// An empirical CDF over `f64` samples.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cdf {
     sorted: Vec<f64>,
 }

@@ -2,8 +2,6 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// Days per week; the paper's PDNS stability filter keeps records whose
 /// first-seen/last-seen span is at least this many days (the largest
 /// resolver cache TTL among BIND, Unbound, MaraDNS, Windows DNS, and
@@ -24,9 +22,7 @@ pub type Year = i32;
 /// assert_eq!(d.year(), 2020);
 /// assert_eq!((d + 1).ymd(), (2020, 3, 1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDate(i64);
 
 impl SimDate {
@@ -145,7 +141,7 @@ impl FromStr for SimDate {
 /// An inclusive date range `[start, end]`.
 ///
 /// Used for PDNS time-window queries and per-year bucketing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DateRange {
     /// First day of the range.
     pub start: SimDate,

@@ -1,11 +1,9 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DomainName, RecordType, ResourceRecord, RrSet};
 
 /// DNS response codes used in the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rcode {
     /// No error (may still carry an empty answer section — NODATA).
     NoError,
@@ -63,7 +61,7 @@ impl fmt::Display for Rcode {
 }
 
 /// Whether a message is a query or a response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MessageKind {
     /// A question sent to a server.
     Query,
@@ -72,7 +70,7 @@ pub enum MessageKind {
 }
 
 /// The single question a message carries.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
     /// The queried name.
     pub name: DomainName,
@@ -97,7 +95,7 @@ impl fmt::Display for Question {
 /// assert!(r.aa);
 /// # Ok::<(), govdns_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Transaction id, echoed by responses.
     pub id: u16,

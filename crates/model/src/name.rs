@@ -1,8 +1,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ModelError;
 
 /// Maximum number of octets in a wire-format domain name (RFC 1035 §3.1).
@@ -17,7 +15,7 @@ const MAX_LABEL_LEN: usize = 63;
 /// construction. The study's pipeline also encounters *relative-label*
 /// misconfigurations (a bare `ns` leaking out of a zone file); those are
 /// representable as a one-label [`DomainName`].
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Label(String);
 
 impl Label {
@@ -87,7 +85,7 @@ impl AsRef<str> for Label {
 /// assert!(name.is_subdomain_of(&"gov.example".parse()?));
 /// # Ok::<(), govdns_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DomainName {
     labels: Vec<Label>,
 }

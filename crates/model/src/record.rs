@@ -1,8 +1,6 @@
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DomainName, Soa};
 
 /// Time-to-live of a resource record, in seconds.
@@ -11,7 +9,7 @@ pub type Ttl = u32;
 /// The record types the study's pipeline queries or observes.
 ///
 /// Wire codes follow RFC 1035 / RFC 3596.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RecordType {
     /// IPv4 address record.
     A,
@@ -88,7 +86,7 @@ impl fmt::Display for RecordType {
 }
 
 /// Typed rdata for a [`ResourceRecord`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RecordData {
     /// An IPv4 address.
     A(Ipv4Addr),
@@ -171,7 +169,7 @@ impl fmt::Display for RecordData {
 /// assert_eq!(rr.rtype(), RecordType::Ns);
 /// # Ok::<(), govdns_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResourceRecord {
     /// The owner name the record is attached to.
     pub name: DomainName,

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DomainName, RecordData, RecordType, ResourceRecord, Ttl};
 
 /// A set of records sharing one owner name and type.
@@ -19,7 +17,7 @@ use crate::{DomainName, RecordData, RecordType, ResourceRecord, Ttl};
 /// assert_eq!(set.len(), 2);
 /// # Ok::<(), govdns_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RrSet {
     name: DomainName,
     rtype: RecordType,

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::DomainName;
 
 /// Start-of-authority rdata.
@@ -20,7 +18,7 @@ use crate::DomainName;
 /// assert!(soa.rname.to_string().contains("amazon"));
 /// # Ok::<(), govdns_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Soa {
     /// Primary master nameserver for the zone.
     pub mname: DomainName,

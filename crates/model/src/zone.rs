@@ -1,8 +1,6 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DomainName, RecordData, RecordType, RrSet, Soa, Ttl};
 
 const DEFAULT_TTL: Ttl = 3600;
@@ -42,7 +40,7 @@ pub enum ZoneLookup {
 /// Records are held per owner name, per type, as [`RrSet`]s. NS RRsets at
 /// names strictly below the origin define zone cuts; lookups at or beneath
 /// a cut yield [`ZoneLookup::Referral`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
     origin: DomainName,
     records: BTreeMap<DomainName, BTreeMap<RecordType, RrSet>>,
@@ -116,11 +114,6 @@ impl Zone {
     /// The RRset at exactly `name`/`rtype`, ignoring zone cuts.
     pub fn rrset(&self, name: &DomainName, rtype: RecordType) -> Option<&RrSet> {
         self.records.get(name)?.get(&rtype)
-    }
-
-    /// Whether any RRset exists at exactly `name`.
-    pub fn has_name(&self, name: &DomainName) -> bool {
-        self.records.contains_key(name)
     }
 
     /// Iterates over all `(owner, rrset)` pairs in the zone.

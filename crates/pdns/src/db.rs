@@ -1,8 +1,6 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::{DateRange, DomainName, RecordData, RecordType, SimDate};
 
 use crate::{PdnsEntry, PdnsRef};
@@ -27,21 +25,21 @@ use crate::{PdnsEntry, PdnsRef};
 /// assert_eq!(hits[0].count, 10);
 /// # Ok::<(), govdns_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PdnsDb {
     /// reversed-name key → entries at that owner name.
     names: BTreeMap<String, NameEntries>,
     total_entries: usize,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct NameEntries {
     name: DomainName,
     /// Keyed by `(rtype code, rdata presentation)` for a stable order.
     records: BTreeMap<(u16, String), Stamp>,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Stamp {
     rdata: RecordData,
     first_seen: SimDate,

@@ -1,12 +1,10 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::{DateRange, DomainName, RecordData, RecordType, SimDate};
 
 /// One coalesced passive-DNS entry: a unique `(rrname, rrtype, rdata)`
 /// tuple with the span over which sensors observed it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PdnsEntry {
     /// The record's owner name.
     pub name: DomainName,

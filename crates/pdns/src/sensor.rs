@@ -1,6 +1,5 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use govdns_model::{DateRange, DomainName, RecordData};
 
@@ -13,7 +12,7 @@ use crate::PdnsDb;
 /// never observed, and first-seen dates lag the record's actual creation.
 /// Both effects matter to the study — they are why it validates seed
 /// domains against other sources and treats PDNS-derived dates carefully.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorConfig {
     /// Probability that a record is ever observed at all.
     pub coverage: f64,

@@ -3,11 +3,10 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// A /24 IPv4 prefix, the granularity the paper uses for its first
 /// topological-diversity cut (Table I's |24ns| column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix24(u32);
 
 impl Prefix24 {

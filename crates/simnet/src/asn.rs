@@ -1,8 +1,6 @@
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 /// An autonomous-system number.
 pub type Asn = u32;
 
@@ -20,7 +18,7 @@ pub type Asn = u32;
 /// assert_eq!(db.lookup("192.0.2.1".parse()?), None);
 /// # Ok::<(), std::net::AddrParseError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AsnDb {
     // start-of-range → (end-of-range inclusive, asn)
     ranges: BTreeMap<u32, (u32, Asn)>,

@@ -24,15 +24,13 @@
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::DomainName;
 
 use crate::addr::mix;
 use crate::{prefix24, Prefix24};
 
 /// The kind of fault that fired on a delivery, for accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// A flapping server swallowed the query (transient timeout).
     Flap,
@@ -71,7 +69,7 @@ impl FaultDecision {
 }
 
 /// Which deliveries a [`FaultRule`] applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultScope {
     /// Every destination.
     All,
@@ -97,7 +95,7 @@ impl FaultScope {
 /// `(destination, query name)` pair — a "20 % flap rate" means a fifth
 /// of the pairs flap on *every* run with the same seed, not that each
 /// packet flips a coin.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultProfile {
     /// Per-server flapping: an affected `(server, qname)` pair times out
     /// until the client has burned `recover_after` attempts on it, then
@@ -144,7 +142,7 @@ pub enum FaultProfile {
 }
 
 /// A scoped fault behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRule {
     /// Which deliveries the profile applies to.
     pub scope: FaultScope,
@@ -154,7 +152,7 @@ pub struct FaultRule {
 
 /// Aggregate injected-fault counters, mirrored into telemetry as
 /// `fault.*` when the network has a registry attached.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Queries swallowed by flapping servers.
     pub flap_timeouts: u64,
@@ -193,7 +191,7 @@ impl FaultStats {
 /// assert_eq!(first, again, "decisions are deterministic");
 /// # Ok::<(), govdns_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     rules: Vec<FaultRule>,
@@ -350,16 +348,6 @@ impl FaultPlan {
                 || self.degraded_prefixes.contains(&prefix24(dst)))
     }
 
-    /// The blackholed addresses, sorted.
-    pub fn blackholed_addrs(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        self.blackhole_addrs.iter().copied()
-    }
-
-    /// The blackholed /24s, sorted.
-    pub fn blackholed_prefixes(&self) -> impl Iterator<Item = Prefix24> + '_ {
-        self.blackhole_prefixes.iter().copied()
-    }
-
     /// Whether the outage layer swallows queries to `dst`.
     pub fn is_blackholed(&self, dst: Ipv4Addr) -> bool {
         self.blackhole_addrs.contains(&dst) || self.blackhole_prefixes.contains(&prefix24(dst))
@@ -496,7 +484,7 @@ impl FaultPlan {
 /// instead of hand-assembling rules.
 ///
 /// [`RunnerConfig`]: ../govdns_core/struct.RunnerConfig.html
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChaosProfile {
     /// Flapping servers plus mild latency spikes: every fault is
     /// transient and recoverable by retries or the second round.

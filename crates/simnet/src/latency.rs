@@ -1,7 +1,5 @@
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic per-destination latency model.
 ///
 /// Latency is `base + spread(dst)` where the spread is a stable hash of the
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// span. The measurement pipeline sums these to report per-domain probe
 /// cost; the paper notes defective delegations inflate resolution latency,
 /// and this model makes that observable in the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyModel {
     /// Minimum round-trip time, milliseconds.
     pub base_ms: u32,

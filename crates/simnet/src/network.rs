@@ -4,7 +4,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 
 use govdns_model::{wire, Message, Rcode};
 use govdns_telemetry::{Counter, Histogram, Registry};
@@ -143,7 +142,7 @@ impl DeliveryTrace {
 /// Aggregate traffic counters, kept in wire-format bytes so the simulated
 /// measurement campaign's footprint is comparable to a real one (the
 /// paper's ethics section is about exactly this load).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Queries sent into the network.
     pub queries_sent: u64,
@@ -319,13 +318,6 @@ impl SimNetwork {
     /// A snapshot of the injected-fault counters.
     pub fn fault_stats(&self) -> FaultStats {
         self.fault_stats.snapshot()
-    }
-
-    /// Sets the latency model (builder style).
-    #[must_use]
-    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
-        self
     }
 
     /// Sets the packet-loss probability per exchange, in `[0, 1]`.

@@ -2,8 +2,6 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::{
     DomainName, Message, Rcode, RecordData, RecordType, ResourceRecord, RrSet, Zone, ZoneLookup,
 };
@@ -13,7 +11,7 @@ use govdns_model::{
 /// The paper's *defective delegations* (§IV-C) cover servers that exist but
 /// "do not answer queries for that zone"; these are the concrete ways that
 /// happens in the wild.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LameMode {
     /// Replies `REFUSED` — the classic lame response.
     Refused,
@@ -27,7 +25,7 @@ pub enum LameMode {
 }
 
 /// What a simulated authoritative server does with queries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerBehavior {
     /// Answers correctly from its configured zones.
     Responsive,

@@ -3,8 +3,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// A lock-free histogram over a fixed set of bucket upper bounds.
 ///
 /// Values land in the first bucket whose bound is `>= value`; anything
@@ -122,7 +120,7 @@ impl Histogram {
 }
 
 /// A frozen [`Histogram`]: bucket counts plus exact sum/min/max.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct HistogramSnapshot {
     /// Ascending bucket upper bounds.
     pub bounds: Vec<f64>,

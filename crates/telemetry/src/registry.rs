@@ -72,13 +72,6 @@ impl Registry {
         self.histogram_or(name, Histogram::bytes)
     }
 
-    /// The histogram registered under `name`, created with the given
-    /// bounds on first use (an existing histogram keeps its original
-    /// buckets).
-    pub fn histogram_with_bounds(&self, name: &str, bounds: Vec<f64>) -> Histogram {
-        self.histogram_or(name, || Histogram::with_bounds(bounds))
-    }
-
     fn histogram_or(&self, name: &str, make: impl FnOnce() -> Histogram) -> Histogram {
         if let Some(h) = self.inner.histograms.read().get(name) {
             return h.clone();

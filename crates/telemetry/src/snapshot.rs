@@ -5,13 +5,12 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use govdns_model::json::quoted;
-use serde::{Deserialize, Serialize};
 
 use crate::HistogramSnapshot;
 
 /// A frozen pipeline stage: accumulated wall-clock time and how many
 /// spans contributed to it.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StageSnapshot {
     /// Total wall-clock seconds across all spans of this stage.
     pub total_secs: f64,
@@ -36,7 +35,7 @@ impl StageSnapshot {
 /// Every query the rate limiter admits is booked here: split by
 /// measurement round, and summarized per destination so the "bounded
 /// load per server" claim is checkable after the fact.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueryLedger {
     /// Total queries admitted by the rate limiter.
     pub total: u64,
@@ -84,7 +83,7 @@ impl QueryLedger {
 
 /// Everything the [`crate::Registry`] knew at snapshot time, as owned
 /// data: safe to store in datasets, serialize, merge, and render.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TelemetrySnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
@@ -318,8 +317,8 @@ impl TelemetrySnapshot {
         out
     }
 
-    /// Serializes the snapshot as a JSON object (hand-rolled: the
-    /// vendored `serde` is derive-only).
+    /// Serializes the snapshot as a JSON object, written by hand so that
+    /// its key order and number formatting stay byte-stable.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
         push_map(&mut out, "counters", &self.counters, |out, v| {

@@ -256,11 +256,6 @@ impl DomainBlock {
     pub fn event(&self, seq: u32) -> Option<&TraceEvent> {
         self.events.iter().find(|e| e.seq == seq)
     }
-
-    /// All events belonging to one protocol step, in emission order.
-    pub fn events_in(&self, step: Step) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.step == step)
-    }
 }
 
 /// A snapshot the flight recorder took when a trigger fired.

@@ -1,12 +1,10 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::DomainName;
 
 /// ISO 3166-1 alpha-2 country code, lowercase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CountryCode([u8; 2]);
 
 impl CountryCode {
@@ -47,7 +45,7 @@ impl FromStr for CountryCode {
 }
 
 /// UN M49 sub-regions (the grouping Tables II–III report coverage over).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(missing_docs)]
 pub enum SubRegion {
     NorthernAfrica,
@@ -137,7 +135,7 @@ impl fmt::Display for SubRegion {
 
 /// How many government domains a country contributes, shaping the heavy
 /// tail of Fig 4. `Top10` countries carry explicit paper-scale counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EgovTier {
     /// One of the ten countries with the most PDNS records; carries its
     /// Table I domain count at paper scale.
@@ -154,7 +152,7 @@ pub enum EgovTier {
 }
 
 /// One UN member country in the synthetic world.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Country {
     /// ISO alpha-2 code.
     pub code: CountryCode,

@@ -1,11 +1,9 @@
-use serde::{Deserialize, Serialize};
-
 use govdns_model::DomainName;
 
 use crate::ProviderId;
 
 /// How a domain's authoritative service is operated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeploymentStyle {
     /// Nameservers hosted inside the domain's own `d_gov` (the paper's
     /// "private ADNS deployment").
@@ -38,7 +36,7 @@ impl DeploymentStyle {
 /// The policy describes what an outside observer would find when resolving
 /// the pair's hostnames: one shared address, distinct addresses in one
 /// /24, distinct /24s within one AS, or distinct ASes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiversityPolicy {
     /// Both hostnames resolve to the same IPv4 address (the pattern the
     /// paper traces to one `d_gov` — Thailand's shared pairs).
@@ -74,7 +72,7 @@ impl DiversityPolicy {
 /// so distinct domains share nameservers — which is why the paper can
 /// check most nameservers more than once. The pool indexes pairs; the
 /// generator assigns each pair concrete addresses once.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NsPool {
     pairs: Vec<(DomainName, DomainName)>,
 }

@@ -1,8 +1,6 @@
-use serde::{Deserialize, Serialize};
-
 /// The Sommese et al. parent/child disagreement categories the paper
 /// classifies inconsistent domains into (§IV-D, Fig 13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InconsistencyKind {
     /// The parent's NS set is a strict subset of the child's.
     PSubsetC,
@@ -22,7 +20,7 @@ pub enum InconsistencyKind {
 /// Each variant corresponds to a phenomenon the paper measures; the
 /// generator injects them at calibrated rates and the pipeline must
 /// rediscover them from the outside.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     /// The domain's parent zone itself is dead: every nameserver of the
     /// parent times out, so the probe gets no parent response at all
@@ -58,7 +56,7 @@ pub enum FaultClass {
 }
 
 /// The set of faults assigned to one domain.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     classes: Vec<FaultClass>,
 }

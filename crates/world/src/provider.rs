@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use govdns_model::DomainName;
 
 use crate::country::{Country, CountryCode, EgovTier};
@@ -15,7 +13,7 @@ const LAST_YEAR: i32 = crate::calibration::LAST_YEAR;
 /// How a provider names its servers — enough structure to reproduce the
 /// classification rules the paper applies (regex for Amazon, registered
 /// domains and SOA fields for the rest).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NamingStyle {
     /// `ns-<n>.awsdns-<k>.{com,net,org,info}` — matched by the `awsdns-`
     /// label prefix, the paper's regex case.
@@ -113,7 +111,7 @@ impl NamingStyle {
 }
 
 /// A third-party DNS service provider in the market model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Provider {
     /// Catalog index.
     pub id: ProviderId,
@@ -214,7 +212,7 @@ fn stable_rank(id: u64, code: CountryCode) -> f64 {
 }
 
 /// What a classification rule applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchTarget {
     /// Match against the nameserver hostname.
     Hostname,
@@ -226,7 +224,7 @@ pub enum MatchTarget {
 /// How the measurement pipeline recognizes a provider from a nameserver
 /// hostname or a zone's SOA fields — public knowledge, the same kind the
 /// paper applies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProviderMatcher {
     /// Classification label.
     pub label: String,
@@ -237,7 +235,7 @@ pub struct ProviderMatcher {
 }
 
 /// One classification rule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MatchRule {
     /// The hostname's second label starts with this prefix (Amazon's
     /// `awsdns-` pattern).
@@ -542,7 +540,7 @@ fn named_providers() -> Vec<Provider> {
 /// The provider market: the ~25 named providers of Tables II–III plus
 /// per-country local hosting companies that carry the heterogeneous bulk
 /// of the ecosystem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProviderCatalog {
     providers: Vec<Provider>,
 }

@@ -1,7 +1,6 @@
 use std::collections::BTreeMap;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use govdns_model::DomainName;
 
@@ -24,7 +23,7 @@ pub type PriceUsd = f64;
 /// assert!(r.price_of(&"cloudflare.com".parse()?).is_none());
 /// # Ok::<(), govdns_model::ModelError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registrar {
     available: BTreeMap<DomainName, PriceUsd>,
 }

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use govdns_model::{DateRange, DomainName, SimDate};
 
 use crate::country::CountryCode;
@@ -7,7 +5,7 @@ use crate::deployment::DeploymentStyle;
 
 /// One stretch of a domain's deployment history during which its NS set
 /// was stable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Epoch {
     /// When this deployment was in effect.
     pub span: DateRange,
@@ -26,7 +24,7 @@ impl Epoch {
 
 /// A domain's full deployment history: chronological, non-overlapping
 /// epochs from creation to removal (or to the present).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainTimeline {
     /// The domain.
     pub name: DomainName,

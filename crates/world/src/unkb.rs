@@ -1,7 +1,5 @@
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::DomainName;
 
 use crate::country::CountryCode;
@@ -9,7 +7,7 @@ use crate::country::CountryCode;
 /// One country's entry in the UN E-Government Knowledge Base: the link to
 /// its national portal, plus (when filed) the domain reported in the
 /// member-states questionnaire.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortalEntry {
     /// The country.
     pub country: CountryCode,
@@ -22,7 +20,7 @@ pub struct PortalEntry {
 /// The UN E-Government Knowledge Base stand-in: per-country portal links
 /// with the paper's documented quirks (unresolvable links, MSQ
 /// mismatches, one squatted portal).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UnKnowledgeBase {
     entries: BTreeMap<CountryCode, PortalEntry>,
 }
@@ -62,7 +60,7 @@ impl UnKnowledgeBase {
 /// ccTLD registry documentation — the stand-in for the manual search of
 /// IANA's root database and each registry's policy pages that the paper
 /// performs to verify a suffix is reserved for government use.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegistryDocs {
     reserved: BTreeMap<DomainName, bool>,
 }

@@ -1,7 +1,5 @@
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use govdns_model::{DomainName, SimDate};
 
 /// The Web Archive stand-in: for each government-registered domain, the
@@ -10,7 +8,7 @@ use govdns_model::{DomainName, SimDate};
 /// The paper uses this to bound PDNS history for seed domains that are
 /// registered domains rather than reserved suffixes — a domain may have
 /// had a previous, non-government life.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WebArchive {
     earliest: BTreeMap<DomainName, SimDate>,
 }

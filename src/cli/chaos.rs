@@ -50,57 +50,57 @@ pub(crate) fn chaos(mut args: Args) -> Result<Outcome, Error> {
     };
     let report = Report::generate(&campaign, config);
 
-    println!("chaos profile: {profile} (seed {seed}, scale {scale})");
-    println!();
-    println!("== collection funnel ==");
-    println!("queried:            {}", report.funnel.queried);
-    println!("parent-responsive:  {}", report.funnel.parent_responsive);
-    println!("parent-nonempty:    {}", report.funnel.parent_nonempty);
-    println!("child-responsive:   {}", report.funnel.child_responsive);
-    println!("second-round probes: {}", report.dataset.retried);
-    println!();
-    println!("== injected faults ==");
+    outln!("chaos profile: {profile} (seed {seed}, scale {scale})");
+    outln!();
+    outln!("== collection funnel ==");
+    outln!("queried:            {}", report.funnel.queried);
+    outln!("parent-responsive:  {}", report.funnel.parent_responsive);
+    outln!("parent-nonempty:    {}", report.funnel.parent_nonempty);
+    outln!("child-responsive:   {}", report.funnel.child_responsive);
+    outln!("second-round probes: {}", report.dataset.retried);
+    outln!();
+    outln!("== injected faults ==");
     let f = &report.dataset.faults;
-    println!("flap timeouts: {}", f.flap_timeouts);
-    println!("losses:        {}", f.losses);
-    println!("refused:       {}", f.refused);
-    println!("truncated:     {}", f.truncated);
-    println!("delayed:       {}", f.delayed);
-    println!("outcome-changing total: {}", f.injected());
-    println!();
-    println!("== measurement health ==");
+    outln!("flap timeouts: {}", f.flap_timeouts);
+    outln!("losses:        {}", f.losses);
+    outln!("refused:       {}", f.refused);
+    outln!("truncated:     {}", f.truncated);
+    outln!("delayed:       {}", f.delayed);
+    outln!("outcome-changing total: {}", f.injected());
+    outln!();
+    outln!("== measurement health ==");
     let h = &report.health;
-    println!("degraded domains:    {} ({:.1}% of responsive)", h.degraded_domains, h.degraded_pct);
-    println!("recovered in round 2: {}", h.recovered_in_round2);
-    println!("retry attempts:      {}", h.retry_attempts);
-    println!("retry recovered:     {}", h.retry_recovered);
-    println!("retry exhausted:     {}", h.retry_exhausted);
-    println!("retry budget denied: {}", h.retry_budget_denied);
+    outln!("degraded domains:    {} ({:.1}% of responsive)", h.degraded_domains, h.degraded_pct);
+    outln!("recovered in round 2: {}", h.recovered_in_round2);
+    outln!("retry attempts:      {}", h.retry_attempts);
+    outln!("retry recovered:     {}", h.retry_recovered);
+    outln!("retry exhausted:     {}", h.retry_exhausted);
+    outln!("retry budget denied: {}", h.retry_budget_denied);
     if !h.flaky_countries.is_empty() {
-        println!("flakiest countries (responsive/degraded):");
+        outln!("flakiest countries (responsive/degraded):");
         for &(c, total, degraded) in &h.flaky_countries {
-            println!("  {c}  {total}/{degraded}");
+            outln!("  {c}  {total}/{degraded}");
         }
     }
     if breaker {
-        println!();
-        println!("== circuit breakers ==");
-        println!("tripped:          {}", h.breaker_tripped);
-        println!("exchanges denied: {}", h.breaker_denied);
-        println!("reclosed:         {}", h.breaker_reclosed);
-        println!("reopened:         {}", h.breaker_reopened);
+        outln!();
+        outln!("== circuit breakers ==");
+        outln!("tripped:          {}", h.breaker_tripped);
+        outln!("exchanges denied: {}", h.breaker_denied);
+        outln!("reclosed:         {}", h.breaker_reclosed);
+        outln!("reopened:         {}", h.breaker_reopened);
         if !h.quarantined.is_empty() {
-            println!("quarantined destinations (denied exchanges):");
+            outln!("quarantined destinations (denied exchanges):");
             for (dst, denied) in &h.quarantined {
-                println!("  {dst}  {denied}");
+                outln!("  {dst}  {denied}");
             }
         }
     }
-    println!();
-    println!("== remediation ==");
-    println!("flakiness follow-ups: {}", report.remedies.flakiness_followups);
-    println!("quarantine follow-ups: {}", report.remedies.quarantine_followups);
-    println!();
+    outln!();
+    outln!("== remediation ==");
+    outln!("flakiness follow-ups: {}", report.remedies.flakiness_followups);
+    outln!("quarantine follow-ups: {}", report.remedies.quarantine_followups);
+    outln!();
     print_fingerprint(&report.dataset);
     Ok(Outcome::Clean)
 }
@@ -130,20 +130,20 @@ pub(crate) fn resume(mut args: Args) -> Result<Outcome, Error> {
 
     if resume {
         let replay = JournalReplay::try_load(&journal_path).map_err(Error::File)?;
-        println!("== journal replay ==");
-        println!("records:        {}", replay.records);
-        println!("probes replayed: {}", replay.probes.len());
-        println!(
+        outln!("== journal replay ==");
+        outln!("records:        {}", replay.records);
+        outln!("probes replayed: {}", replay.probes.len());
+        outln!(
             "checkpoint:     {}",
             replay
                 .checkpoint
                 .as_ref()
                 .map_or("none".to_owned(), |c| format!("at probe {}", c.probes_done)),
         );
-        println!("dropped bytes:  {} (torn/corrupt tail)", replay.dropped_bytes);
-        println!("prior resumes:  {}", replay.resumes);
-        println!("completed:      {}", replay.completed);
-        println!();
+        outln!("dropped bytes:  {} (torn/corrupt tail)", replay.dropped_bytes);
+        outln!("prior resumes:  {}", replay.resumes);
+        outln!("completed:      {}", replay.completed);
+        outln!();
     }
 
     let world = world(seed, scale);
@@ -180,33 +180,29 @@ pub(crate) fn resume(mut args: Args) -> Result<Outcome, Error> {
 
     let dataset = govdns::core::run_campaign_with(&campaign, config, &ctl);
 
-    println!("== campaign ==");
-    println!("probes:          {}", dataset.probes.len());
-    println!("queries sent:    {}", dataset.traffic.queries_sent);
-    println!("second-round probes: {}", dataset.retried);
+    outln!("== campaign ==");
+    outln!("probes:          {}", dataset.probes.len());
+    outln!("queries sent:    {}", dataset.traffic.queries_sent);
+    outln!("second-round probes: {}", dataset.retried);
     if dataset.faults.injected() > 0 {
-        println!("injected faults: {}", dataset.faults.injected());
+        outln!("injected faults: {}", dataset.faults.injected());
     }
     let counters = &dataset.telemetry.counters;
     for key in ["journal.replayed_probes", "journal.records_appended", "probe.breaker.tripped"] {
         if let Some(v) = counters.get(key) {
-            println!("{key}: {v}");
+            outln!("{key}: {v}");
         }
     }
     // Delta checkpoints keep this flat as the campaign grows; full
     // snapshots made it grow with the state already collected.
     let journal_bytes = std::fs::metadata(&journal_path).map_or(0, |m| m.len());
-    println!("journal bytes/probe: {}", journal_bytes / dataset.probes.len().max(1) as u64);
-    println!();
+    outln!("journal bytes/probe: {}", journal_bytes / dataset.probes.len().max(1) as u64);
+    outln!();
     print_fingerprint(&dataset);
     Ok(Outcome::Clean)
 }
 
 fn print_fingerprint(dataset: &MeasurementDataset) {
     let json = dataset.canonical_json();
-    println!(
-        "dataset fingerprint: {:016x} ({} bytes canonical)",
-        fnv64(json.as_bytes()),
-        json.len()
-    );
+    outln!("dataset fingerprint: {:016x} ({} bytes canonical)", fnv64(json.as_bytes()), json.len());
 }

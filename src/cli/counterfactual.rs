@@ -91,17 +91,17 @@ fn sweep(mut args: Args, detail: bool) -> Result<Outcome, Error> {
     }
 
     if json {
-        println!("{}", report.canonical_json());
+        outln!("{}", report.canonical_json());
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
         if detail {
             for entry in &report.entries {
                 if entry.darkened.is_empty() {
                     continue;
                 }
-                println!("\n{} darkens {} domains:", entry.id, entry.domains_darkened);
+                outln!("\n{} darkens {} domains:", entry.id, entry.domains_darkened);
                 for d in &entry.darkened {
-                    println!("  {} ({}) {} -> {}", d.domain, d.country, d.from, d.to);
+                    outln!("  {} ({}) {} -> {}", d.domain, d.country, d.from, d.to);
                 }
             }
         }

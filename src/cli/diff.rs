@@ -89,10 +89,10 @@ fn record(mut args: Args) -> Result<Outcome, Error> {
     let smells = SmellReport::from_analysis(&report.smells, seed, scale_ppm);
     write(&out.join("smells.json"), smells.canonical_json())?;
 
-    println!("archived run: seed {seed}, scale_ppm {scale_ppm}");
-    println!("domains measured:  {}", report.funnel.queried);
-    println!("degraded domains:  {}", report.health.degraded_domains);
-    println!("analysis failures: {}", report.analysis_failures.len());
+    outln!("archived run: seed {seed}, scale_ppm {scale_ppm}");
+    outln!("domains measured:  {}", report.funnel.queried);
+    outln!("degraded domains:  {}", report.health.degraded_domains);
+    outln!("analysis failures: {}", report.analysis_failures.len());
 
     if report.analysis_failures.is_empty() {
         return Ok(Outcome::Clean);
@@ -110,13 +110,9 @@ fn record(mut args: Args) -> Result<Outcome, Error> {
                 let path = case.save(dir).map_err(|e| {
                     Error::File(format!("cannot write corpus case to {}: {e}", dir.display()))
                 })?;
-                println!(
-                    "corpus case captured: {} ({} domains)",
-                    path.display(),
-                    case.domains.len()
-                );
+                outln!("corpus case captured: {} ({} domains)", path.display(), case.domains.len());
             }
-            Err(reason) => println!("corpus capture skipped: {reason}"),
+            Err(reason) => outln!("corpus capture skipped: {reason}"),
         }
     }
     Ok(Outcome::Clean)
@@ -167,9 +163,9 @@ fn compare(mut args: Args) -> Result<Outcome, Error> {
 
     let diff = build_diff(a, b, telemetry).map_err(Error::File)?;
     if json {
-        println!("{}", diff.to_json());
+        outln!("{}", diff.to_json());
     } else {
-        print!("{}", diff.render_text(&opts));
+        out!("{}", diff.render_text(&opts));
     }
     Ok(Outcome::finding_if(gate && !diff.is_empty()))
 }
@@ -232,7 +228,7 @@ fn replay(mut args: Args) -> Result<Outcome, Error> {
     let mut failed = false;
     for path in &paths {
         let case = CorpusCase::load(path).map_err(Error::File)?;
-        println!(
+        outln!(
             "replaying {}: trigger {}, {} domains, world seed {}",
             case.name,
             case.trigger,
@@ -241,16 +237,16 @@ fn replay(mut args: Args) -> Result<Outcome, Error> {
         );
         let outcome = case.replay().map_err(Error::File)?;
         if outcome.is_clean() {
-            println!("  byte-identical: {} of {} domains", outcome.matched, outcome.domains);
+            outln!("  byte-identical: {} of {} domains", outcome.matched, outcome.domains);
         } else {
             failed = true;
-            println!(
+            outln!(
                 "  MISMATCH: {} of {} domains diverged",
                 outcome.mismatches.len(),
                 outcome.domains
             );
             for m in &outcome.mismatches {
-                println!("  {}: {}", m.domain, m.detail);
+                outln!("  {}: {}", m.domain, m.detail);
             }
         }
     }

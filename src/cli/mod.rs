@@ -1,15 +1,34 @@
 //! The shared layer of the `govdns` subcommands: one argument reader
-//! that parses each flag value by its real type, one error type, and
-//! one mapping from a finished run to the process exit status (the
-//! EXIT STATUS section of [`USAGE`]).
+//! that parses each flag value by its real type, one error type, one
+//! stdout writer, and one mapping from a finished run to the process
+//! exit status (the EXIT STATUS section of [`USAGE`]).
 
-use std::fmt::Display;
+use std::fmt::{self, Display};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
 use govdns::core::BreakerPolicy;
 use govdns::prelude::*;
+
+/// `print!` through [`out`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::out(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`out`].
+macro_rules! outln {
+    () => {
+        $crate::cli::out(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 pub(crate) mod chaos;
 pub(crate) mod counterfactual;
@@ -117,10 +136,43 @@ impl Outcome {
     }
 }
 
+/// Set by the first stdout write that fails, after which output is
+/// dropped: `None` when the reader has gone (a broken pipe), else the
+/// error.
+static STDOUT_FAILED: OnceLock<Option<String>> = OnceLock::new();
+
+/// Writes to stdout: the one writer behind `out!` and `outln!`. A
+/// reader that goes away early (`govdns … | head`) is not an error: the
+/// run drops the rest of its output and finishes as it would have. Any
+/// other write error is kept for [`exit_code`].
+pub(crate) fn out(args: fmt::Arguments) {
+    if STDOUT_FAILED.get().is_none() {
+        record(io::stdout().lock().write_fmt(args));
+    }
+}
+
+fn record(written: io::Result<()>) {
+    if let Err(e) = written {
+        let _ = STDOUT_FAILED.set((e.kind() != io::ErrorKind::BrokenPipe).then(|| e.to_string()));
+    }
+}
+
+/// Flushes stdout; a file error if a stdout write failed for a reason
+/// other than a closed pipe.
+fn flush_stdout() -> Result<(), Error> {
+    if STDOUT_FAILED.get().is_none() {
+        record(io::stdout().lock().flush());
+    }
+    match STDOUT_FAILED.get() {
+        Some(Some(e)) => Err(Error::File(format!("cannot write stdout: {e}"))),
+        _ => Ok(()),
+    }
+}
+
 /// The exit code for a subcommand's result; errors are reported on
 /// stderr, usage errors followed by the usage text.
 pub(crate) fn exit_code(result: Result<Outcome, Error>) -> ExitCode {
-    match result {
+    match result.and_then(|outcome| flush_stdout().map(|()| outcome)) {
         Ok(Outcome::Clean) => ExitCode::SUCCESS,
         Ok(Outcome::Finding) => ExitCode::from(1),
         Err(Error::Usage(message)) => {

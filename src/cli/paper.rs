@@ -75,7 +75,7 @@ fn build_report(opts: &Options) -> Report {
 
 fn audit(opts: &Options) -> Result<Outcome, Error> {
     let report = build_report(opts);
-    println!("{}", report.render());
+    outln!("{}", report.render());
     Ok(Outcome::Clean)
 }
 
@@ -85,7 +85,7 @@ fn hijack(opts: &Options) -> Result<Outcome, Error> {
     let report = build_report(opts);
     let d = &report.delegation;
     for a in &d.available {
-        println!(
+        outln!(
             "{}\t{:.2} USD\t{} domains\t{} countries",
             a.name,
             a.price_usd,
@@ -112,10 +112,10 @@ fn country(opts: &Options) -> Result<Outcome, Error> {
     let responsive = probes.iter().filter(|p| p.parent_nonempty()).count();
     let defective = probes.iter().filter(|p| p.defective().0).count();
     let single = probes.iter().filter(|p| p.parent_nonempty() && p.ns_union().len() == 1).count();
-    println!("country: {code}");
-    println!("probed: {}  responsive: {responsive}", probes.len());
-    println!("defective delegations: {defective}");
-    println!("single-nameserver domains: {single}");
+    outln!("country: {code}");
+    outln!("probed: {}  responsive: {responsive}", probes.len());
+    outln!("defective delegations: {defective}");
+    outln!("single-nameserver domains: {single}");
     Ok(Outcome::Clean)
 }
 
@@ -134,13 +134,13 @@ fn remedies(opts: &Options) -> Result<Outcome, Error> {
         if plan.is_empty() {
             continue;
         }
-        println!("{} ({country}):", plan.domain);
+        outln!("{} ({country}):", plan.domain);
         for r in &plan.remedies {
-            println!("  - {r:?}");
+            outln!("  - {r:?}");
         }
         printed += 1;
         if printed >= 50 {
-            println!("... (truncated at 50 domains)");
+            outln!("... (truncated at 50 domains)");
             break;
         }
     }
@@ -159,14 +159,14 @@ fn check(opts: &Options) -> Result<Outcome, Error> {
     let text = read_to_string(path.as_ref())?;
     let zone =
         govdns::model::zonefile::parse(&text).map_err(|e| Error::File(format!("{path}: {e}")))?;
-    println!("{}: OK — origin {}, {} rrsets", path, zone.origin(), zone.rrset_count());
+    outln!("{}: OK — origin {}, {} rrsets", path, zone.origin(), zone.rrset_count());
     // The lint the paper would have loved: single-label NS targets are
     // almost always trailing-dot typos.
     let mut warnings = 0;
     for set in zone.iter() {
         for target in set.ns_targets() {
             if target.level() == 1 {
-                println!(
+                outln!(
                     "warning: NS target `{target}` at {} is a single label — \
                      likely a trailing-dot typo",
                     set.name()

@@ -68,15 +68,15 @@ impl View {
             None => report.clone(),
         };
         if self.json {
-            println!("{}", report.canonical_json());
+            outln!("{}", report.canonical_json());
         } else {
-            print!("{}", report.render_text());
+            out!("{}", report.render_text());
         }
         if let Some(domain) = &self.explain {
             match report.explain(domain) {
                 Some(text) => {
-                    println!();
-                    print!("{text}");
+                    outln!();
+                    out!("{text}");
                 }
                 None => {
                     eprintln!("error: --explain {domain}: no verdicts for this domain");

@@ -80,7 +80,7 @@ pub(crate) fn run(mut args: Args) -> Result<Outcome, Error> {
 fn inspect(path: &Path, opts: &Options) -> Result<Outcome, Error> {
     let log = read_trace_file(path)?;
     if let Some(h) = &log.header {
-        println!(
+        outln!(
             "trace: {} of {} domains sampled (sample {} ppm, flight capacity {}), complete: {}",
             log.domains.len(),
             h.domains,
@@ -90,7 +90,7 @@ fn inspect(path: &Path, opts: &Options) -> Result<Outcome, Error> {
         );
     }
     if log.dropped_bytes > 0 {
-        println!("torn tail: {} bytes dropped", log.dropped_bytes);
+        outln!("torn tail: {} bytes dropped", log.dropped_bytes);
     }
     let class_matches = |e: &TraceEvent| match &opts.class {
         None => true,
@@ -111,16 +111,16 @@ fn inspect(path: &Path, opts: &Options) -> Result<Outcome, Error> {
         if events.is_empty() {
             continue;
         }
-        println!("\n{} (index {}, {} events):", block.domain, block.index, block.events.len());
+        outln!("\n{} (index {}, {} events):", block.domain, block.index, block.events.len());
         for e in events {
-            println!("  {}", e.render());
+            outln!("  {}", e.render());
         }
     }
     if !log.dumps.is_empty() {
-        println!("\nflight dumps:");
+        outln!("\nflight dumps:");
         for d in &log.dumps {
             let domain = d.domain.as_deref().unwrap_or("-");
-            println!("  {} domain={} events={}", d.trigger, domain, d.events.len());
+            outln!("  {} domain={} events={}", d.trigger, domain, d.events.len());
         }
     }
     Ok(Outcome::Clean)
@@ -147,44 +147,44 @@ fn summarize(opts: &Options, out: &Path) -> Result<Outcome, Error> {
     let ctl = CampaignTelemetry::new();
     let report = Report::generate_with(&campaign, config, &ctl);
 
-    println!("traced chaos campaign: profile flaky, seed {}, scale {}", opts.seed, opts.scale);
-    println!();
-    println!("== campaign ==");
-    println!("queried:             {}", report.funnel.queried);
-    println!("parent-responsive:   {}", report.funnel.parent_responsive);
-    println!("second-round probes: {}", report.dataset.retried);
-    println!("degraded domains:    {}", report.health.degraded_domains);
+    outln!("traced chaos campaign: profile flaky, seed {}, scale {}", opts.seed, opts.scale);
+    outln!();
+    outln!("== campaign ==");
+    outln!("queried:             {}", report.funnel.queried);
+    outln!("parent-responsive:   {}", report.funnel.parent_responsive);
+    outln!("second-round probes: {}", report.dataset.retried);
+    outln!("degraded domains:    {}", report.health.degraded_domains);
     // NOT printed: traffic/fault totals and the dataset fingerprint.
     // Those count the resolver's internal queries too, whose number
     // depends on per-worker cache warmth — they vary with the worker
     // count even though every probe outcome (and the trace) does not.
 
     let log = read_trace_file(out)?;
-    println!();
-    println!("== trace ==");
+    outln!();
+    outln!("== trace ==");
     let header = log
         .header
         .as_ref()
         .ok_or_else(|| Error::File(format!("{}: trace has no header", out.display())))?;
-    println!("domains sampled:     {} of {}", log.domains.len(), header.domains);
-    println!("events recorded:     {}", log.events_total());
-    println!("complete:            {}", log.completed);
+    outln!("domains sampled:     {} of {}", log.domains.len(), header.domains);
+    outln!("events recorded:     {}", log.events_total());
+    outln!("complete:            {}", log.completed);
     let mut by_trigger: BTreeMap<&str, usize> = BTreeMap::new();
     for d in &log.dumps {
         *by_trigger.entry(d.trigger.as_str()).or_insert(0) += 1;
     }
     for (trigger, n) in &by_trigger {
-        println!("dumps[{trigger}]: {n}");
+        outln!("dumps[{trigger}]: {n}");
     }
 
     // One exemplar causal timeline, reconstructed from the trace file —
     // the first degraded domain that was sampled.
     if let Some(block) = first_degraded(&report.dataset, &log) {
-        println!();
-        println!("== exemplar degraded-domain timeline ==");
-        println!("{} ({} events):", block.domain, block.events.len());
+        outln!();
+        outln!("== exemplar degraded-domain timeline ==");
+        outln!("{} ({} events):", block.domain, block.events.len());
         for line in block.timeline() {
-            println!("  {line}");
+            outln!("  {line}");
         }
     }
 
@@ -211,10 +211,10 @@ fn summarize(opts: &Options, out: &Path) -> Result<Outcome, Error> {
         write(path, report.dataset.telemetry.render_prometheus())?;
     }
 
-    println!();
+    outln!();
     let bytes = std::fs::read(out)
         .map_err(|e| Error::File(format!("cannot read {}: {e}", out.display())))?;
-    println!("trace fingerprint: {:016x} ({} bytes)", fnv64(&bytes), bytes.len());
+    outln!("trace fingerprint: {:016x} ({} bytes)", fnv64(&bytes), bytes.len());
     Ok(outcome)
 }
 
@@ -231,24 +231,24 @@ fn first_degraded<'l>(dataset: &MeasurementDataset, log: &'l TraceLog) -> Option
 /// Explain a domain's remediation verdict by replaying the trace events
 /// that support each remedy.
 fn explain(block: &DomainBlock, probe: &DomainProbe, campaign: &Campaign<'_>) {
-    println!();
-    println!("== explain {} ==", block.domain);
+    outln!();
+    outln!("== explain {} ==", block.domain);
     let plan = plan_for(probe, campaign);
     if plan.is_empty() {
-        println!("no remediation needed; full timeline:");
+        outln!("no remediation needed; full timeline:");
         for line in block.timeline() {
-            println!("  {line}");
+            outln!("  {line}");
         }
         return;
     }
     for remedy in &plan.remedies {
-        println!("remedy: {remedy:?}");
+        outln!("remedy: {remedy:?}");
         let support = supporting(remedy, block);
         if support.is_empty() {
-            println!("  (no per-query trace events bear on this remedy)");
+            outln!("  (no per-query trace events bear on this remedy)");
         }
         for e in support {
-            println!("  {}", e.render());
+            outln!("  {}", e.render());
         }
     }
 }

@@ -1,12 +1,14 @@
 //! The `govdns` exit-code contract: 0 for a clean run, 1 for a finding
 //! the caller gates on, 2 for a usage or input error — and never a
-//! panic (101), whatever the argument vector or file.
+//! panic (101), whatever the argument vector or file, and whenever the
+//! reader of its stdout goes away.
 //!
-//! Every row is cheap: it fails before a campaign starts, or reads a
-//! small archived artifact. The finding paths that need a campaign run
-//! in the `ci.sh` smokes.
+//! Every exit-code row is cheap: it fails before a campaign starts, or
+//! reads a small archived artifact. The finding paths that need a
+//! campaign run in the `ci.sh` smokes.
 
-use std::process::Command;
+use std::io::Read;
+use std::process::{Command, Stdio};
 
 /// A path no file can exist at (its parent is a regular file), so reads
 /// and writes fail even for a privileged user.
@@ -151,4 +153,50 @@ fn clean_runs_exit_0() {
     let inspect = ["trace", "--inspect", path, "--domain", "no.such.domain"];
     expect_exit(0, &[&["smell", "inspect", SMELLS, "--json"], &inspect]);
     let _ = std::fs::remove_file(&trace);
+}
+
+/// Runs `govdns` with `args`, reads a few bytes of its stdout and then
+/// closes the pipe, as `govdns … | head -c 10` does; returns its exit
+/// code and stderr.
+fn govdns_into_closed_pipe(args: &[&str]) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_govdns"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the govdns binary runs");
+    let mut stdout = child.stdout.take().expect("stdout is piped");
+    stdout.read_exact(&mut [0; 10]).expect("govdns writes to stdout");
+    drop(stdout);
+    let out = child.wait_with_output().expect("govdns exits");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn a_closed_stdout_is_a_clean_exit() {
+    let dir = std::env::temp_dir().join(format!("govdns-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    let path = |name: &str| dir.join(name).to_str().expect("temp paths are UTF-8").to_owned();
+    let (trace, closed, open) = (path("t.trace"), path("closed.json"), path("open.json"));
+    expect_exit(0, &[&["trace", "--seed", "7", "--scale", "0.005", "--out", &trace]]);
+    fn run(out: &str) -> [&str; 9] {
+        ["smell", "run", "--seed", "7", "--scale", "0.005", "--out", out, "--json"]
+    }
+    // Each writes far more than a pipe buffer holds, so the writes after
+    // the reader has gone fail.
+    let rows: [&[&str]; 3] =
+        [&["smell", "inspect", SMELLS, "--json"], &["trace", "--inspect", &trace], &run(&closed)];
+    let mut wrong = Vec::new();
+    for args in rows {
+        let (got, stderr) = govdns_into_closed_pipe(args);
+        if got != Some(0) || stderr.contains("panicked") {
+            wrong.push(format!("govdns {args:?} | head: exit {got:?}, want 0\n{stderr}"));
+        }
+    }
+    expect_exit(0, &[&run(&open)]);
+    let same =
+        std::fs::read(&closed).ok() == Some(std::fs::read(&open).expect("--out was written"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+    assert!(same, "--out differs when stdout closes early");
 }
