@@ -1,12 +1,12 @@
-//! Substrate microbenches: wire codec, zone lookup, PDNS wildcard search,
-//! and iterative resolution.
+//! Substrate microbenches: wire codec, zone lookup (answer and NXDOMAIN),
+//! PDNS wildcard search, and iterative resolution.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use govdns_bench::fixture;
-use govdns_model::{wire, DomainName, Message, RecordType};
-use govdns_simnet::StubResolver;
+use govdns_model::{wire, DomainName, Message, Rcode, RecordType};
+use govdns_simnet::{ServerBehavior, StubResolver};
 
 fn substrates(c: &mut Criterion) {
     let f = fixture();
@@ -43,6 +43,24 @@ fn substrates(c: &mut Criterion) {
     let busy_q = Message::query(2, sample_domain.clone(), RecordType::Ns);
     c.bench_function("server_handle_query", |b| {
         b.iter(|| black_box(busiest.handle(black_box(&busy_q))))
+    });
+
+    // The NXDOMAIN path: the largest zone asked for a name it does not hold.
+    let (nx_server, nx_q) = f
+        .world
+        .network
+        .servers()
+        .filter(|s| *s.behavior() == ServerBehavior::Responsive)
+        .flat_map(|s| s.zones().iter().map(move |z| (s, z)))
+        .max_by_key(|(_, z)| z.rrset_count())
+        .map(|(s, z)| {
+            let absent = z.origin().prepend("no-such-name").expect("a valid child name");
+            (s, Message::query(3, absent, RecordType::A))
+        })
+        .expect("responsive servers host zones");
+    assert_eq!(nx_server.handle(&nx_q).map(|r| r.rcode), Some(Rcode::NxDomain));
+    c.bench_function("server_handle_nxdomain", |b| {
+        b.iter(|| black_box(nx_server.handle(black_box(&nx_q))))
     });
 
     // PDNS left-hand wildcard search over the biggest seed.

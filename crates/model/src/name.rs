@@ -1,5 +1,7 @@
+use std::borrow::Borrow;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use crate::ModelError;
 
@@ -77,6 +79,11 @@ impl AsRef<str> for Label {
 /// passive-DNS database, and every analysis index by it, so it implements
 /// the full set of ordering and hashing traits.
 ///
+/// The labels are shared: a clone bumps a reference count rather than
+/// copying every label, so messages, record sets and index keys can hold
+/// the same name for free. Names are immutable; every operation that
+/// changes the label list builds a new name.
+///
 /// ```
 /// use govdns_model::DomainName;
 /// let name: DomainName = "WWW.Portal.GOV.example".parse()?;
@@ -87,13 +94,13 @@ impl AsRef<str> for Label {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DomainName {
-    labels: Vec<Label>,
+    labels: Arc<[Label]>,
 }
 
 impl DomainName {
     /// The root name (`.`).
     pub fn root() -> Self {
-        DomainName { labels: Vec::new() }
+        DomainName { labels: Arc::from([]) }
     }
 
     /// Builds a name from labels in presentation order.
@@ -106,8 +113,7 @@ impl DomainName {
     where
         I: IntoIterator<Item = Label>,
     {
-        let labels: Vec<Label> = labels.into_iter().collect();
-        let name = DomainName { labels };
+        let name = DomainName { labels: labels.into_iter().collect() };
         name.check_len()?;
         Ok(name)
     }
@@ -158,7 +164,7 @@ impl DomainName {
         if self.labels.is_empty() {
             None
         } else {
-            Some(DomainName { labels: self.labels[1..].to_vec() })
+            Some(DomainName { labels: Arc::from(&self.labels[1..]) })
         }
     }
 
@@ -203,7 +209,7 @@ impl DomainName {
         if n >= self.labels.len() {
             return self.clone();
         }
-        DomainName { labels: self.labels[self.labels.len() - n..].to_vec() }
+        DomainName { labels: Arc::from(&self.labels[self.labels.len() - n..]) }
     }
 
     /// Strips `suffix` from the end, returning the leading labels as a new
@@ -214,7 +220,7 @@ impl DomainName {
             return None;
         }
         let keep = self.labels.len() - suffix.labels.len();
-        Some(DomainName { labels: self.labels[..keep].to_vec() })
+        Some(DomainName { labels: Arc::from(&self.labels[..keep]) })
     }
 
     /// Iterates over `self` and every ancestor up to and including the root,
@@ -281,6 +287,20 @@ impl Iterator for Ancestors<'_> {
         let level = self.next_level?;
         self.next_level = level.checked_sub(1);
         Some(self.name.suffix(level))
+    }
+}
+
+/// Lets maps and sets keyed by [`DomainName`] be searched by a borrowed
+/// label slice — `map.get(&name.labels()[i..])` looks up an ancestor
+/// without building it.
+///
+/// `Borrow` requires that `Hash`, `Eq` and `Ord` agree between the two
+/// forms. They do: `DomainName` derives all three over its only field,
+/// an `Arc<[Label]>`, and `Arc<T>` delegates each of them to `T`. So a
+/// name hashes, compares and sorts exactly as its label slice does.
+impl Borrow<[Label]> for DomainName {
+    fn borrow(&self) -> &[Label] {
+        &self.labels
     }
 }
 

@@ -16,7 +16,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use crate::{
@@ -30,10 +29,15 @@ const FLAG_TC: u16 = 1 << 9;
 const CLASS_IN: u16 = 1;
 const POINTER_MASK: u8 = 0b1100_0000;
 
+/// Name suffixes already written, each with the offset a compression
+/// pointer to it would carry. A message holds a few dozen names, so a
+/// linear scan of borrowed label slices beats hashing owned suffixes.
+type Compression<'a> = Vec<(&'a [Label], u16)>;
+
 /// Encodes a message to wire format with name compression.
 pub fn encode(msg: &Message) -> Vec<u8> {
     let mut buf = Vec::with_capacity(512);
-    let mut compress: HashMap<DomainName, u16> = HashMap::new();
+    let mut compress = Compression::new();
 
     put_u16(&mut buf, msg.id);
     let mut flags = 0u16;
@@ -76,17 +80,18 @@ pub fn encoded_len(msg: &Message) -> usize {
     encode(msg).len()
 }
 
-fn encode_name(buf: &mut Vec<u8>, name: &DomainName, compress: &mut HashMap<DomainName, u16>) {
+fn encode_name<'a>(buf: &mut Vec<u8>, name: &'a DomainName, compress: &mut Compression<'a>) {
     let labels = name.labels();
     for i in 0..labels.len() {
-        let suffix = name.suffix(labels.len() - i);
-        if let Some(&off) = compress.get(&suffix) {
+        let suffix = &labels[i..];
+        // A suffix is recorded at most once, so the first offset wins.
+        if let Some(&(_, off)) = compress.iter().find(|(known, _)| *known == suffix) {
             put_u16(buf, 0xC000 | off);
             return;
         }
         // Pointers can only address the first 16 KiB - 2 bits of a message.
         if buf.len() < 0x3FFF {
-            compress.insert(suffix, buf.len() as u16);
+            compress.push((suffix, buf.len() as u16));
         }
         let l = labels[i].as_str().as_bytes();
         buf.push(l.len() as u8);
@@ -95,7 +100,7 @@ fn encode_name(buf: &mut Vec<u8>, name: &DomainName, compress: &mut HashMap<Doma
     buf.push(0);
 }
 
-fn encode_record(buf: &mut Vec<u8>, rr: &ResourceRecord, compress: &mut HashMap<DomainName, u16>) {
+fn encode_record<'a>(buf: &mut Vec<u8>, rr: &'a ResourceRecord, compress: &mut Compression<'a>) {
     encode_name(buf, &rr.name, compress);
     put_u16(buf, rr.rtype().code());
     put_u16(buf, CLASS_IN);

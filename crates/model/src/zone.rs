@@ -1,4 +1,4 @@
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
 use crate::{DomainName, RecordData, RecordType, RrSet, Soa, Ttl};
@@ -44,12 +44,17 @@ pub enum ZoneLookup {
 pub struct Zone {
     origin: DomainName,
     records: BTreeMap<DomainName, BTreeMap<RecordType, RrSet>>,
+    /// Every strict ancestor of an owner, from the origin down: the names
+    /// that have something beneath them. Zones only grow, so
+    /// [`add_with_ttl`](Self::add_with_ttl) keeps this exact, and an
+    /// empty non-terminal is one lookup rather than a scan of the zone.
+    interior: BTreeSet<DomainName>,
 }
 
 impl Zone {
     /// Creates an empty zone rooted at `origin`.
     pub fn new(origin: DomainName) -> Self {
-        Zone { origin, records: BTreeMap::new() }
+        Zone { origin, records: BTreeMap::new(), interior: BTreeSet::new() }
     }
 
     /// The zone origin (apex name).
@@ -74,6 +79,15 @@ impl Zone {
     /// Panics if `name` is not within the zone origin.
     pub fn add_with_ttl(&mut self, name: DomainName, ttl: Ttl, data: RecordData) {
         assert!(name.is_within(&self.origin), "record owner {name} outside zone {}", self.origin);
+        // Record the owner's ancestors, nearest first; once one is known,
+        // so are all above it.
+        for level in (self.origin.level()..name.level()).rev() {
+            let labels = &name.labels()[name.level() - level..];
+            if self.interior.contains(labels) {
+                break;
+            }
+            self.interior.insert(name.suffix(level));
+        }
         let rtype = data.rtype();
         self.records
             .entry(name.clone())
@@ -138,23 +152,17 @@ impl Zone {
         })
     }
 
-    /// Finds the closest enclosing zone cut strictly above or at `name`
-    /// (and strictly below the origin), if any.
+    /// Finds the zone cut at or above `name` and strictly below the
+    /// origin, if any; `name` must lie within the origin.
+    ///
+    /// The referral goes to the *highest* cut (closest to the origin),
+    /// because data below a cut is occluded, so the walk starts one label
+    /// below the origin and goes down towards `name`.
     fn closest_cut(&self, name: &DomainName) -> Option<&RrSet> {
-        // Walk from the cut closest to the origin downwards would also
-        // work; we walk ancestors from `name` up and keep the *last* match
-        // below origin — but the correct referral is the *highest* cut
-        // (closest to the origin) because data below a cut is occluded.
-        let mut best: Option<&RrSet> = None;
-        for anc in name.ancestors() {
-            if anc == self.origin || !anc.is_within(&self.origin) {
-                break;
-            }
-            if let Some(ns) = self.rrset(&anc, RecordType::Ns) {
-                best = Some(ns);
-            }
-        }
-        best
+        let labels = name.labels();
+        (0..labels.len() - self.origin.level())
+            .rev()
+            .find_map(|i| self.records.get(&labels[i..])?.get(&RecordType::Ns))
     }
 
     /// Authoritative lookup with zone-cut semantics. See [`ZoneLookup`].
@@ -184,9 +192,11 @@ impl Zone {
                 // An "empty non-terminal": the name has no records but
                 // names exist beneath it, so it is NoData, not NXDOMAIN.
                 // Names sort by presentation-order labels, which does not
-                // group subdomains together, so this is a scan; zones in
-                // the simulation are small enough for that to be cheap.
-                if self.records.keys().any(|k| k.is_subdomain_of(name)) {
+                // group subdomains together: finding one means scanning
+                // every owner of the zone on every NXDOMAIN, and a
+                // TLD-like zone has an owner per delegation and per glue
+                // host. The interior set answers it in one lookup.
+                if self.interior.contains(name) {
                     ZoneLookup::NoData
                 } else {
                     ZoneLookup::NxDomain

@@ -1,11 +1,14 @@
 //! Property-based tests for the DNS data model: name parsing, wire codec
-//! round-trips, date arithmetic, and zone lookup invariants.
+//! round-trips, date arithmetic, and zone lookup invariants, plus oracle
+//! tests that hold the hot-path algorithms to the ones they replaced.
+
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
 
 use govdns_model::{
-    wire, DateRange, DomainName, Message, RecordData, RecordType, ResourceRecord, SimDate, Soa,
-    Zone, ZoneLookup,
+    wire, DateRange, DomainName, Label, Message, RecordData, RecordType, ResourceRecord, SimDate,
+    Soa, Zone, ZoneLookup,
 };
 
 fn label_strategy() -> impl Strategy<Value = String> {
@@ -93,6 +96,7 @@ proptest! {
     #[test]
     fn wire_roundtrip_response(msg in message_strategy()) {
         let bytes = wire::encode(&msg);
+        prop_assert_eq!(&bytes, &reference_wire::encode(&msg));
         prop_assert_eq!(wire::decode(&bytes).unwrap(), msg);
     }
 
@@ -181,4 +185,316 @@ proptest! {
     fn zonefile_parse_never_panics(text in "[ -~\n]{0,400}") {
         let _ = govdns_model::zonefile::parse(&text);
     }
+}
+
+// ---------------------------------------------------------------------
+// Oracles. Names share their labels and are looked up by borrowed label
+// slices, the wire encoder keeps its compression table as a list of
+// borrowed suffixes, and zones answer the empty-non-terminal question
+// from an index. Each property below keeps the algorithm that was
+// replaced as a reference and checks the new one gives the same result.
+// ---------------------------------------------------------------------
+
+/// Names drawn from a small label pool, so that suffixes repeat and
+/// compression, shared ancestors and empty non-terminals all occur.
+fn pooled_name_strategy(max_labels: usize) -> impl Strategy<Value = DomainName> {
+    prop::collection::vec(prop::sample::select(vec!["a", "b", "ns1", "gov", "zz"]), 0..max_labels)
+        .prop_map(|labels| {
+            DomainName::from_labels(labels.iter().map(|l| Label::new(l).unwrap())).unwrap()
+        })
+}
+
+fn pooled_rdata_strategy() -> impl Strategy<Value = RecordData> {
+    prop_oneof![
+        any::<[u8; 4]>().prop_map(|o| RecordData::A(o.into())),
+        pooled_name_strategy(5).prop_map(RecordData::Ns),
+        pooled_name_strategy(5).prop_map(RecordData::Cname),
+        "[a-z]{0,8}".prop_map(RecordData::Txt),
+        (pooled_name_strategy(4), pooled_name_strategy(4))
+            .prop_map(|(m, r)| RecordData::Soa(Soa::new(m, r))),
+    ]
+}
+
+fn pooled_records() -> impl Strategy<Value = Vec<ResourceRecord>> {
+    prop::collection::vec(
+        (pooled_name_strategy(5), any::<u32>(), pooled_rdata_strategy())
+            .prop_map(|(name, ttl, data)| ResourceRecord::new(name, ttl, data)),
+        0..8,
+    )
+}
+
+/// The encoder as it was: every suffix of every name, owned, in a
+/// `HashMap`.
+mod reference_wire {
+    use std::collections::HashMap;
+
+    use govdns_model::{DomainName, Message, MessageKind, RecordData, ResourceRecord};
+
+    pub fn encode(msg: &Message) -> Vec<u8> {
+        let mut buf = Vec::new();
+        let mut compress: HashMap<DomainName, u16> = HashMap::new();
+        put_u16(&mut buf, msg.id);
+        let mut flags = 0u16;
+        if msg.kind == MessageKind::Response {
+            flags |= 1 << 15;
+        }
+        if msg.aa {
+            flags |= 1 << 10;
+        }
+        if msg.tc {
+            flags |= 1 << 9;
+        }
+        flags |= u16::from(msg.rcode.code());
+        put_u16(&mut buf, flags);
+        put_u16(&mut buf, 1);
+        put_u16(&mut buf, msg.answers.len() as u16);
+        put_u16(&mut buf, msg.authority.len() as u16);
+        put_u16(&mut buf, msg.additional.len() as u16);
+        encode_name(&mut buf, &msg.question.name, &mut compress);
+        put_u16(&mut buf, msg.question.rtype.code());
+        put_u16(&mut buf, 1);
+        for rr in msg.answers.iter().chain(&msg.authority).chain(&msg.additional) {
+            encode_record(&mut buf, rr, &mut compress);
+        }
+        buf
+    }
+
+    fn put_u16(buf: &mut Vec<u8>, v: u16) {
+        buf.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_u32(buf: &mut Vec<u8>, v: u32) {
+        buf.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn encode_name(buf: &mut Vec<u8>, name: &DomainName, compress: &mut HashMap<DomainName, u16>) {
+        let labels = name.labels();
+        for i in 0..labels.len() {
+            let suffix = name.suffix(labels.len() - i);
+            if let Some(&off) = compress.get(&suffix) {
+                put_u16(buf, 0xC000 | off);
+                return;
+            }
+            if buf.len() < 0x3FFF {
+                compress.insert(suffix, buf.len() as u16);
+            }
+            let l = labels[i].as_str().as_bytes();
+            buf.push(l.len() as u8);
+            buf.extend_from_slice(l);
+        }
+        buf.push(0);
+    }
+
+    fn encode_record(
+        buf: &mut Vec<u8>,
+        rr: &ResourceRecord,
+        compress: &mut HashMap<DomainName, u16>,
+    ) {
+        encode_name(buf, &rr.name, compress);
+        put_u16(buf, rr.rtype().code());
+        put_u16(buf, 1);
+        put_u32(buf, rr.ttl);
+        let len_pos = buf.len();
+        put_u16(buf, 0);
+        let rdata_start = buf.len();
+        match &rr.data {
+            RecordData::A(a) => buf.extend_from_slice(&a.octets()),
+            RecordData::Aaaa(a) => buf.extend_from_slice(&a.octets()),
+            RecordData::Ns(n) | RecordData::Cname(n) | RecordData::Ptr(n) => {
+                encode_name(buf, n, compress)
+            }
+            RecordData::Soa(soa) => {
+                encode_name(buf, &soa.mname, compress);
+                encode_name(buf, &soa.rname, compress);
+                for v in [soa.serial, soa.refresh, soa.retry, soa.expire, soa.minimum] {
+                    put_u32(buf, v);
+                }
+            }
+            RecordData::Txt(t) => {
+                for chunk in t.as_bytes().chunks(255) {
+                    buf.push(chunk.len() as u8);
+                    buf.extend_from_slice(chunk);
+                }
+                if t.is_empty() {
+                    buf.push(0);
+                }
+            }
+        }
+        let rdlen = (buf.len() - rdata_start) as u16;
+        buf[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
+    }
+}
+
+/// `Zone::lookup` as it was: walk every ancestor for the highest cut,
+/// then scan every owner for an empty non-terminal.
+fn reference_lookup(zone: &Zone, name: &DomainName, rtype: RecordType) -> ZoneLookup {
+    let origin = zone.origin();
+    if !name.is_within(origin) {
+        return ZoneLookup::OutOfZone;
+    }
+    let mut best = None;
+    for anc in name.ancestors() {
+        if anc == *origin || !anc.is_within(origin) {
+            break;
+        }
+        if let Some(ns) = zone.rrset(&anc, RecordType::Ns) {
+            best = Some(ns);
+        }
+    }
+    if let Some(ns) = best {
+        let mut glue = Vec::new();
+        for target in ns.ns_targets() {
+            if !target.is_within(origin) {
+                continue;
+            }
+            for d in zone.rrset(target, RecordType::A).into_iter().flat_map(|set| set.iter()) {
+                if let Some(addr) = d.as_a() {
+                    glue.push((target.clone(), addr));
+                }
+            }
+        }
+        return ZoneLookup::Referral { cut: ns.name().clone(), ns: ns.clone(), glue };
+    }
+    let owners: BTreeSet<DomainName> = zone.iter().map(|set| set.name().clone()).collect();
+    if owners.contains(name) {
+        match (zone.rrset(name, rtype), zone.rrset(name, RecordType::Cname)) {
+            (Some(set), _) => ZoneLookup::Answer(set.clone()),
+            (None, Some(cname)) if rtype != RecordType::Cname => ZoneLookup::Answer(cname.clone()),
+            _ => ZoneLookup::NoData,
+        }
+    } else if owners.iter().any(|k| k.is_subdomain_of(name)) {
+        ZoneLookup::NoData
+    } else {
+        ZoneLookup::NxDomain
+    }
+}
+
+/// A zone at `gov.zz` whose owners come from the label pool: nested
+/// delegations with in-zone and out-of-zone targets, glue under cuts,
+/// empty non-terminals, and — when neither the SOA nor a depth-0 owner
+/// is drawn — an apex with no records at all.
+fn pooled_zone_strategy() -> impl Strategy<Value = Zone> {
+    (
+        any::<bool>(),
+        prop::collection::vec((pooled_name_strategy(4), pooled_rdata_strategy()), 0..24),
+    )
+        .prop_map(|(soa, records)| {
+            let origin: DomainName = "gov.zz".parse().unwrap();
+            let mut zone = Zone::new(origin.clone());
+            if soa {
+                zone.set_soa(Soa::new(
+                    "ns1.gov.zz".parse().unwrap(),
+                    "hostmaster.gov.zz".parse().unwrap(),
+                ));
+            }
+            for (relative, data) in records {
+                let owner = DomainName::from_labels(
+                    relative.labels().iter().chain(origin.labels()).cloned(),
+                )
+                .unwrap();
+                // Point some NS records back into the zone so glue exists.
+                let data = match data {
+                    RecordData::Ns(target) if target.level() % 2 == 0 => RecordData::Ns(
+                        DomainName::from_labels(
+                            target.labels().iter().chain(origin.labels()).cloned(),
+                        )
+                        .unwrap(),
+                    ),
+                    other => other,
+                };
+                zone.add(owner, data);
+            }
+            zone
+        })
+}
+
+proptest! {
+    #[test]
+    fn wire_encode_matches_the_hashmap_encoder(
+        qname in pooled_name_strategy(5),
+        answers in pooled_records(),
+        authority in pooled_records(),
+        additional in pooled_records(),
+        id in any::<u16>(),
+    ) {
+        let mut msg = Message::query(id, qname, RecordType::Ns).response();
+        msg.answers = answers;
+        msg.authority = authority;
+        msg.additional = additional;
+        let bytes = wire::encode(&msg);
+        prop_assert_eq!(&bytes, &reference_wire::encode(&msg));
+        prop_assert_eq!(wire::encoded_len(&msg), bytes.len());
+        prop_assert_eq!(wire::decode(&bytes).unwrap(), msg);
+    }
+
+    #[test]
+    fn borrowed_suffix_lookups_match_owned_ones(
+        keys in prop::collection::vec(pooled_name_strategy(5), 0..24),
+        probes in prop::collection::vec(pooled_name_strategy(6), 1..12),
+    ) {
+        let hashed: HashMap<DomainName, usize> =
+            keys.iter().cloned().enumerate().map(|(i, k)| (k, i)).collect();
+        let ordered: BTreeMap<DomainName, usize> =
+            keys.iter().cloned().enumerate().map(|(i, k)| (k, i)).collect();
+        for name in probes.iter().chain(&keys) {
+            let labels = name.labels();
+            for i in 0..=labels.len() {
+                let owned = name.suffix(labels.len() - i);
+                prop_assert_eq!(hashed.get(&labels[i..]), hashed.get(&owned));
+                prop_assert_eq!(ordered.get(&labels[i..]), ordered.get(&owned));
+            }
+        }
+        let mut names = keys.clone();
+        names.extend(probes);
+        let mut as_labels: Vec<Vec<Label>> = names.iter().map(|n| n.labels().to_vec()).collect();
+        names.sort();
+        as_labels.sort();
+        let sorted: Vec<Vec<Label>> = names.iter().map(|n| n.labels().to_vec()).collect();
+        prop_assert_eq!(sorted, as_labels);
+    }
+
+    #[test]
+    fn zone_lookup_matches_the_walk_and_scan(
+        zone in pooled_zone_strategy(),
+        qnames in prop::collection::vec(pooled_name_strategy(6), 1..16),
+        rtype in prop::sample::select(RecordType::all().to_vec()),
+    ) {
+        let origin = zone.origin().clone();
+        // Every owner and every ancestor of one, inside and outside the
+        // zone, plus the drawn names placed under the origin and as-is.
+        let mut asked: Vec<DomainName> =
+            zone.iter().flat_map(|set| set.name().ancestors()).collect();
+        for q in qnames {
+            asked.push(
+                DomainName::from_labels(q.labels().iter().chain(origin.labels()).cloned())
+                    .unwrap(),
+            );
+            asked.push(q);
+        }
+        for name in &asked {
+            for t in [rtype, RecordType::Ns, RecordType::A] {
+                prop_assert_eq!(zone.lookup(name, t), reference_lookup(&zone, name, t), "{} {:?}", name, t);
+            }
+        }
+    }
+}
+
+#[test]
+fn wire_encode_matches_the_hashmap_encoder_past_the_pointer_limit() {
+    // Owners introduced past offset 0x3FFF cannot be pointer targets, so
+    // their repeats near the end must be written out in full.
+    let mut msg = Message::query(7, "gov.zz".parse().unwrap(), RecordType::A).response();
+    for i in 0..1200u32 {
+        let owner: DomainName = format!("host{i}.gov.zz").parse().unwrap();
+        msg.answers.push(ResourceRecord::new(owner, 300, RecordData::A(i.to_be_bytes().into())));
+    }
+    for i in (0..1200u32).step_by(37) {
+        let owner: DomainName = format!("host{i}.gov.zz").parse().unwrap();
+        let target: DomainName = format!("ns.host{i}.gov.zz").parse().unwrap();
+        msg.additional.push(ResourceRecord::new(owner, 60, RecordData::Ns(target)));
+    }
+    let bytes = wire::encode(&msg);
+    assert!(bytes.len() > 0x4000, "message is only {} bytes", bytes.len());
+    assert_eq!(bytes, reference_wire::encode(&msg));
+    assert_eq!(wire::decode(&bytes).unwrap(), msg);
 }

@@ -253,7 +253,6 @@ impl AtomicFaults {
 #[derive(Debug)]
 pub struct SimNetwork {
     servers: HashMap<Ipv4Addr, AuthoritativeServer>,
-    latency: LatencyModel,
     loss_rate: f64,
     /// Seed for the deterministic loss hash (see `loss_hits`).
     seed: u64,
@@ -269,7 +268,6 @@ impl SimNetwork {
     pub fn new(seed: u64) -> Self {
         SimNetwork {
             servers: HashMap::new(),
-            latency: LatencyModel::default(),
             loss_rate: 0.0,
             seed,
             stats: AtomicTraffic::default(),
@@ -364,11 +362,6 @@ impl SimNetwork {
     /// Iterates over all registered servers.
     pub fn servers(&self) -> impl Iterator<Item = &AuthoritativeServer> {
         self.servers.values()
-    }
-
-    /// The configured latency model.
-    pub fn latency(&self) -> LatencyModel {
-        self.latency
     }
 
     /// Whether baseline packet loss drops this attempt: a pure
@@ -480,7 +473,8 @@ impl SimNetwork {
         }
         let outcome = match reply {
             Some(msg) => {
-                let rtt_ms = self.latency.rtt_ms(dst).saturating_add(fault.extra_delay_ms);
+                let rtt_ms =
+                    LatencyModel::default().rtt_ms(dst).saturating_add(fault.extra_delay_ms);
                 let rbytes = wire::encoded_len(&msg) as u64;
                 if let Some(sink) = &sink {
                     sink.replies.inc();
@@ -493,7 +487,8 @@ impl SimNetwork {
                 DeliveryOutcome::Reply { msg, rtt_ms }
             }
             None => {
-                let waited_ms = self.latency.timeout_ms.saturating_add(fault.extra_delay_ms);
+                let waited_ms =
+                    LatencyModel::default().timeout_ms.saturating_add(fault.extra_delay_ms);
                 if let Some(sink) = &sink {
                     sink.timeouts.inc();
                     sink.rtt_ms.record(f64::from(waited_ms));
@@ -607,7 +602,7 @@ mod tests {
         let q = Message::query(1, n("gov.zz"), RecordType::Ns);
         let out = net.deliver(Ipv4Addr::new(192, 0, 2, 1), &q);
         assert!(out.reply().unwrap().is_authoritative_answer());
-        assert!(out.elapsed_ms() >= net.latency().base_ms);
+        assert!(out.elapsed_ms() >= LatencyModel::default().base_ms);
     }
 
     #[test]
@@ -616,7 +611,7 @@ mod tests {
         let q = Message::query(1, n("gov.zz"), RecordType::Ns);
         let out = net.deliver(Ipv4Addr::new(203, 0, 113, 200), &q);
         assert!(out.reply().is_none());
-        assert_eq!(out.elapsed_ms(), net.latency().timeout_ms);
+        assert_eq!(out.elapsed_ms(), LatencyModel::default().timeout_ms);
     }
 
     #[test]
@@ -807,7 +802,10 @@ mod tests {
         let q = Message::query(1, n("gov.zz"), RecordType::Ns);
         let out = net.deliver(Ipv4Addr::new(192, 0, 2, 1), &q);
         assert!(out.reply().is_none());
-        assert!(out.elapsed_ms() >= net.latency().timeout_ms + 500, "spike delays the wait");
+        assert!(
+            out.elapsed_ms() >= LatencyModel::default().timeout_ms + 500,
+            "spike delays the wait"
+        );
         let snap = registry.snapshot();
         assert_eq!(snap.counters["fault.flap_timeouts"], 1);
         assert_eq!(snap.counters["fault.delayed"], 1);

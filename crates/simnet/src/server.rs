@@ -54,7 +54,9 @@ pub enum ServerBehavior {
 /// Zones are shared `Arc`s: a third-party provider's server farm hosts the
 /// same customer zone on every replica, and the generated worlds contain
 /// providers serving tens of thousands of zones. An origin index keeps
-/// per-query zone selection at `O(qname depth)`.
+/// per-query zone selection at `O(qname depth)` lookups, each keyed by a
+/// borrowed slice of the qname's labels, so choosing a zone builds no
+/// name.
 ///
 /// ```
 /// use govdns_simnet::{AuthoritativeServer, ServerBehavior};
@@ -175,12 +177,10 @@ impl AuthoritativeServer {
 
     /// Picks the zone with the longest origin enclosing `name`.
     fn best_zone(&self, name: &DomainName) -> Option<&Zone> {
-        for anc in name.ancestors() {
-            if let Some(&idx) = self.by_origin.get(&anc) {
-                return Some(&self.zones[idx]);
-            }
-        }
-        None
+        let labels = name.labels();
+        (0..=labels.len())
+            .find_map(|i| self.by_origin.get(&labels[i..]))
+            .map(|&idx| &*self.zones[idx])
     }
 
     fn zone_response(&self, query: &Message, relative_bug: bool) -> Message {
