@@ -12,8 +12,8 @@
 # checked-in corpus artifact), the smell smoke (trace-cited operational
 # smell verdicts byte-stable across runs and worker counts, every
 # detector firing, and matching the checked-in corpus artifact), and
-# the bench guards (telemetry, campaign scaling, flight-recorder
-# overhead). The smokes drive the release `govdns` binary that the
+# the bench guards (telemetry, substrate rows, campaign scaling,
+# flight-recorder overhead). The smokes drive the release `govdns` binary that the
 # build stage produces.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -303,6 +303,28 @@ cargo bench -q -p govdns-bench --bench telemetry | tee /dev/stderr | awk '
 ' > BENCH_telemetry.json
 python3 -c "import json; d = json.load(open('BENCH_telemetry.json')); assert d, 'no benches parsed'" \
     || { echo "bench guard: BENCH_telemetry.json is empty or invalid" >&2; exit 1; }
+
+echo "== bench guard: substrate rows =="
+# Each substrate microbench prints `bench <id> <ns> ns/iter`, the median
+# of its timed batches. A row that is missing, or reads no positive
+# time, measures nothing.
+cargo bench -q -p govdns-bench --bench substrates > "$work/substrates.out"
+cat "$work/substrates.out"
+awk '
+    / ns\/iter / && $3 > 0 { seen[$2] = 1 }
+    END {
+        n = split("wire/encode wire/decode server_handle_query server_handle_nxdomain " \
+            "pdns_wildcard_search resolver_iterative_walk zonefile/parse pdns_tsv/export " \
+            "pdns_tsv/import trace/decode_domain trace/read", want, " ")
+        for (i = 1; i <= n; i++) {
+            if (!(want[i] in seen)) {
+                print "bench guard: substrate row " want[i] " missing or not positive" > "/dev/stderr"
+                bad = 1
+            }
+        }
+        exit bad
+    }
+' "$work/substrates.out"
 
 echo "== bench guard: campaign throughput scales with workers =="
 # End-to-end probes/sec at 1/2/4/8 workers over the same world. The

@@ -1,12 +1,16 @@
 //! Substrate microbenches: wire codec, zone lookup (answer and NXDOMAIN),
-//! PDNS wildcard search, and iterative resolution.
+//! PDNS wildcard search, iterative resolution, zone files, PDNS TSV, and
+//! the trace read-back (one domain record, one whole file).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use govdns_bench::fixture;
+use govdns_core::{run_campaign, Campaign, RunnerConfig};
 use govdns_model::{wire, DomainName, Message, Rcode, RecordType};
 use govdns_simnet::{ServerBehavior, StubResolver};
+use govdns_trace::{read_trace, TraceRecord, TraceSpec};
+use govdns_world::{WorldConfig, WorldGenerator};
 
 fn substrates(c: &mut Criterion) {
     let f = fixture();
@@ -112,6 +116,28 @@ fn substrates(c: &mut Criterion) {
         b.iter(|| black_box(govdns_pdns::export::from_tsv(black_box(&tsv)).unwrap().len()))
     });
     group.finish();
+
+    // Trace read-back: the file of a small fully traced campaign, and
+    // one of its domain records.
+    let world = WorldGenerator::new(WorldConfig::small(2022).with_scale(0.005)).generate();
+    let matchers = world.catalog.matchers();
+    let path = std::env::temp_dir().join(format!("govdns-substrates-{}.trace", std::process::id()));
+    let config = RunnerConfig { trace: Some(TraceSpec::new(&path)), ..RunnerConfig::default() };
+    run_campaign(&Campaign::new(&world, &matchers), config);
+    let log = read_trace(&path).expect("the campaign wrote its trace");
+    let block = TraceRecord::Domain(log.domains[log.domains.len() / 2].clone()).encode();
+    let file_bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
+    let mut group = c.benchmark_group("trace");
+    group.throughput(Throughput::Bytes(block.len() as u64));
+    group.bench_function("decode_domain", |b| {
+        b.iter(|| black_box(TraceRecord::decode(black_box(&block)).unwrap()))
+    });
+    group.throughput(Throughput::Bytes(file_bytes));
+    group.bench_function("read", |b| {
+        b.iter(|| black_box(read_trace(black_box(&path)).unwrap().domains.len()))
+    });
+    group.finish();
+    let _ = std::fs::remove_file(&path);
 }
 
 criterion_group! {

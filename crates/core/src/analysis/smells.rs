@@ -411,10 +411,14 @@ impl SmellAnalysis {
     /// the block's opening event so a sampled domain always yields at
     /// least one resolvable citation.
     pub fn attach_evidence(&mut self, log: &TraceLog) {
+        let blocks = log.blocks_by_name();
+        let mut name = String::new();
         let mut cited = 0u64;
         for v in &mut self.verdicts {
-            let Some(block) = log.domain(&v.domain.to_string()) else { continue };
-            v.evidence = cite(v.kind, &v.domain, block);
+            name.clear();
+            let _ = write!(name, "{}", v.domain);
+            let Some(block) = blocks.get(name.as_str()) else { continue };
+            v.evidence = cite(v.kind, &name, block);
             cited += v.evidence.len() as u64;
         }
         self.evidence_cited = cited;
@@ -482,20 +486,24 @@ impl SmellAnalysis {
 
 /// Is the rendered host name inside `domain`? (Resolve events carry the
 /// host as a string; this mirrors `DomainName::is_within` textually.)
-fn host_within(host: &str, domain: &DomainName) -> bool {
-    let d = domain.to_string();
-    host == d || host.ends_with(&format!(".{d}"))
+fn host_within(host: &str, domain: &str) -> bool {
+    host.strip_suffix(domain).is_some_and(|head| head.is_empty() || head.ends_with('.'))
 }
 
 /// The per-kind evidence filter: which recorded exchanges support a
 /// verdict of this kind. Capped at [`MAX_CITATIONS`] in sequence order;
 /// falls back to the block's first event so every sampled domain yields
 /// a resolvable citation.
-fn cite(kind: SmellKind, domain: &DomainName, block: &DomainBlock) -> Vec<Citation> {
+fn cite(kind: SmellKind, domain: &str, block: &DomainBlock) -> Vec<Citation> {
     /// Citations per verdict — enough to show the pattern without
     /// ballooning the report.
     const MAX_CITATIONS: usize = 8;
-    let picked: Vec<&govdns_trace::TraceEvent> = block
+    let citation = |e: &govdns_trace::TraceEvent| Citation {
+        seq: e.seq,
+        step: e.step.as_str().to_owned(),
+        line: e.render(),
+    };
+    let mut cited: Vec<Citation> = block
         .events
         .iter()
         .filter(|e| match kind {
@@ -535,13 +543,14 @@ fn cite(kind: SmellKind, domain: &DomainName, block: &DomainBlock) -> Vec<Citati
             },
         })
         .take(MAX_CITATIONS)
+        .map(citation)
         .collect();
-    let picked =
-        if picked.is_empty() { block.events.first().into_iter().collect() } else { picked };
-    picked
-        .into_iter()
-        .map(|e| Citation { seq: e.seq, step: e.step.as_str().to_owned(), line: e.render() })
-        .collect()
+    if cited.is_empty() {
+        cited.extend(block.events.first().map(citation));
+    }
+    // The report keeps every verdict's citations: no spare capacity.
+    cited.shrink_to_fit();
+    cited
 }
 
 #[cfg(test)]
@@ -766,6 +775,96 @@ mod tests {
         ] {
             assert!(s <= 100, "severity {s} out of range");
         }
+    }
+
+    #[test]
+    fn evidence_from_the_name_map_matches_a_scan_per_verdict() {
+        use govdns_trace::TraceEvent;
+
+        let event = |seq: u32, step: Step, data: TraceData| TraceEvent { seq, step, data };
+        let resolve = |seq: u32, host: &str, addrs: &[[u8; 4]]| {
+            event(
+                seq,
+                Step::AddrResolve,
+                TraceData::Resolve {
+                    host: host.to_owned(),
+                    addrs: addrs.iter().map(|&a| a.into()).collect(),
+                },
+            )
+        };
+        let referral = |seq: u32| {
+            event(seq, Step::Referral, TraceData::Referral { cut: "gov.zz".into(), targets: 2 })
+        };
+        let response = |seq: u32, step: Step, class: &str| {
+            let dst = [192, 0, 2, 1].into();
+            event(seq, step, TraceData::Response { dst, attempt: 0, class: class.into(), ms: 9 })
+        };
+        let block = |domain: &str, events: Vec<TraceEvent>| DomainBlock {
+            index: 0,
+            domain: domain.to_owned(),
+            dropped: 0,
+            events,
+        };
+        // A resumed trace can hold two blocks of one name: `a.gov.zz`'s
+        // first block must be the one cited.
+        let log = TraceLog {
+            domains: vec![
+                block(
+                    "a.gov.zz",
+                    vec![
+                        response(0, Step::ParentNs, "referral"),
+                        referral(1),
+                        resolve(2, "ns1.a.gov.zz", &[[192, 0, 2, 1]]),
+                        resolve(3, "xa.gov.zz", &[]),
+                        response(4, Step::ChildNs, "timeout"),
+                    ],
+                ),
+                block("b.gov.zz", vec![resolve(0, "ns.b.gov.zz", &[])]),
+                block("a.gov.zz", vec![referral(0), resolve(1, "ns2.a.gov.zz", &[]), referral(2)]),
+                block(
+                    "d.gov.zz",
+                    vec![event(0, Step::DirectProbe, TraceData::Note { text: "x".into() })],
+                ),
+            ],
+            ..TraceLog::default()
+        };
+        let mut analysis = SmellAnalysis::default();
+        for domain in ["a.gov.zz", "b.gov.zz", "c.gov.zz", "d.gov.zz"] {
+            for kind in SmellKind::all() {
+                analysis.verdicts.push(SmellVerdict {
+                    kind,
+                    domain: domain.parse().unwrap(),
+                    country: CountryCode::new("zz"),
+                    severity: 1,
+                    detail: String::new(),
+                    refactoring: String::new(),
+                    evidence: Vec::new(),
+                });
+            }
+        }
+        // The lookup the name map replaced: one scan of the log per
+        // verdict, and the host test it was written with.
+        let old_host_within = |host: &str, d: &str| host == d || host.ends_with(&format!(".{d}"));
+        let mut want = analysis.clone();
+        let mut cited = 0u64;
+        for v in &mut want.verdicts {
+            let name = v.domain.to_string();
+            let Some(block) = log.domain(&name) else { continue };
+            v.evidence = cite(v.kind, &name, block);
+            cited += v.evidence.len() as u64;
+            for e in &block.events {
+                if let TraceData::Resolve { host, .. } = &e.data {
+                    assert_eq!(host_within(host, &name), old_host_within(host, &name), "{host}");
+                }
+            }
+        }
+        want.evidence_cited = cited;
+        analysis.attach_evidence(&log);
+        assert_eq!(analysis, want);
+        let a_cyclic = verdict(&analysis, "a.gov.zz", SmellKind::CyclicDependency);
+        let seqs: Vec<u32> = a_cyclic.evidence.iter().map(|c| c.seq).collect();
+        assert_eq!(seqs, [1, 2], "the first block's referral and in-bailiwick resolve");
+        assert!(verdict(&analysis, "c.gov.zz", SmellKind::LameDelegation).evidence.is_empty());
     }
 
     #[test]

@@ -254,6 +254,7 @@ pub struct AnalysisFailure {
 fn trace_exemplars(dataset: &MeasurementDataset, log: &govdns_trace::TraceLog) -> Vec<String> {
     const EXEMPLARS: usize = 3;
     const TAIL_EVENTS: usize = 10;
+    let blocks = log.blocks_by_name();
     let mut out = Vec::new();
     for (i, probe) in dataset.probes.iter().enumerate() {
         if out.len() >= EXEMPLARS {
@@ -263,7 +264,7 @@ fn trace_exemplars(dataset: &MeasurementDataset, log: &govdns_trace::TraceLog) -
             continue;
         }
         let name = dataset.discovered[i].name.to_string();
-        let Some(block) = log.domain(&name) else { continue };
+        let Some(block) = blocks.get(name.as_str()) else { continue };
         let lines = block.timeline();
         let skip = lines.len().saturating_sub(TAIL_EVENTS);
         let mut s = format!("{name} ({} events):", block.events.len());
@@ -418,8 +419,10 @@ impl Report {
 
     /// Runs the full pipeline and all analyses, recording telemetry
     /// into `ctl` — including a wall-clock span for the analysis stage
-    /// itself. The final snapshot (pipeline + analysis) is embedded in
-    /// the report's dataset.
+    /// itself and, when the campaign was traced, for its read-back:
+    /// `trace.read` (decoding the trace file) and `analysis.evidence`
+    /// (exemplars and smell evidence). The final snapshot (pipeline +
+    /// analysis) is embedded in the report's dataset.
     pub fn generate_with(
         campaign: &Campaign<'_>,
         config: RunnerConfig,
@@ -441,9 +444,14 @@ impl Report {
             // Reading the file back (rather than holding blocks in
             // memory) keeps the runner's memory bounded and exercises
             // the same reader the inspection CLI uses.
-            if let Ok(log) = govdns_trace::read_trace(&tracer.spec().path) {
+            let read = ctl.registry().span("trace.read");
+            let log = govdns_trace::read_trace(&tracer.spec().path);
+            read.finish();
+            if let Ok(log) = log {
+                let evidence = ctl.registry().span("analysis.evidence");
                 report.health.exemplars = trace_exemplars(&report.dataset, &log);
                 report.smells.attach_evidence(&log);
+                evidence.finish();
             }
         }
         let registry = ctl.registry();
@@ -472,9 +480,10 @@ impl Report {
     /// carry the recorded event stream it will later be replayed
     /// against.
     pub fn offending_domains(&self, log: &govdns_trace::TraceLog, cap: usize) -> Vec<String> {
+        let blocks = log.blocks_by_name();
         let mut out: Vec<String> = Vec::new();
         let mut push = |name: &str| {
-            if out.len() < cap && log.domain(name).is_some() && !out.iter().any(|n| n == name) {
+            if out.len() < cap && blocks.contains_key(name) && !out.iter().any(|n| n == name) {
                 out.push(name.to_owned());
             }
         };

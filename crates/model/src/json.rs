@@ -8,16 +8,23 @@
 //! (exact over `i64::MIN..=u64::MAX`), other numbers as `f64`,
 //! booleans and `null`.
 //!
+//! One tokenizer, [`Cursor`], reads all of it. [`parse`] builds a
+//! [`Json`] tree over it; a decoder on a hot read path (trace records)
+//! pulls keys, strings and integers from it straight into its own
+//! types, and so accepts exactly what [`parse`] accepts.
+//!
 //! Anything outside that subset is an error, not a lenient guess:
 //! these files are machine-written, so leniency would only hide
-//! corruption. No input makes [`parse`] or an accessor panic; each
-//! returns `Err` with the byte offset or the key at fault.
+//! corruption. No input makes [`parse`], a [`Cursor`] method or an
+//! accessor panic; each returns `Err` with the byte offset or the key
+//! at fault.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
-/// Deepest array/object nesting [`parse`] accepts. The pipeline's own
-/// documents nest fewer than ten levels; the bound keeps hostile input
-/// from exhausting the stack.
+/// Deepest array/object nesting [`parse`] and [`Cursor`] accept. The
+/// pipeline's own documents nest fewer than ten levels; the bound keeps
+/// hostile input from exhausting the stack.
 const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
@@ -248,7 +255,8 @@ fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     Ok(())
 }
 
-/// Parses one complete JSON document.
+/// Parses one complete JSON document into a [`Json`] tree: the tree
+/// builder over [`Cursor`].
 ///
 /// # Errors
 ///
@@ -256,142 +264,371 @@ fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
 /// malformed syntax, trailing bytes, nesting deeper than 64 levels, a
 /// bad escape, or a number that does not parse.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let mut reader = Reader { text, pos: 0 };
-    let value = reader.value(0)?;
-    reader.skip_ws();
-    if reader.pos != text.len() {
-        return Err(format!("trailing bytes at {}", reader.pos));
-    }
+    let mut cur = Cursor::new(text);
+    let value = tree(&mut cur)?;
+    cur.finish()?;
     Ok(value)
 }
 
-struct Reader<'a> {
-    text: &'a str,
-    pos: usize,
+fn tree(cur: &mut Cursor<'_>) -> Result<Json, String> {
+    Ok(match cur.peek()? {
+        Kind::Null => {
+            cur.literal("null")?;
+            Json::Null
+        }
+        Kind::Bool => Json::Bool(cur.bool()?),
+        Kind::Number => cur.number()?,
+        Kind::Str => Json::Str(cur.string()?.into_owned()),
+        Kind::Array => {
+            cur.array()?;
+            let mut items = Vec::new();
+            while cur.item()? {
+                items.push(tree(cur)?);
+            }
+            Json::Arr(items)
+        }
+        Kind::Object => {
+            cur.object()?;
+            let mut fields = Vec::new();
+            while let Some(key) = cur.key()? {
+                fields.push((key.into_owned(), tree(cur)?));
+            }
+            Json::Obj(fields)
+        }
+    })
 }
 
-impl Reader<'_> {
-    fn peek(&self) -> Option<u8> {
+/// The type of the value a [`Cursor`] stands at, told by its first byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// `null`.
+    Null,
+    /// `true` or `false`.
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    Str,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
+}
+
+/// A pull reader over one JSON document: the tokenizer [`parse`] builds
+/// its tree with, for decoders that read straight into their own types.
+///
+/// Objects are read key by key ([`object`](Cursor::object), then
+/// [`key`](Cursor::key) until `None`) and arrays item by item
+/// ([`array`](Cursor::array), then [`item`](Cursor::item) until
+/// `false`); after each key or item the caller reads exactly one value.
+/// It accepts exactly what [`parse`] accepts, with the same number
+/// rules and the same nesting bound, and [`skip`](Cursor::skip) checks a
+/// value it passes over just as strictly. [`finish`](Cursor::finish)
+/// rejects trailing bytes.
+///
+/// ```
+/// use govdns_model::json::Cursor;
+///
+/// let mut cur = Cursor::new(r#"{"n":7,"tags":["a","b\n"],"x":null}"#);
+/// cur.object().unwrap();
+/// let mut seen = Vec::new();
+/// while let Some(key) = cur.key().unwrap() {
+///     match &*key {
+///         "n" => assert_eq!(cur.as_u64().unwrap(), Some(7)),
+///         "tags" => {
+///             cur.array().unwrap();
+///             while cur.item().unwrap() {
+///                 seen.push(cur.as_str().unwrap().unwrap().into_owned());
+///             }
+///         }
+///         _ => cur.skip().unwrap(),
+///     }
+/// }
+/// cur.finish().unwrap();
+/// assert_eq!(seen, ["a", "b\n"]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Arrays and objects entered and not yet closed.
+    depth: usize,
+    /// An array or object was just entered, so the next [`Cursor::item`]
+    /// or [`Cursor::key`] takes no separator and may find it empty.
+    fresh: bool,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Cursor { text, pos: 0, depth: 0, fresh: false }
+    }
+
+    #[inline]
+    fn byte(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    /// Consumes `byte` if it is next (after whitespace).
+    #[inline]
+    fn eat(&mut self, byte: u8) -> bool {
+        self.skip_ws();
+        let hit = self.byte() == Some(byte);
+        self.pos += usize::from(hit);
+        hit
+    }
+
     fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
+        if self.eat(byte) {
             Ok(())
         } else {
             Err(format!("expected {:?} at {}", char::from(byte), self.pos))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
+    /// The type of the next value, which is not consumed.
+    ///
+    /// # Errors
+    ///
+    /// At the end of the input, or at a byte no value starts with.
+    #[inline]
+    pub fn peek(&mut self) -> Result<Kind, String> {
         self.skip_ws();
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[' | b'{') if depth >= MAX_DEPTH => {
-                Err(format!("nesting deeper than {MAX_DEPTH} at {}", self.pos))
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    fields.push((key, self.value(depth + 1)?));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
+        match self.byte() {
+            Some(b'n') => Ok(Kind::Null),
+            Some(b't' | b'f') => Ok(Kind::Bool),
+            Some(b'"') => Ok(Kind::Str),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
             Some(other) => Err(format!("unexpected {:?} at {}", char::from(other), self.pos)),
             None => Err("unexpected end of input".to_owned()),
         }
     }
 
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
+    /// Reads one value of any type: its integer, if it is an integer
+    /// literal in `u64` range (as [`Json::as_u64`] would say), and
+    /// `None` otherwise.
+    ///
+    /// # Errors
+    ///
+    /// When the value is malformed.
+    #[inline]
+    pub fn as_u64(&mut self) -> Result<Option<u64>, String> {
+        if self.peek()? != Kind::Number {
+            self.skip()?;
+            return Ok(None);
+        }
+        let (text, integral) = self.number_text()?;
+        if !integral {
+            return Ok(None);
+        }
+        Ok(match text.strip_prefix('-') {
+            // `-0` is the integer 0; every other negative is out of range.
+            Some(digits) => digits.bytes().all(|d| d == b'0').then_some(0),
+            None => text
+                .bytes()
+                .try_fold(0u64, |n, d| n.checked_mul(10)?.checked_add(u64::from(d - b'0'))),
+        })
+    }
+
+    /// Reads one value of any type: its text, if it is a string, and
+    /// `None` otherwise. The text is borrowed from the input unless it
+    /// holds an escape.
+    ///
+    /// # Errors
+    ///
+    /// When the value is malformed.
+    #[inline]
+    pub fn as_str(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if self.peek()? != Kind::Str {
+            self.skip()?;
+            return Ok(None);
+        }
+        self.string().map(Some)
+    }
+
+    /// Passes over one value of any type, checking it as strictly as
+    /// [`parse`] would.
+    ///
+    /// # Errors
+    ///
+    /// When the value is malformed or nests deeper than 64 levels.
+    pub fn skip(&mut self) -> Result<(), String> {
+        match self.peek()? {
+            Kind::Null => self.literal("null"),
+            Kind::Bool => self.bool().map(drop),
+            Kind::Number => self.number_text().map(drop),
+            Kind::Str => self.string().map(drop),
+            Kind::Array => {
+                self.array()?;
+                while self.item()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Kind::Object => {
+                self.object()?;
+                while self.key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Enters the array the cursor stands at.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an array, or the array would nest
+    /// deeper than 64 levels.
+    #[inline]
+    pub fn array(&mut self) -> Result<(), String> {
+        self.enter(b'[')
+    }
+
+    /// Enters the object the cursor stands at.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an object, or the object would nest
+    /// deeper than 64 levels.
+    #[inline]
+    pub fn object(&mut self) -> Result<(), String> {
+        self.enter(b'{')
+    }
+
+    fn enter(&mut self, open: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.depth >= MAX_DEPTH && self.byte() == Some(open) {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at {}", self.pos));
+        }
+        self.expect(open)?;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Consumes `close` if it is next, leaving the array or object.
+    #[inline]
+    fn close(&mut self, close: u8) -> bool {
+        let hit = self.eat(close);
+        self.depth -= usize::from(hit);
+        hit
+    }
+
+    /// Within an array: whether another item follows (the caller then
+    /// reads it). `false` means the array is closed.
+    ///
+    /// # Errors
+    ///
+    /// When neither `,` nor `]` follows an item.
+    #[inline]
+    pub fn item(&mut self) -> Result<bool, String> {
+        let first = std::mem::take(&mut self.fresh);
+        if self.close(b']') {
+            Ok(false)
+        } else if first || self.eat(b',') {
+            Ok(true)
+        } else {
+            Err(format!("expected ',' or ']' at {}", self.pos))
+        }
+    }
+
+    /// Within an object: the next key (the caller then reads its
+    /// value), or `None` once the object is closed.
+    ///
+    /// # Errors
+    ///
+    /// When neither `,` nor `}` follows a value, or the key or its `:`
+    /// is malformed.
+    #[inline]
+    pub fn key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        let first = std::mem::take(&mut self.fresh);
+        if self.close(b'}') {
+            return Ok(None);
+        }
+        if !first && !self.eat(b',') {
+            return Err(format!("expected ',' or '}}' at {}", self.pos));
+        }
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Checks that only whitespace is left.
+    ///
+    /// # Errors
+    ///
+    /// Names the offset of the first trailing byte.
+    pub fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing bytes at {}", self.pos))
+        }
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
+        self.skip_ws();
         if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(format!("expected {lit} at {}", self.pos))
         }
     }
 
+    fn bool(&mut self) -> Result<bool, String> {
+        self.skip_ws();
+        if self.byte() == Some(b't') {
+            self.literal("true").map(|()| true)
+        } else {
+            self.literal("false").map(|()| false)
+        }
+    }
+
     fn digits(&mut self) -> usize {
         let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+        while self.byte().is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
         }
         self.pos - start
     }
 
-    /// `-?digits(.digits)?([eE][+-]?digits)?`: integer literals in
-    /// `i64::MIN..=u64::MAX` become [`Json::Int`], everything else
-    /// [`Json::Float`].
-    fn number(&mut self) -> Result<Json, String> {
+    /// Reads `-?digits(.digits)?([eE][+-]?digits)?`: the literal, and
+    /// whether it is integral (no fraction, no exponent).
+    fn number_text(&mut self) -> Result<(&'a str, bool), String> {
+        self.skip_ws();
         let start = self.pos;
         let bad = |pos: usize| format!("bad number at {pos}");
-        if self.peek() == Some(b'-') {
+        if self.byte() == Some(b'-') {
             self.pos += 1;
         }
         if self.digits() == 0 {
             return Err(bad(start));
         }
         let mut integral = true;
-        if self.peek() == Some(b'.') {
+        if self.byte() == Some(b'.') {
             self.pos += 1;
             if self.digits() == 0 {
                 return Err(bad(start));
             }
             integral = false;
         }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+        if matches!(self.byte(), Some(b'e' | b'E')) {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
+            if matches!(self.byte(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
             if self.digits() == 0 {
@@ -401,32 +638,49 @@ impl Reader<'_> {
         }
         // Every byte consumed above is ASCII, so the slice is on char
         // boundaries.
-        let text = &self.text[start..self.pos];
+        Ok((&self.text[start..self.pos], integral))
+    }
+
+    /// A number: integer literals in `i64::MIN..=u64::MAX` become
+    /// [`Json::Int`], everything else [`Json::Float`].
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        let (text, integral) = self.number_text()?;
         if integral {
             let range = i128::from(i64::MIN)..=i128::from(u64::MAX);
             if let Some(n) = text.parse::<i128>().ok().filter(|n| range.contains(n)) {
                 return Ok(Json::Int(n));
             }
         }
-        text.parse::<f64>().map(Json::Float).map_err(|_| bad(start))
+        text.parse::<f64>().map(Json::Float).map_err(|_| format!("bad number at {start}"))
     }
 
-    /// Scans whole unescaped runs at a time rather than char by char.
-    /// Runs start after `"` or a complete escape and end at `"` or `\`,
-    /// all ASCII, so every slice of `text` taken here is on char
-    /// boundaries.
-    fn string(&mut self) -> Result<String, String> {
+    /// A string, borrowed from the input when it holds no escape.
+    #[inline]
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let bytes = self.text.as_bytes();
-        let mut out = String::new();
+        let rest = self.text.as_bytes().get(self.pos..).unwrap_or_default();
+        let run = quote_or_backslash(rest).ok_or_else(|| "unterminated string".to_owned())?;
+        let start = self.pos;
+        self.pos += run;
+        if rest[run] == b'"' {
+            self.pos += 1;
+            // The run ends before an ASCII `"`, so it is whole chars.
+            return Ok(Cow::Borrowed(&self.text[start..start + run]));
+        }
+        self.escaped(start).map(Cow::Owned)
+    }
+
+    /// The rest of a string that holds an escape, from its opening
+    /// quote at `start - 1`; the cursor stands at the first `\`. Runs
+    /// start after `"` or a complete escape and end at `"` or `\`, all
+    /// ASCII, so every slice of `text` taken here is on char
+    /// boundaries.
+    fn escaped(&mut self, start: usize) -> Result<String, String> {
+        let text = self.text;
+        let bytes = text.as_bytes();
+        let mut out = String::from(&text[start..self.pos]);
         loop {
-            let rest = bytes.get(self.pos..).unwrap_or_default();
-            let run = rest
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-                .ok_or_else(|| "unterminated string".to_owned())?;
-            out.push_str(&self.text[self.pos..self.pos + run]);
-            self.pos += run;
             if bytes[self.pos] == b'"' {
                 self.pos += 1;
                 return Ok(out);
@@ -454,8 +708,18 @@ impl Reader<'_> {
                 _ => return Err(bad()),
             }
             self.pos += 2;
+            let rest = bytes.get(self.pos..).unwrap_or_default();
+            let run = quote_or_backslash(rest).ok_or_else(|| "unterminated string".to_owned())?;
+            out.push_str(&text[self.pos..self.pos + run]);
+            self.pos += run;
         }
     }
+}
+
+/// The index of the first `"` or `\` in `bytes`: the end of a string's
+/// unescaped run.
+fn quote_or_backslash(bytes: &[u8]) -> Option<usize> {
+    bytes.iter().position(|&b| b == b'"' || b == b'\\')
 }
 
 #[cfg(test)]
@@ -545,6 +809,57 @@ mod tests {
         assert!(parse(&deep).unwrap_err().contains("nesting"));
         let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
         assert!(parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn skipping_accepts_exactly_what_parsing_accepts() {
+        let deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        for doc in [
+            r#"{"a":1,"b":"x","c":[true,false,null],"d":{"e":2.5},"f":[],"g":-3}"#,
+            " [ 1 , { } , [ ] , \"\\u00e9\" ] ",
+            "{",
+            "[1,]",
+            "{}x",
+            "\"abc",
+            "",
+            "1.",
+            "01",
+            "[nul]",
+            "\"\\ud800\"",
+            "{\"a\" 1}",
+            "{\"a\":1,}",
+            "{1:2}",
+            &deep,
+            &ok,
+        ] {
+            let mut cur = Cursor::new(doc);
+            let skipped = cur.skip().and_then(|()| cur.finish());
+            assert_eq!(skipped.is_ok(), parse(doc).is_ok(), "{doc:?}");
+        }
+    }
+
+    #[test]
+    fn cursor_reads_typed_values() {
+        let doc = r#"["plain","esc\"aped",7,-0,-1,1.0,18446744073709551616,{"k":[1]},null]"#;
+        let mut cur = Cursor::new(doc);
+        cur.array().unwrap();
+        let mut strs = Vec::new();
+        for _ in 0..2 {
+            assert!(cur.item().unwrap());
+            strs.push(cur.as_str().unwrap().unwrap());
+        }
+        assert!(matches!(strs[0], Cow::Borrowed("plain")), "unescaped text is borrowed");
+        assert_eq!(strs[1], "esc\"aped");
+        let mut nums = Vec::new();
+        while cur.item().unwrap() {
+            nums.push(cur.as_u64().unwrap());
+        }
+        assert_eq!(nums, [Some(7), Some(0), None, None, None, None, None]);
+        cur.finish().unwrap();
+        let mut cur = Cursor::new("[1]");
+        assert_eq!(cur.as_str(), Ok(None), "a non-string is skipped whole");
+        cur.finish().unwrap();
     }
 
     #[test]

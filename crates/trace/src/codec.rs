@@ -4,24 +4,18 @@
 //! the journal uses, so the encoding is byte-stable across platforms
 //! and runs — the trace determinism CI gate literally `cmp`s two trace
 //! files. Domain and dump records, which dominate a trace file, are
-//! written straight into the output without a value tree. Decoding
-//! returns an error, never panics, on bytes that do not match the
-//! schema.
+//! written straight into the output without a value tree, and every
+//! record is decoded straight off a [`Cursor`] the same way: no value
+//! tree, and no copy of a string a record does not keep.
+//! Decoding returns an error, never panics, on bytes that do not match
+//! the schema.
 
+use std::borrow::Cow;
 use std::net::Ipv4Addr;
 
-use govdns_model::json::{self, escape_into, Json};
+use govdns_model::json::{escape_into, Cursor, Json, Kind};
 
 use crate::event::{DomainBlock, FlightDump, Step, TraceData, TraceEvent};
-
-fn need_u32(v: &Json, key: &str) -> Result<u32, String> {
-    u32::try_from(v.need_u64(key)?).map_err(|_| format!("field `{key}` is out of range"))
-}
-
-fn addr_from(v: &Json) -> Result<Ipv4Addr, String> {
-    let s = v.as_str().ok_or("address is not a string")?;
-    s.parse().map_err(|_| format!("bad address {s:?}"))
-}
 
 // ---------------------------------------------------------- event codec
 
@@ -150,53 +144,6 @@ pub(crate) fn encode_dump(dump: &FlightDump) -> String {
     out
 }
 
-fn event_from_value(v: &Json) -> Result<TraceEvent, String> {
-    let step_label = v.need_str("step")?;
-    let step = Step::parse(step_label).ok_or_else(|| format!("unknown step `{step_label}`"))?;
-    let dst = || addr_from(v.need("dst")?);
-    let text = |key: &str| v.need_str(key).map(str::to_owned);
-    let data = match v.need_str("kind")? {
-        "send" => TraceData::Send { dst: dst()?, attempt: need_u32(v, "attempt")? },
-        "fault" => TraceData::Fault {
-            dst: dst()?,
-            attempt: need_u32(v, "attempt")?,
-            verdict: text("verdict")?,
-            extra_ms: v.need_u64("extra_ms")?,
-        },
-        "response" => TraceData::Response {
-            dst: dst()?,
-            attempt: need_u32(v, "attempt")?,
-            class: text("class")?,
-            ms: v.need_u64("ms")?,
-        },
-        "referral" => TraceData::Referral { cut: text("cut")?, targets: v.need_u64("targets")? },
-        "resolve" => TraceData::Resolve {
-            host: text("host")?,
-            addrs: v.need_arr("addrs")?.iter().map(addr_from).collect::<Result<_, _>>()?,
-        },
-        "charge" => TraceData::Charge {
-            round: text("round")?,
-            dst: v.get("dst").map(addr_from).transpose()?,
-        },
-        "retry_denied" => TraceData::RetryDenied { dst: dst()? },
-        "backoff" => TraceData::Backoff {
-            dst: dst()?,
-            attempt: need_u32(v, "attempt")?,
-            ms: v.need_u64("ms")?,
-        },
-        "breaker_denied" => TraceData::BreakerDenied { dst: dst()? },
-        "breaker_trial" => TraceData::BreakerTrial { dst: dst()? },
-        "breaker" => TraceData::Breaker { dst: dst()?, transition: text("transition")? },
-        "note" => TraceData::Note { text: text("text")? },
-        other => return Err(format!("unknown event kind `{other}`")),
-    };
-    Ok(TraceEvent { seq: need_u32(v, "seq")?, step, data })
-}
-
-fn events_from_value(v: &Json) -> Result<Vec<TraceEvent>, String> {
-    v.need_arr("events")?.iter().map(event_from_value).collect()
-}
-
 // --------------------------------------------------------- record codec
 
 /// One framed record in a trace file.
@@ -278,7 +225,14 @@ impl TraceRecord {
         out
     }
 
-    /// Decodes one record.
+    /// Decodes one record, reading it straight off a [`Cursor`].
+    ///
+    /// It accepts exactly the JSON documents [`json::parse`] accepts,
+    /// and reads them as a lookup in their parsed tree would: the first
+    /// of two equal keys wins, unknown keys are skipped, and a key a
+    /// record of its kind does not read may hold any value.
+    ///
+    /// [`json::parse`]: govdns_model::json::parse
     ///
     /// # Errors
     ///
@@ -287,38 +241,292 @@ impl TraceRecord {
     /// passed its frame checksum yet fails here means a format bug,
     /// not torn bytes.
     pub fn decode(text: &str) -> Result<TraceRecord, String> {
-        let v = json::parse(text)?;
-        let text = |key: &str| v.need_str(key).map(str::to_owned);
-        Ok(match v.need_str("kind")? {
+        let mut cur = Cursor::new(text);
+        let cur = &mut cur;
+        let mut f = RecordFields::default();
+        cur.object()?;
+        while let Some(key) = cur.key()? {
+            match &*key {
+                "kind" if f.kind.is_none() => f.kind = Some(cur.as_str()?),
+                "version" if f.version.is_none() => f.version = Some(cur.as_u64()?),
+                "seed" if f.seed.is_none() => f.seed = Some(cur.as_u64()?),
+                "sample_ppm" if f.sample_ppm.is_none() => f.sample_ppm = Some(cur.as_u64()?),
+                "flight_capacity" if f.flight_capacity.is_none() => {
+                    f.flight_capacity = Some(cur.as_u64()?);
+                }
+                "domains" if f.domains.is_none() => f.domains = Some(cur.as_u64()?),
+                "name" if f.name.is_none() => f.name = Some(cur.as_str()?),
+                "mark" if f.mark.is_none() => f.mark = Some(cur.as_str()?),
+                "from" if f.from.is_none() => f.from = Some(cur.as_u64()?),
+                "index" if f.index.is_none() => f.index = Some(cur.as_u64()?),
+                "domain" if f.domain.is_none() => f.domain = Some(cur.as_str()?),
+                "dropped" if f.dropped.is_none() => f.dropped = Some(cur.as_u64()?),
+                // A block's or dump's event list, or the trailer's count.
+                "events" if f.events.is_none() => {
+                    if cur.peek()? == Kind::Array {
+                        f.events = Some(events(cur)?);
+                        f.event_count = Some(None);
+                    } else {
+                        f.events = Some(Err("field `events` is not an array".to_owned()));
+                        f.event_count = Some(cur.as_u64()?);
+                    }
+                }
+                "trigger" if f.trigger.is_none() => f.trigger = Some(cur.as_str()?),
+                "ord" if f.ord.is_none() => f.ord = Some(cur.as_u64()?),
+                "dumps" if f.dumps.is_none() => f.dumps = Some(cur.as_u64()?),
+                _ => cur.skip()?,
+            }
+        }
+        cur.finish()?;
+        f.record()
+    }
+}
+
+// ------------------------------------------------------- record decoding
+//
+// A record's kind may come after the fields it decides about, so every
+// known key's first value is held until the object closes; only then
+// are the fields the kind reads required, and only they must have the
+// right type.
+
+/// A known key's first value: `None` while the key is absent,
+/// `Some(None)` when its value has the wrong type.
+type Field<T> = Option<Option<T>>;
+
+/// The value of a field a record reads.
+fn need<T>(field: Field<T>, key: &str) -> Result<T, String> {
+    optional(field, key)?.ok_or_else(|| format!("missing field `{key}`"))
+}
+
+/// The value of a field a record may omit.
+fn optional<T>(field: Field<T>, key: &str) -> Result<Option<T>, String> {
+    match field {
+        Some(None) => Err(format!("field `{key}` has the wrong type")),
+        Some(value) => Ok(value),
+        None => Ok(None),
+    }
+}
+
+fn need_u32(field: Field<u64>, key: &str) -> Result<u32, String> {
+    u32::try_from(need(field, key)?).map_err(|_| format!("field `{key}` is out of range"))
+}
+
+fn need_string(field: Field<Cow<'_, str>>, key: &str) -> Result<String, String> {
+    need(field, key).map(Cow::into_owned)
+}
+
+/// An IPv4 address in a string; `None` for any other value.
+fn addr(cur: &mut Cursor<'_>) -> Result<Option<Ipv4Addr>, String> {
+    Ok(cur.as_str()?.and_then(|s| s.parse().ok()))
+}
+
+/// A list of addresses; `None` for any other value, or when an item is
+/// not an address.
+fn addrs(cur: &mut Cursor<'_>) -> Result<Option<Vec<Ipv4Addr>>, String> {
+    if cur.peek()? != Kind::Array {
+        cur.skip()?;
+        return Ok(None);
+    }
+    cur.array()?;
+    let mut list = Some(Vec::new());
+    while cur.item()? {
+        let item = addr(cur)?;
+        list = list.zip(item).map(|(mut list, a)| {
+            list.push(a);
+            list
+        });
+    }
+    Ok(list)
+}
+
+/// An `events` array: outer `Err` for malformed JSON, inner for an
+/// event that does not match the schema. Events after the first bad
+/// one are only checked for syntax: the list is an error already, but
+/// the record may not read it.
+fn events(cur: &mut Cursor<'_>) -> Result<Result<Vec<TraceEvent>, String>, String> {
+    cur.array()?;
+    let mut list = Ok(Vec::new());
+    while cur.item()? {
+        let Ok(events) = &mut list else {
+            cur.skip()?;
+            continue;
+        };
+        match event(cur)? {
+            Ok(e) => events.push(e),
+            Err(e) => list = Err(e),
+        }
+    }
+    Ok(list)
+}
+
+#[derive(Default)]
+struct RecordFields<'a> {
+    kind: Field<Cow<'a, str>>,
+    version: Field<u64>,
+    seed: Field<u64>,
+    sample_ppm: Field<u64>,
+    flight_capacity: Field<u64>,
+    domains: Field<u64>,
+    name: Field<Cow<'a, str>>,
+    mark: Field<Cow<'a, str>>,
+    from: Field<u64>,
+    index: Field<u64>,
+    domain: Field<Cow<'a, str>>,
+    dropped: Field<u64>,
+    events: Option<Result<Vec<TraceEvent>, String>>,
+    /// The trailer's `events`, a count where blocks hold a list.
+    event_count: Field<u64>,
+    trigger: Field<Cow<'a, str>>,
+    ord: Field<u64>,
+    dumps: Field<u64>,
+}
+
+impl RecordFields<'_> {
+    fn record(self) -> Result<TraceRecord, String> {
+        let events = || self.events.unwrap_or_else(|| Err("missing field `events`".to_owned()));
+        Ok(match &*need(self.kind, "kind")? {
             "header" => TraceRecord::Header {
-                version: v.need_u64("version")?,
-                seed: v.need_u64("seed")?,
-                sample_ppm: v.need_u64("sample_ppm")?,
-                flight_capacity: v.need_u64("flight_capacity")?,
-                domains: v.need_u64("domains")?,
+                version: need(self.version, "version")?,
+                seed: need(self.seed, "seed")?,
+                sample_ppm: need(self.sample_ppm, "sample_ppm")?,
+                flight_capacity: need(self.flight_capacity, "flight_capacity")?,
+                domains: need(self.domains, "domains")?,
             },
-            "stage" => TraceRecord::Stage { name: text("name")?, mark: text("mark")? },
-            "resume" => TraceRecord::Resume { from: v.need_u64("from")? },
+            "stage" => TraceRecord::Stage {
+                name: need_string(self.name, "name")?,
+                mark: need_string(self.mark, "mark")?,
+            },
+            "resume" => TraceRecord::Resume { from: need(self.from, "from")? },
             "domain" => TraceRecord::Domain(DomainBlock {
-                index: v.need_u64("index")?,
-                domain: text("domain")?,
-                dropped: if v.get("dropped").is_some() { need_u32(&v, "dropped")? } else { 0 },
-                events: events_from_value(&v)?,
+                index: need(self.index, "index")?,
+                domain: need_string(self.domain, "domain")?,
+                dropped: match self.dropped {
+                    Some(_) => need_u32(self.dropped, "dropped")?,
+                    None => 0,
+                },
+                events: events()?,
             }),
             "dump" => TraceRecord::Dump(FlightDump {
-                trigger: text("trigger")?,
-                index: if v.get("index").is_some() { Some(v.need_u64("index")?) } else { None },
-                domain: if v.get("domain").is_some() { Some(text("domain")?) } else { None },
-                ord: need_u32(&v, "ord")?,
-                events: events_from_value(&v)?,
+                trigger: need_string(self.trigger, "trigger")?,
+                index: optional(self.index, "index")?,
+                domain: optional(self.domain, "domain")?.map(Cow::into_owned),
+                ord: need_u32(self.ord, "ord")?,
+                events: events()?,
             }),
             "complete" => TraceRecord::Complete {
-                domains: v.need_u64("domains")?,
-                events: v.need_u64("events")?,
-                dumps: v.need_u64("dumps")?,
+                domains: need(self.domains, "domains")?,
+                events: need(self.event_count, "events")?,
+                dumps: need(self.dumps, "dumps")?,
             },
             other => return Err(format!("unknown kind `{other}`")),
         })
+    }
+}
+
+/// One event: outer `Err` for malformed JSON, inner for an event that
+/// does not match the schema.
+fn event(cur: &mut Cursor<'_>) -> Result<Result<TraceEvent, String>, String> {
+    if cur.peek()? != Kind::Object {
+        cur.skip()?;
+        return Ok(Err("event is not an object".to_owned()));
+    }
+    let mut f = EventFields::default();
+    cur.object()?;
+    while let Some(key) = cur.key()? {
+        match &*key {
+            "seq" if f.seq.is_none() => f.seq = Some(cur.as_u64()?),
+            "step" if f.step.is_none() => f.step = Some(cur.as_str()?),
+            "kind" if f.kind.is_none() => f.kind = Some(cur.as_str()?),
+            "dst" if f.dst.is_none() => f.dst = Some(addr(cur)?),
+            "attempt" if f.attempt.is_none() => f.attempt = Some(cur.as_u64()?),
+            "verdict" if f.verdict.is_none() => f.verdict = Some(cur.as_str()?),
+            "extra_ms" if f.extra_ms.is_none() => f.extra_ms = Some(cur.as_u64()?),
+            "class" if f.class.is_none() => f.class = Some(cur.as_str()?),
+            "ms" if f.ms.is_none() => f.ms = Some(cur.as_u64()?),
+            "cut" if f.cut.is_none() => f.cut = Some(cur.as_str()?),
+            "targets" if f.targets.is_none() => f.targets = Some(cur.as_u64()?),
+            "host" if f.host.is_none() => f.host = Some(cur.as_str()?),
+            "addrs" if f.addrs.is_none() => f.addrs = Some(addrs(cur)?),
+            "round" if f.round.is_none() => f.round = Some(cur.as_str()?),
+            "transition" if f.transition.is_none() => f.transition = Some(cur.as_str()?),
+            "text" if f.text.is_none() => f.text = Some(cur.as_str()?),
+            _ => cur.skip()?,
+        }
+    }
+    Ok(f.event())
+}
+
+#[derive(Default)]
+struct EventFields<'a> {
+    seq: Field<u64>,
+    step: Field<Cow<'a, str>>,
+    kind: Field<Cow<'a, str>>,
+    dst: Field<Ipv4Addr>,
+    attempt: Field<u64>,
+    verdict: Field<Cow<'a, str>>,
+    extra_ms: Field<u64>,
+    class: Field<Cow<'a, str>>,
+    ms: Field<u64>,
+    cut: Field<Cow<'a, str>>,
+    targets: Field<u64>,
+    host: Field<Cow<'a, str>>,
+    addrs: Field<Vec<Ipv4Addr>>,
+    round: Field<Cow<'a, str>>,
+    transition: Field<Cow<'a, str>>,
+    text: Field<Cow<'a, str>>,
+}
+
+impl EventFields<'_> {
+    fn event(self) -> Result<TraceEvent, String> {
+        let step_label = need(self.step, "step")?;
+        let step =
+            Step::parse(&step_label).ok_or_else(|| format!("unknown step `{step_label}`"))?;
+        let dst = self.dst;
+        let data = match &*need(self.kind, "kind")? {
+            "send" => TraceData::Send {
+                dst: need(dst, "dst")?,
+                attempt: need_u32(self.attempt, "attempt")?,
+            },
+            "fault" => TraceData::Fault {
+                dst: need(dst, "dst")?,
+                attempt: need_u32(self.attempt, "attempt")?,
+                verdict: need_string(self.verdict, "verdict")?,
+                extra_ms: need(self.extra_ms, "extra_ms")?,
+            },
+            "response" => TraceData::Response {
+                dst: need(dst, "dst")?,
+                attempt: need_u32(self.attempt, "attempt")?,
+                class: need_string(self.class, "class")?,
+                ms: need(self.ms, "ms")?,
+            },
+            "referral" => TraceData::Referral {
+                cut: need_string(self.cut, "cut")?,
+                targets: need(self.targets, "targets")?,
+            },
+            "resolve" => TraceData::Resolve {
+                host: need_string(self.host, "host")?,
+                addrs: need(self.addrs, "addrs")?,
+            },
+            "charge" => TraceData::Charge {
+                round: need_string(self.round, "round")?,
+                dst: optional(dst, "dst")?,
+            },
+            "retry_denied" => TraceData::RetryDenied { dst: need(dst, "dst")? },
+            "backoff" => TraceData::Backoff {
+                dst: need(dst, "dst")?,
+                attempt: need_u32(self.attempt, "attempt")?,
+                ms: need(self.ms, "ms")?,
+            },
+            "breaker_denied" => TraceData::BreakerDenied { dst: need(dst, "dst")? },
+            "breaker_trial" => TraceData::BreakerTrial { dst: need(dst, "dst")? },
+            "breaker" => TraceData::Breaker {
+                dst: need(dst, "dst")?,
+                transition: need_string(self.transition, "transition")?,
+            },
+            "note" => TraceData::Note { text: need_string(self.text, "text")? },
+            other => return Err(format!("unknown event kind `{other}`")),
+        };
+        Ok(TraceEvent { seq: need_u32(self.seq, "seq")?, step, data })
     }
 }
 

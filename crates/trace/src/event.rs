@@ -192,37 +192,92 @@ impl TraceEvent {
 
     /// One human-readable timeline line for this event.
     pub fn render(&self) -> String {
-        let body = match &self.data {
-            TraceData::Send { dst, attempt } => format!("send dst={dst} attempt={attempt}"),
+        let mut line = Line(String::with_capacity(80));
+        line.text("#");
+        if self.seq < 100 {
+            line.text(if self.seq < 10 { "00" } else { "0" });
+        }
+        line.num(self.seq.into()).text(" [").text(self.step.as_str()).text("] ");
+        match &self.data {
+            TraceData::Send { dst, attempt } => {
+                line.text("send dst=").addr(*dst).text(" attempt=").num((*attempt).into())
+            }
             TraceData::Fault { dst, attempt, verdict, extra_ms } => {
-                let extra =
-                    if *extra_ms > 0 { format!(" extra_ms={extra_ms}") } else { String::new() };
-                format!("fault verdict={verdict} dst={dst} attempt={attempt}{extra}")
+                line.text("fault verdict=").text(verdict).text(" dst=").addr(*dst);
+                line.text(" attempt=").num((*attempt).into());
+                if *extra_ms > 0 {
+                    line.text(" extra_ms=").num(*extra_ms);
+                }
+                &mut line
             }
             TraceData::Response { dst, attempt, class, ms } => {
-                format!("response class={class} dst={dst} attempt={attempt} ms={ms}")
+                line.text("response class=").text(class).text(" dst=").addr(*dst);
+                line.text(" attempt=").num((*attempt).into()).text(" ms=").num(*ms)
             }
-            TraceData::Referral { cut, targets } => format!("referral cut={cut} targets={targets}"),
+            TraceData::Referral { cut, targets } => {
+                line.text("referral cut=").text(cut).text(" targets=").num(*targets)
+            }
             TraceData::Resolve { host, addrs } => {
-                let rendered: Vec<String> = addrs.iter().map(|a| a.to_string()).collect();
-                format!("resolve host={host} addrs=[{}]", rendered.join(","))
+                line.text("resolve host=").text(host).text(" addrs=[");
+                for (i, a) in addrs.iter().enumerate() {
+                    line.text(if i > 0 { "," } else { "" }).addr(*a);
+                }
+                line.text("]")
             }
-            TraceData::Charge { round, dst } => match dst {
-                Some(dst) => format!("charge round={round} dst={dst}"),
-                None => format!("charge round={round}"),
-            },
-            TraceData::RetryDenied { dst } => format!("retry_denied dst={dst}"),
+            TraceData::Charge { round, dst } => {
+                line.text("charge round=").text(round);
+                match dst {
+                    Some(dst) => line.text(" dst=").addr(*dst),
+                    None => &mut line,
+                }
+            }
+            TraceData::RetryDenied { dst } => line.text("retry_denied dst=").addr(*dst),
             TraceData::Backoff { dst, attempt, ms } => {
-                format!("backoff dst={dst} attempt={attempt} ms={ms}")
+                line.text("backoff dst=").addr(*dst).text(" attempt=").num((*attempt).into());
+                line.text(" ms=").num(*ms)
             }
-            TraceData::BreakerDenied { dst } => format!("breaker_denied dst={dst}"),
-            TraceData::BreakerTrial { dst } => format!("breaker_trial dst={dst}"),
+            TraceData::BreakerDenied { dst } => line.text("breaker_denied dst=").addr(*dst),
+            TraceData::BreakerTrial { dst } => line.text("breaker_trial dst=").addr(*dst),
             TraceData::Breaker { dst, transition } => {
-                format!("breaker {transition} dst={dst}")
+                line.text("breaker ").text(transition).text(" dst=").addr(*dst)
             }
-            TraceData::Note { text } => format!("note {text}"),
+            TraceData::Note { text } => line.text("note ").text(text),
         };
-        format!("#{:03} [{}] {}", self.seq, self.step.as_str(), body)
+        // Evidence keeps every line it renders: hold no spare capacity.
+        line.0.shrink_to_fit();
+        line.0
+    }
+}
+
+/// A timeline line being written piece by piece, without `format!`:
+/// smell evidence renders one line per citation, and the formatting
+/// machinery was most of its cost.
+struct Line(String);
+
+impl Line {
+    fn text(&mut self, s: &str) -> &mut Self {
+        self.0.push_str(s);
+        self
+    }
+
+    fn num(&mut self, mut n: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.0.extend(digits[start..].iter().map(|&d| char::from(d)));
+        self
+    }
+
+    fn addr(&mut self, a: Ipv4Addr) -> &mut Self {
+        let [a, b, c, d] = a.octets();
+        self.num(a.into()).text(".").num(b.into()).text(".").num(c.into()).text(".").num(d.into())
     }
 }
 

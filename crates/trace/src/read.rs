@@ -6,6 +6,7 @@
 //! everything before the tear, and reports the remainder as
 //! [`TraceLog::dropped_bytes`].
 
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 
@@ -51,9 +52,22 @@ pub struct TraceLog {
 }
 
 impl TraceLog {
-    /// The block for a domain, if it was sampled.
+    /// The block for a domain, if it was sampled. This scans every
+    /// block: to look up many names, build [`TraceLog::blocks_by_name`]
+    /// once instead.
     pub fn domain(&self, name: &str) -> Option<&DomainBlock> {
         self.domains.iter().find(|b| b.domain == name)
+    }
+
+    /// Every sampled domain's block, by name. A resumed trace can hold
+    /// two blocks of one name; the first wins, as in
+    /// [`TraceLog::domain`].
+    pub fn blocks_by_name(&self) -> HashMap<&str, &DomainBlock> {
+        let mut by_name = HashMap::with_capacity(self.domains.len());
+        for block in &self.domains {
+            by_name.entry(block.domain.as_str()).or_insert(block);
+        }
+        by_name
     }
 
     /// Total events across all domain blocks.
