@@ -2,8 +2,10 @@
 # The CI gate, run locally and by .github/workflows/ci.yml on every
 # push, pull request and nightly schedule: formatting, release build,
 # every workspace member's tests (incl. doc tests, and the end-to-end
-# suite again in release mode), warning-free clippy, the benchmark
-# package's own tests, the benchmark-scale world fingerprint, the chaos
+# suite again in release mode with its ignored headline-rate test),
+# warning-free clippy, the benchmark package's own tests, the
+# benchmark-scale world fingerprint, the reference run (the paper tables
+# `govdns audit` writes match `report_s010/` byte for byte), the chaos
 # determinism smoke, the crash/resume smoke, the journal-growth gate,
 # the trace determinism smoke, the cross-run diff smoke (self-diff
 # empty, cross-seed divergence deterministic, corpus replay
@@ -33,8 +35,10 @@ cargo test -q --workspace
 echo "== end-to-end tests (release) =="
 # The same suite as above, optimized: release-only arithmetic and
 # timing behaviour in the chaos, crash-safety, sink, trace,
-# counterfactual and smell pipelines gets exercised too.
-cargo test -q --release --test end_to_end
+# counterfactual and smell pipelines gets exercised too. The ignored
+# headline-rate test (three worlds, the paper's three headline-rate
+# bands) is only fast enough here.
+cargo test -q --release --test end_to_end -- --include-ignored
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -62,6 +66,30 @@ expect_exit() {
     "$@" > /dev/null 2>&1 || got=$?
     [ "$got" = "$want" ] || { echo "expected exit $want, got $got: $*" >&2; exit 1; }
 }
+
+echo "== reference run: the paper tables match report_s010/ =="
+# EXPERIMENTS.md quotes these tables. They do not depend on the worker
+# count; the header traffic totals and the telemetry do, so neither is
+# checked in.
+ref_args=(--scale 0.1 --seed 20220627)
+"$govdns" audit "${ref_args[@]}" --out "$work/ref" > /dev/null
+shopt -s nullglob
+ref_tables=(report_s010/*.csv)
+shopt -u nullglob
+[ "${#ref_tables[@]}" -gt 0 ] || {
+    echo "reference run: glob report_s010/*.csv matched nothing" >&2
+    exit 1
+}
+for table in "${ref_tables[@]}"; do
+    cmp "$table" "$work/ref/$(basename "$table")" || {
+        echo "reference run: $table no longer matches a fresh run" >&2
+        echo "(if the change is intentional, regenerate the tables with:" >&2
+        echo "  target/release/govdns audit ${ref_args[*]} --out report_s010" >&2
+        echo " then keep only the files report_s010/ already holds)" >&2
+        exit 1
+    }
+done
+echo "${#ref_tables[@]} reference table(s) match"
 
 echo "== chaos smoke: identical seeds => identical output =="
 "$govdns" chaos --seed 7 > "$work/chaos_a"

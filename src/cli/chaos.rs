@@ -35,7 +35,7 @@ pub(crate) fn chaos(mut args: Args) -> Result<Outcome, Error> {
         }
     }
 
-    let world = world(seed, scale);
+    let world = world(seed, scale, 0.0);
     let matchers = world.catalog.matchers();
     let campaign = Campaign::new(&world, &matchers);
 
@@ -146,7 +146,7 @@ pub(crate) fn resume(mut args: Args) -> Result<Outcome, Error> {
         outln!();
     }
 
-    let world = world(seed, scale);
+    let world = world(seed, scale, 0.0);
     let matchers = world.catalog.matchers();
     let campaign = Campaign::new(&world, &matchers);
 

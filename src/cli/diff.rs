@@ -60,7 +60,7 @@ fn record(mut args: Args) -> Result<Outcome, Error> {
 
     std::fs::create_dir_all(&out)
         .map_err(|e| Error::File(format!("cannot create {}: {e}", out.display())))?;
-    let world = world(seed, scale_ppm as f64 / 1_000_000.0);
+    let world = world(seed, scale_ppm as f64 / 1_000_000.0, 0.0);
     let matchers = world.catalog.matchers();
     let campaign = Campaign::new(&world, &matchers);
 

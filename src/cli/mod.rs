@@ -44,9 +44,11 @@ USAGE:
     govdns <command> [options]
 
 REPORT COMMANDS (options may come before or after the command):
-    audit                 regenerate every table and figure of the paper
+    audit [--out DIR]     regenerate every table and figure of the paper;
+                          --out also writes each table as CSV into DIR
     hijack                list registrable dangling NS domains with prices
-    country <iso2>        one-country health report
+                          and the domains they expose
+    country <iso2>        one-country health report and PDNS history
     remedies [iso2]       remediation plans for broken domains
     check <zonefile>      lint a zone master file (parse + local checks)
 
@@ -275,9 +277,12 @@ pub(crate) fn read_trace_file(path: &Path) -> Result<TraceLog, Error> {
     Ok(log)
 }
 
-/// Generates the calibrated world for `seed` at `scale`.
-pub(crate) fn world(seed: u64, scale: f64) -> World {
-    WorldGenerator::new(WorldConfig::small(seed).with_scale(scale)).generate()
+/// Generates the calibrated world for `seed` at `scale`, its network
+/// dropping packets at rate `loss`: the one world every subcommand
+/// measures. Only the report commands take `--loss`; the operator
+/// commands pass 0.
+pub(crate) fn world(seed: u64, scale: f64, loss: f64) -> World {
+    WorldGenerator::new(WorldConfig::small(seed).with_scale(scale).with_loss_rate(loss)).generate()
 }
 
 /// The worker-count-invariant campaign configuration: flaky chaos, no

@@ -111,7 +111,7 @@ fn campaign(mut args: Args) -> Result<Outcome, Error> {
         }
     }
 
-    let world = world(seed, scale_ppm as f64 / 1_000_000.0);
+    let world = world(seed, scale_ppm as f64 / 1_000_000.0, 0.0);
     let matchers = world.catalog.matchers();
     let campaign = Campaign::new(&world, &matchers);
 

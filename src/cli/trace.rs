@@ -138,7 +138,7 @@ fn campaign(opts: &Options) -> Result<Outcome, Error> {
 }
 
 fn summarize(opts: &Options, out: &Path) -> Result<Outcome, Error> {
-    let world = world(opts.seed, opts.scale);
+    let world = world(opts.seed, opts.scale, 0.0);
     let matchers = world.catalog.matchers();
     let campaign = Campaign::new(&world, &matchers);
 

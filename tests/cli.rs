@@ -5,10 +5,14 @@
 //!
 //! Every exit-code row is cheap: it fails before a campaign starts, or
 //! reads a small archived artifact. The finding paths that need a
-//! campaign run in the `ci.sh` smokes.
+//! campaign run in the `ci.sh` smokes. The report views run once each,
+//! on a scale-0.002 world.
 
 use std::io::Read;
+use std::path::Path;
 use std::process::{Command, Stdio};
+
+use govdns::prelude::*;
 
 /// A path no file can exist at (its parent is a regular file), so reads
 /// and writes fail even for a privileged user.
@@ -62,6 +66,13 @@ fn usage_errors_exit_2() {
             &["audit", "--workers", "0.5"],
             &["audit", "--scale", "0"],
             &["audit", "--scale", "2.5"],
+            // A positional the command does not read, or a missing
+            // `--out` value: rejected before a world is generated.
+            &["audit", "stray"],
+            &["country", "br", "extra"],
+            &["hijack", "x"],
+            &["audit", "--out"],
+            &["hijack", "--out", "x"],
             &["hijack", "--scale", "NaN"],
             &["country"],
             &["country", "zzz"],
@@ -120,6 +131,9 @@ fn unreadable_undecodable_and_unwritable_files_exit_2() {
             &["counterfactual", "rank", "--journal-dir", MISSING],
         ],
     );
+    // An unwritable `--out` is named as a failed write, before the run.
+    let (code, stderr) = govdns(&["audit", "--out", MISSING]);
+    assert!(code == Some(2) && stderr.starts_with("error: cannot write"), "{code:?}\n{stderr}");
 }
 
 #[test]
@@ -153,6 +167,70 @@ fn clean_runs_exit_0() {
     let inspect = ["trace", "--inspect", path, "--domain", "no.such.domain"];
     expect_exit(0, &[&["smell", "inspect", SMELLS, "--json"], &inspect]);
     let _ = std::fs::remove_file(&trace);
+}
+
+/// The report views on a small world with exposure: each `hijack` line
+/// ends with the domains it exposes, `country` prints the ten-year PDNS
+/// history, and `audit --out` writes the bundle the library writes for
+/// the same seed, scale and worker count.
+#[test]
+fn report_views_carry_what_they_own() {
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_govdns"))
+            .args(args)
+            .args(["--scale", "0.002", "--seed", "7", "--workers", "1"])
+            .output()
+            .expect("the govdns binary runs");
+        (out.status.code(), String::from_utf8(out.stdout).expect("stdout is UTF-8"))
+    };
+
+    let (code, hijack) = run(&["hijack"]);
+    assert_eq!(code, Some(1), "exposure is a finding:\n{hijack}");
+    assert!(!hijack.is_empty());
+    for line in hijack.lines() {
+        let columns: Vec<&str> = line.split('\t').collect();
+        assert_eq!(columns.len(), 5, "{line}");
+        let count = columns[2].strip_suffix(" domains").and_then(|n| n.parse().ok());
+        assert_eq!(Some(columns[4].split(',').count()), count, "{line}");
+    }
+
+    let (code, country) = run(&["country", "gb"]);
+    assert_eq!(code, Some(0));
+    let history: Vec<&str> =
+        country.lines().skip_while(|l| !l.starts_with("PDNS history")).skip(1).collect();
+    let years: Vec<&str> = history.iter().filter_map(|l| l.trim().split(':').next()).collect();
+    assert_eq!(years, (2011..=2020).map(|y| y.to_string()).collect::<Vec<_>>(), "{country}");
+
+    let dir = std::env::temp_dir().join(format!("govdns-cli-audit-{}", std::process::id()));
+    let (cli, lib) = (dir.join("cli"), dir.join("lib"));
+    let (code, _) = run(&["audit", "--out", cli.to_str().expect("temp paths are UTF-8")]);
+    assert_eq!(code, Some(0));
+    let world = WorldGenerator::new(WorldConfig::small(7).with_scale(0.002)).generate();
+    let matchers = world.catalog.matchers();
+    let report = Report::generate(
+        &Campaign::new(&world, &matchers),
+        RunnerConfig { workers: 1, ..RunnerConfig::default() },
+    );
+    report.write_csv_bundle(&lib).expect("temp dir is writable");
+    // Every file by name, with its hash unless it is telemetry, which
+    // carries wall times.
+    let files = |dir: &Path| {
+        let mut files: Vec<(String, Option<u64>)> = std::fs::read_dir(dir)
+            .expect("the bundle was written")
+            .map(|e| {
+                let name = e.expect("a directory entry").file_name().into_string().unwrap();
+                let hash = (!name.starts_with("telemetry")).then(|| {
+                    govdns::model::fnv64(&std::fs::read(dir.join(&name)).expect("a file reads"))
+                });
+                (name, hash)
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let (from_cli, from_lib) = (files(&cli), files(&lib));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(from_cli, from_lib, "audit --out differs from Report::write_csv_bundle");
 }
 
 /// Runs `govdns` with `args`, reads a few bytes of its stdout and then
