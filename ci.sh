@@ -14,8 +14,8 @@
 # checked-in corpus artifact), the smell smoke (trace-cited operational
 # smell verdicts byte-stable across runs and worker counts, every
 # detector firing, and matching the checked-in corpus artifact), and
-# the bench guards (telemetry, substrate rows, campaign scaling,
-# flight-recorder overhead). The smokes drive the release `govdns` binary that the
+# the bench guards (telemetry, substrate and analysis rows, campaign
+# scaling, flight-recorder overhead). The smokes drive the release `govdns` binary that the
 # build stage produces.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -65,6 +65,27 @@ expect_exit() {
     shift
     "$@" > /dev/null 2>&1 || got=$?
     [ "$got" = "$want" ] || { echo "expected exit $want, got $got: $*" >&2; exit 1; }
+}
+
+# require_rows OUT ROW...: each microbench prints `bench <id> <ns>
+# ns/iter`, the median of its timed batches. A row of OUT that is
+# missing, or reads no positive time, measures nothing.
+require_rows() {
+    local out="$1"
+    shift
+    awk -v want="$*" '
+        / ns\/iter / && $3 > 0 { seen[$2] = 1 }
+        END {
+            n = split(want, rows, " ")
+            for (i = 1; i <= n; i++) {
+                if (!(rows[i] in seen)) {
+                    print "bench guard: row " rows[i] " missing or not positive" > "/dev/stderr"
+                    bad = 1
+                }
+            }
+            exit bad
+        }
+    ' "$out"
 }
 
 echo "== reference run: the paper tables match report_s010/ =="
@@ -333,26 +354,24 @@ python3 -c "import json; d = json.load(open('BENCH_telemetry.json')); assert d, 
     || { echo "bench guard: BENCH_telemetry.json is empty or invalid" >&2; exit 1; }
 
 echo "== bench guard: substrate rows =="
-# Each substrate microbench prints `bench <id> <ns> ns/iter`, the median
-# of its timed batches. A row that is missing, or reads no positive
-# time, measures nothing.
 cargo bench -q -p govdns-bench --bench substrates > "$work/substrates.out"
 cat "$work/substrates.out"
-awk '
-    / ns\/iter / && $3 > 0 { seen[$2] = 1 }
-    END {
-        n = split("wire/encode wire/decode server_handle_query server_handle_nxdomain " \
-            "pdns_wildcard_search resolver_iterative_walk zonefile/parse pdns_tsv/export " \
-            "pdns_tsv/import trace/decode_domain trace/read", want, " ")
-        for (i = 1; i <= n; i++) {
-            if (!(want[i] in seen)) {
-                print "bench guard: substrate row " want[i] " missing or not positive" > "/dev/stderr"
-                bad = 1
-            }
-        }
-        exit bad
-    }
-' "$work/substrates.out"
+require_rows "$work/substrates.out" wire/encode wire/decode server_handle_query \
+    server_handle_nxdomain pdns_wildcard_search resolver_iterative_walk zonefile/parse \
+    pdns_tsv/export pdns_tsv/import trace/decode_domain trace/read
+
+echo "== bench guard: analysis rows =="
+# One row per figure and table of the evaluation, over the bench
+# fixture's campaign, plus the longitudinal reconstruction they read.
+cargo bench -q -p govdns-bench --bench figures > "$work/figures.out"
+cargo bench -q -p govdns-bench --bench tables > "$work/tables.out"
+cat "$work/figures.out" "$work/tables.out"
+require_rows "$work/figures.out" fig02_03_yearly_totals fig02_03_yearly_totals_raw \
+    longitudinal_build fig04_domains_per_country fig05_ns_daily_mode fig06_d1ns_churn \
+    fig07_private_share fig08_09_active_replication fig10_12_delegation_analysis \
+    fig13_14_consistency_analysis levels_section3
+require_rows "$work/tables.out" table1_diversity table2_3_provider_classification \
+    table2_major_providers_render table3_top_providers_render
 
 echo "== bench guard: campaign throughput scales with workers =="
 # End-to-end probes/sec at 1/2/4/8 workers over the same world. The

@@ -7,10 +7,13 @@ use std::hint::black_box;
 use govdns_bench::fixture;
 use govdns_core::analysis::consistency::ConsistencyAnalysis;
 use govdns_core::analysis::delegation::DelegationAnalysis;
+use govdns_core::analysis::longitudinal::Longitudinal;
 use govdns_core::analysis::replication::{
     ActiveReplication, DomainsPerCountry, PrivateShare, SingleNsChurn, YearlyTotals,
 };
 use govdns_core::report::LevelMix;
+use govdns_core::stats::ns_daily_mode;
+use govdns_model::DateRange;
 
 fn figures(c: &mut Criterion) {
     let f = fixture();
@@ -31,6 +34,15 @@ fn figures(c: &mut Criterion) {
         })
     });
 
+    // The longitudinal reconstruction with its year index, which every
+    // PDNS-history figure and Tables II-III read.
+    c.bench_function("longitudinal_build", |b| {
+        b.iter(|| {
+            let lon = Longitudinal::build(black_box(&campaign), black_box(&f.dataset.seeds));
+            black_box(lon.histories().len())
+        })
+    });
+
     c.bench_function("fig04_domains_per_country", |b| {
         b.iter(|| {
             let t = DomainsPerCountry::compute(black_box(&f.longitudinal), 2020);
@@ -39,14 +51,16 @@ fn figures(c: &mut Criterion) {
     });
 
     c.bench_function("fig05_ns_daily_mode", |b| {
-        // The per-domain mode computation underlying Fig 5/6/7.
+        // The per-domain mode computation underlying Fig 5/6/7, which the
+        // year index runs once per history and active year.
         let history = f
             .longitudinal
-            .histories
+            .histories()
             .iter()
             .max_by_key(|h| h.ns_entries.len())
             .expect("non-empty longitudinal index");
-        b.iter(|| black_box(history.ns_mode(black_box(2019))))
+        let spans: Vec<DateRange> = history.ns_entries.iter().map(|e| e.span()).collect();
+        b.iter(|| black_box(ns_daily_mode(black_box(&spans), DateRange::year(black_box(2019)))))
     });
 
     c.bench_function("fig06_d1ns_churn", |b| {

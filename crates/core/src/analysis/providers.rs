@@ -4,11 +4,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use govdns_model::{DateRange, DomainName, Year};
+use govdns_model::{DomainName, Year};
 use govdns_world::{Country, CountryCode};
 
-use crate::analysis::attribution::{classify_hosts, soa_rule};
-use crate::analysis::longitudinal::Longitudinal;
+use crate::analysis::attribution::{classify_hosts, soa_rule, HostLabel};
+use crate::analysis::longitudinal::{year_bits, Longitudinal};
 use crate::stats;
 use crate::tables::{fmt_pct, TextTable};
 use crate::Campaign;
@@ -80,7 +80,7 @@ pub struct ProviderAnalysis {
 
 /// Every NS host some domain uses outside its own `d_gov`.
 fn external_hosts(lon: &Longitudinal) -> impl Iterator<Item = &DomainName> {
-    lon.histories.iter().flat_map(|h| {
+    lon.histories().iter().flat_map(|h| {
         let hosts = h.ns_entries.iter().filter_map(|e| e.rdata.as_ns());
         hosts.filter(|host| !host.is_within(&h.seed))
     })
@@ -93,7 +93,7 @@ impl ProviderAnalysis {
         let country_index: BTreeMap<CountryCode, &Country> =
             campaign.countries.iter().map(|c| (c.code, c)).collect();
         let mut groups: HashMap<CountryCode, String> = HashMap::new();
-        for h in &lon.histories {
+        for h in lon.histories() {
             groups.entry(h.country).or_insert_with(|| {
                 if top10.contains(&h.country) {
                     format!("country:{}", h.country)
@@ -109,44 +109,61 @@ impl ProviderAnalysis {
         let total_groups = govdns_world::SubRegion::all().len() + top10.len();
         let hosts = classify_hosts(campaign.matchers, external_hosts(lon));
 
-        let years = Longitudinal::years()
-            .map(|year| {
-                let window = DateRange::year(year);
-                let mut per_label: BTreeMap<&str, LabelStats> = BTreeMap::new();
-                let mut total_domains = 0usize;
-                for h in lon.active_in_year(year) {
-                    total_domains += 1;
-                    let mut labels: BTreeSet<&str> = BTreeSet::new();
-                    let mut private = false;
-                    // Hostname rules first; for anonymous hostnames, fall
-                    // back to the zone's SOA (looked up at most once per
-                    // domain-year); else the host's registered domain.
-                    let mut by_soa = None;
-                    let soa = || {
-                        let soa_names = h.soa_names_in(&window);
-                        soa_names.iter().find_map(|(m, r)| soa_rule(campaign.matchers, m, r))
-                    };
-                    for host in h.ns_hosts_in(&window) {
-                        if host.is_within(&h.seed) {
-                            private = true;
-                            continue;
+        let mut markets: Vec<(usize, BTreeMap<&str, LabelStats>)> =
+            year_bits().map(|_| Default::default()).collect();
+        // Per NS entry of the current history: its years, and its host's
+        // label (`None` for a host within the seed).
+        let mut entries: Vec<(u16, Option<&HostLabel>)> = Vec::new();
+        for (h, ix) in lon.indexed() {
+            let group = &groups[&h.country];
+            entries.clear();
+            entries.extend(h.ns_entries.iter().zip(&ix.ns).filter_map(|(e, &years)| {
+                let host = e.rdata.as_ns()?;
+                Some((years, (!host.is_within(&h.seed)).then(|| &hosts[host])))
+            }));
+            for ((_, bit), (total_domains, per_label)) in year_bits().zip(&mut markets) {
+                if ix.active & bit == 0 {
+                    continue;
+                }
+                *total_domains += 1;
+                let mut labels: BTreeSet<&str> = BTreeSet::new();
+                let mut private = false;
+                // Hostname rules first; for anonymous hostnames, fall
+                // back to the zone's SOA (looked up at most once per
+                // domain-year); else the host's registered domain.
+                let mut by_soa = None;
+                let soa = || {
+                    let soa_entries = h.soa_entries.iter().zip(&ix.soa);
+                    let active = soa_entries.filter(|&(_, &years)| years & bit != 0);
+                    active
+                        .filter_map(|(e, _)| e.rdata.as_soa())
+                        .find_map(|soa| soa_rule(campaign.matchers, &soa.mname, &soa.rname))
+                };
+                for &(_, label) in entries.iter().filter(|&&(years, _)| years & bit != 0) {
+                    match label {
+                        None => private = true,
+                        Some(label) => {
+                            labels.insert(label.resolve(|| *by_soa.get_or_insert_with(soa)));
                         }
-                        labels.insert(hosts[host].resolve(|| *by_soa.get_or_insert_with(soa)));
-                    }
-                    let single = labels.len() == 1 && !private;
-                    let group = &groups[&h.country];
-                    for label in labels {
-                        let slot = per_label.entry(label).or_default();
-                        slot.domains += 1;
-                        if single {
-                            slot.d1p += 1;
-                        }
-                        if !slot.groups.contains(group) {
-                            slot.groups.insert(group.clone());
-                        }
-                        slot.countries.insert(h.country);
                     }
                 }
+                let single = labels.len() == 1 && !private;
+                for label in labels {
+                    let slot = per_label.entry(label).or_default();
+                    slot.domains += 1;
+                    if single {
+                        slot.d1p += 1;
+                    }
+                    if !slot.groups.contains(group) {
+                        slot.groups.insert(group.clone());
+                    }
+                    slot.countries.insert(h.country);
+                }
+            }
+        }
+        let years = year_bits()
+            .zip(markets)
+            .map(|((year, _), (total_domains, per_label))| {
                 let per_label =
                     per_label.into_iter().map(|(label, s)| (label.to_owned(), s)).collect();
                 ProviderYearStats { year, total_domains, per_label }
@@ -238,11 +255,96 @@ impl ProviderAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::attribution::HostLabel;
     use crate::analysis::testutil::{
-        history, longitudinal, n, ns_entry, soa_entry, CampaignFixture,
+        drawn_histories, history, longitudinal, n, ns_entry, soa_entry, CampaignFixture,
     };
+    use govdns_model::DateRange;
     use govdns_world::{MatchRule, MatchTarget, ProviderMatcher};
+    use proptest::prelude::*;
+
+    /// Tables II–III as computed before the year index: per year, every
+    /// active history's hosts re-found, hashed and tested against the
+    /// seed. The indexed pass must reproduce it exactly.
+    fn rescan(lon: &Longitudinal, campaign: &Campaign<'_>) -> ProviderAnalysis {
+        let top10 = lon.top10_countries();
+        let country_index: BTreeMap<CountryCode, &Country> =
+            campaign.countries.iter().map(|c| (c.code, c)).collect();
+        let group = |country: CountryCode| {
+            if top10.contains(&country) {
+                format!("country:{country}")
+            } else {
+                country_index
+                    .get(&country)
+                    .map(|c| c.sub_region.to_string())
+                    .unwrap_or_else(|| "unknown".to_owned())
+            }
+        };
+        let total_groups = govdns_world::SubRegion::all().len() + top10.len();
+        let hosts = classify_hosts(campaign.matchers, external_hosts(lon));
+        let years = Longitudinal::years()
+            .map(|year| {
+                let window = DateRange::year(year);
+                let mut per_label: BTreeMap<String, LabelStats> = BTreeMap::new();
+                let mut total_domains = 0usize;
+                for h in lon.histories().iter().filter(|h| h.active_in(&window)) {
+                    total_domains += 1;
+                    let mut labels: BTreeSet<&str> = BTreeSet::new();
+                    let mut private = false;
+                    let mut by_soa = None;
+                    let soa = || {
+                        let soa_names = h.soa_names_in(&window);
+                        soa_names.iter().find_map(|(m, r)| soa_rule(campaign.matchers, m, r))
+                    };
+                    for host in h.ns_hosts_in(&window) {
+                        if host.is_within(&h.seed) {
+                            private = true;
+                            continue;
+                        }
+                        labels.insert(hosts[host].resolve(|| *by_soa.get_or_insert_with(soa)));
+                    }
+                    let single = labels.len() == 1 && !private;
+                    for label in labels {
+                        let slot = per_label.entry(label.to_owned()).or_default();
+                        slot.domains += 1;
+                        slot.d1p += usize::from(single);
+                        slot.groups.insert(group(h.country));
+                        slot.countries.insert(h.country);
+                    }
+                }
+                ProviderYearStats { year, total_domains, per_label }
+            })
+            .collect();
+        ProviderAnalysis { years, total_groups }
+    }
+
+    proptest! {
+        #[test]
+        fn the_indexed_pass_matches_the_per_year_rescan(histories in drawn_histories()) {
+            // A hostname rule for the provider pool, and an SOA rule that
+            // names the in-seed hosts when they serve another seed's zone.
+            let f = CampaignFixture {
+                matchers: vec![
+                    ProviderMatcher {
+                        label: "Prov DNS".to_owned(),
+                        rule: MatchRule::RegisteredDomain(n("prov.example")),
+                        target: MatchTarget::Hostname,
+                    },
+                    ProviderMatcher {
+                        label: "City SOA".to_owned(),
+                        rule: MatchRule::RegisteredDomain(n("city.gov.zz")),
+                        target: MatchTarget::SoaName,
+                    },
+                ],
+                ..CampaignFixture::default()
+            };
+            let lon = Longitudinal::new(histories);
+            let campaign = f.campaign();
+            prop_assert_eq!(
+                ProviderAnalysis::compute(&lon, &campaign),
+                rescan(&lon, &campaign)
+            );
+        }
+    }
 
     #[allow(clippy::field_reassign_with_default)]
     fn fixture_with_matchers() -> CampaignFixture {

@@ -1,12 +1,12 @@
 //! §IV-A — nameserver replication: the decade of PDNS history (Figs 2,
 //! 3, 4, 6, 7) and the active-measurement view (Figs 8, 9).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
-use govdns_model::{DateRange, DomainName, Year};
+use govdns_model::{DomainName, Year};
 use govdns_world::CountryCode;
 
-use crate::analysis::longitudinal::{year_mask, DomainHistory, Longitudinal};
+use crate::analysis::longitudinal::{year_bits, year_mask, Longitudinal, YearIndex};
 use crate::stats::{self, Cdf};
 use crate::tables::{fmt_pct, TextTable};
 use crate::MeasurementDataset;
@@ -43,37 +43,41 @@ impl YearlyTotals {
             }
             *countries.entry(seed.country).or_default() |= seed_years;
         }
-        fn active<K>(masks: &HashMap<K, u16>, bit: u16) -> usize {
-            masks.values().filter(|&&m| m & bit != 0).count()
-        }
-        let rows = Longitudinal::years()
-            .zip(0..)
-            .map(|(year, i)| {
-                let bit = 1 << i;
-                (year, active(&domains, bit), active(&countries, bit), active(&hostnames, bit))
-            })
-            .collect();
-        YearlyTotals { rows }
+        YearlyTotals::from_masks([
+            domains.into_values().collect(),
+            countries.into_values().collect(),
+            hostnames.into_values().collect(),
+        ])
     }
 
     /// Computes the yearly totals over the stability-filtered
     /// longitudinal index (the population the analyses run on).
     pub fn compute(lon: &Longitudinal) -> Self {
-        let rows = Longitudinal::years()
-            .map(|year| {
-                let window = DateRange::year(year);
-                let mut domains = 0usize;
-                let mut countries: BTreeSet<CountryCode> = BTreeSet::new();
-                let mut hostnames: BTreeSet<&DomainName> = BTreeSet::new();
-                for h in lon.active_in_year(year) {
-                    domains += 1;
-                    countries.insert(h.country);
-                    for host in h.ns_hosts_in(&window) {
-                        hostnames.insert(host);
-                    }
+        let mut domains = Vec::new();
+        let mut hostnames: HashMap<&DomainName, u16> = HashMap::new();
+        let mut countries: HashMap<CountryCode, u16> = HashMap::new();
+        for (h, ix) in lon.indexed() {
+            domains.push(ix.active);
+            *countries.entry(h.country).or_default() |= ix.active;
+            for (e, &years) in h.ns_entries.iter().zip(&ix.ns) {
+                if let Some(host) = e.rdata.as_ns() {
+                    *hostnames.entry(host).or_default() |= years;
                 }
-                (year, domains, countries.len(), hostnames.len())
-            })
+            }
+        }
+        YearlyTotals::from_masks([
+            domains,
+            countries.into_values().collect(),
+            hostnames.into_values().collect(),
+        ])
+    }
+
+    /// One row per year from the domain, country and hostname year
+    /// masks: how many of each hold the year.
+    fn from_masks(masks: [Vec<u16>; 3]) -> Self {
+        let active = |kind: usize, bit: u16| masks[kind].iter().filter(|&&m| m & bit != 0).count();
+        let rows = year_bits()
+            .map(|(year, bit)| (year, active(0, bit), active(1, bit), active(2, bit)))
             .collect();
         YearlyTotals { rows }
     }
@@ -141,35 +145,27 @@ impl SingleNsChurn {
     /// Identifies `d_1NS` cohorts per year and their overlap with the
     /// 2011 cohort.
     pub fn compute(lon: &Longitudinal) -> Self {
-        let cohorts: Vec<(Year, BTreeSet<&DomainName>)> = Longitudinal::years()
-            .map(|year| {
-                let set: BTreeSet<&DomainName> = lon
-                    .active_in_year(year)
-                    .filter(|h| h.ns_mode(year) == Some(1))
-                    .map(|h| &h.name)
-                    .collect();
-                (year, set)
+        let d1ns_per_year: Vec<(Year, usize)> =
+            year_bits().map(|(year, bit)| (year, lon.count(bit, |ix| ix.single_ns))).collect();
+        let base = d1ns_per_year[0].1;
+        let churn = year_bits()
+            .zip(&d1ns_per_year)
+            .skip(1)
+            .map(|((year, bit), &(_, cur))| {
+                // New: single-NS now, not the year before.
+                let new = lon.count(bit, |ix| ix.single_ns & !(ix.single_ns << 1));
+                // Of the 2011 cohort: single-NS now, or no longer active.
+                let cohort = |ix: &YearIndex| ix.single_ns & 1 != 0;
+                let from_2011 = lon.count(bit, |ix| if cohort(ix) { ix.single_ns } else { 0 });
+                let gone_2011 = lon.count(bit, |ix| if cohort(ix) { !ix.active } else { 0 });
+                (
+                    year,
+                    stats::pct(new, cur),
+                    stats::pct(from_2011, cur),
+                    stats::pct(gone_2011, base),
+                )
             })
             .collect();
-        let d1ns_per_year: Vec<(Year, usize)> =
-            cohorts.iter().map(|(y, s)| (*y, s.len())).collect();
-        let base = &cohorts[0].1;
-        let mut churn = Vec::new();
-        for w in cohorts.windows(2) {
-            let (_, prev) = &w[0];
-            let (year, cur) = &w[1];
-            let new = cur.difference(prev).count();
-            let from_2011 = cur.intersection(base).count();
-            let active_names: BTreeSet<&DomainName> =
-                lon.active_in_year(*year).map(|h| &h.name).collect();
-            let gone_2011 = base.iter().filter(|n| !active_names.contains(*n)).count();
-            churn.push((
-                *year,
-                stats::pct(new, cur.len()),
-                stats::pct(from_2011, cur.len()),
-                stats::pct(gone_2011, base.len()),
-            ));
-        }
         SingleNsChurn { d1ns_per_year, churn }
     }
 
@@ -205,26 +201,11 @@ pub struct PrivateShare {
 impl PrivateShare {
     /// Computes Fig 7.
     pub fn compute(lon: &Longitudinal) -> Self {
-        let rows = Longitudinal::years()
-            .map(|year| {
-                let window = DateRange::year(year);
-                let mut all = 0usize;
-                let mut all_private = 0usize;
-                let mut d1 = 0usize;
-                let mut d1_private = 0usize;
-                for h in lon.active_in_year(year) {
-                    all += 1;
-                    let private = h.private_in(&window);
-                    if private {
-                        all_private += 1;
-                    }
-                    if h.ns_mode(year) == Some(1) {
-                        d1 += 1;
-                        if private {
-                            d1_private += 1;
-                        }
-                    }
-                }
+        let rows = year_bits()
+            .map(|(year, bit)| {
+                let d1_private = lon.count(bit, |ix| ix.single_ns & ix.private);
+                let all_private = lon.count(bit, |ix| ix.private);
+                let (d1, all) = (lon.count(bit, |ix| ix.single_ns), lon.count(bit, |ix| ix.active));
                 (year, stats::pct(d1_private, d1), stats::pct(all_private, all))
             })
             .collect();
@@ -361,19 +342,19 @@ impl ActiveReplication {
     }
 }
 
-/// Keeps `DomainHistory` available to downstream users of this module.
-pub type History = DomainHistory;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::longitudinal::DomainHistory;
     use crate::analysis::testutil::{
-        dataset, history, longitudinal, n, ns_entry, year, CampaignFixture, ProbeBuilder,
+        dataset, drawn_histories, history, longitudinal, n, ns_entry, owner, rdata, span, year,
+        CampaignFixture, ProbeBuilder,
     };
     use crate::seed::{SeedDomain, SeedKind, SeedProvenance};
     use crate::Campaign;
-    use govdns_model::{RecordData, RecordType, SimDate, Soa};
+    use govdns_model::{DateRange, RecordType};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// The ten-scan `compute_raw`: one windowed NS search per seed per
     /// year. The masked single pass must reproduce it exactly.
@@ -401,6 +382,113 @@ mod tests {
         YearlyTotals { rows }
     }
 
+    /// The per-year rescans the year index replaced: Figs 2–3, 4, 6 and 7
+    /// as they were computed before it, one pass over the entries per
+    /// year. The indexed stages must reproduce them exactly.
+    mod rescan {
+        use super::*;
+
+        pub(super) fn yearly(lon: &Longitudinal) -> YearlyTotals {
+            let rows = Longitudinal::years()
+                .map(|year| {
+                    let window = DateRange::year(year);
+                    let mut domains = 0usize;
+                    let mut countries: BTreeSet<CountryCode> = BTreeSet::new();
+                    let mut hostnames: BTreeSet<&DomainName> = BTreeSet::new();
+                    for h in active_in_year(lon, year) {
+                        domains += 1;
+                        countries.insert(h.country);
+                        hostnames.extend(h.ns_hosts_in(&window));
+                    }
+                    (year, domains, countries.len(), hostnames.len())
+                })
+                .collect();
+            YearlyTotals { rows }
+        }
+
+        pub(super) fn per_country(lon: &Longitudinal, year: Year) -> DomainsPerCountry {
+            let mut map: BTreeMap<CountryCode, usize> = BTreeMap::new();
+            for h in active_in_year(lon, year) {
+                *map.entry(h.country).or_insert(0) += 1;
+            }
+            let mut rows: Vec<(CountryCode, usize)> = map.into_iter().collect();
+            rows.sort_by_key(|&(c, n)| (std::cmp::Reverse(n), c));
+            DomainsPerCountry { rows }
+        }
+
+        pub(super) fn churn(lon: &Longitudinal) -> SingleNsChurn {
+            let cohorts: Vec<(Year, BTreeSet<&DomainName>)> = Longitudinal::years()
+                .map(|year| {
+                    let set = active_in_year(lon, year)
+                        .filter(|h| h.ns_mode(year) == Some(1))
+                        .map(|h| &h.name)
+                        .collect();
+                    (year, set)
+                })
+                .collect();
+            let d1ns_per_year = cohorts.iter().map(|(y, s)| (*y, s.len())).collect();
+            let base = &cohorts[0].1;
+            let mut churn = Vec::new();
+            for w in cohorts.windows(2) {
+                let (_, prev) = &w[0];
+                let (year, cur) = &w[1];
+                let new = cur.difference(prev).count();
+                let from_2011 = cur.intersection(base).count();
+                let active_names: BTreeSet<&DomainName> =
+                    active_in_year(lon, *year).map(|h| &h.name).collect();
+                let gone_2011 = base.iter().filter(|n| !active_names.contains(*n)).count();
+                churn.push((
+                    *year,
+                    stats::pct(new, cur.len()),
+                    stats::pct(from_2011, cur.len()),
+                    stats::pct(gone_2011, base.len()),
+                ));
+            }
+            SingleNsChurn { d1ns_per_year, churn }
+        }
+
+        pub(super) fn private_share(lon: &Longitudinal) -> PrivateShare {
+            let rows = Longitudinal::years()
+                .map(|year| {
+                    let window = DateRange::year(year);
+                    let (mut all, mut all_private, mut d1, mut d1_private) = (0, 0, 0, 0);
+                    for h in active_in_year(lon, year) {
+                        all += 1;
+                        let private = h.private_in(&window);
+                        all_private += usize::from(private);
+                        if h.ns_mode(year) == Some(1) {
+                            d1 += 1;
+                            d1_private += usize::from(private);
+                        }
+                    }
+                    (year, stats::pct(d1_private, d1), stats::pct(all_private, all))
+                })
+                .collect();
+            PrivateShare { rows }
+        }
+
+        fn active_in_year(lon: &Longitudinal, year: Year) -> impl Iterator<Item = &DomainHistory> {
+            let window = DateRange::year(year);
+            lon.histories().iter().filter(move |h| h.active_in(&window))
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn indexed_stages_match_the_per_year_rescans(histories in drawn_histories()) {
+            let lon = Longitudinal::new(histories);
+            prop_assert_eq!(YearlyTotals::compute(&lon), rescan::yearly(&lon));
+            for year in Longitudinal::years() {
+                prop_assert_eq!(
+                    DomainsPerCountry::compute(&lon, year),
+                    rescan::per_country(&lon, year)
+                );
+            }
+            prop_assert_eq!(SingleNsChurn::compute(&lon), rescan::churn(&lon));
+            prop_assert_eq!(PrivateShare::compute(&lon), rescan::private_share(&lon));
+        }
+    }
+
     fn seed(name: &str, cc: &str) -> SeedDomain {
         SeedDomain {
             country: CountryCode::new(cc),
@@ -410,40 +498,6 @@ mod tests {
             provenance: SeedProvenance::PortalLink,
             portal_resolved: true,
         }
-    }
-
-    /// Owners: both nested seeds, names beneath each, and a decoy
-    /// outside both.
-    fn owner() -> impl Strategy<Value = DomainName> {
-        (0u8..5, "[a-c]{1,2}").prop_map(|(kind, label)| match kind {
-            0 => n("gov.zz"),
-            1 => n("city.gov.zz"),
-            2 => n(&format!("{label}.gov.zz")),
-            3 => n(&format!("{label}.city.gov.zz")),
-            _ => n(&format!("{label}.gov.zx")),
-        })
-    }
-
-    /// NS records drawn from a small host pool (so one host serves many
-    /// names), plus SOA and A records under the same owners.
-    fn rdata() -> impl Strategy<Value = RecordData> {
-        const HOSTS: [&str; 4] =
-            ["ns1.gov.zz", "ns2.city.gov.zz", "ns1.prov.example", "ns2.prov.example"];
-        (0u8..4, 0..HOSTS.len()).prop_map(|(kind, host)| match kind {
-            0 | 1 => RecordData::Ns(n(HOSTS[host])),
-            2 => RecordData::Soa(Soa::new(n(HOSTS[host]), n("hostmaster.gov.zz"))),
-            _ => RecordData::A([192, 0, 2, host as u8].into()),
-        })
-    }
-
-    /// Spans from 2008 to 2023: wholly before 2011, wholly after 2020,
-    /// single days, and spans straddling one or more year boundaries.
-    fn span() -> impl Strategy<Value = DateRange> {
-        let from = SimDate::from_ymd(2008, 1, 1).days();
-        let to = SimDate::from_ymd(2023, 12, 31).days();
-        (from..to, 0i64..1500).prop_map(|(start, len)| {
-            DateRange::new(SimDate::from_days(start), SimDate::from_days(start + len))
-        })
     }
 
     proptest! {

@@ -260,9 +260,12 @@ impl CampaignFixture {
     }
 }
 
+use std::collections::BTreeMap;
+
 use crate::analysis::longitudinal::{DomainHistory, Longitudinal};
-use govdns_model::DateRange;
+use govdns_model::{DateRange, RecordData, Soa};
 use govdns_pdns::PdnsEntry;
+use proptest::prelude::*;
 
 /// Builds one PDNS NS entry spanning `[from, to]` (inclusive, y/m/d).
 pub(crate) fn ns_entry(
@@ -307,10 +310,82 @@ pub(crate) fn history(owner: &str, cc: &str, entries: Vec<PdnsEntry>) -> DomainH
 
 /// Wraps histories into a longitudinal view.
 pub(crate) fn longitudinal(histories: Vec<DomainHistory>) -> Longitudinal {
-    Longitudinal { histories }
+    Longitudinal::new(histories)
 }
 
 /// The whole-year range helper.
 pub(crate) fn year(y: i32) -> DateRange {
     DateRange::year(y)
+}
+
+/// Owners: both nested seeds, names beneath each, and a decoy
+/// outside both.
+pub(crate) fn owner() -> impl Strategy<Value = DomainName> {
+    (0u8..5, "[a-c]{1,2}").prop_map(|(kind, label)| match kind {
+        0 => n("gov.zz"),
+        1 => n("city.gov.zz"),
+        2 => n(&format!("{label}.gov.zz")),
+        3 => n(&format!("{label}.city.gov.zz")),
+        _ => n(&format!("{label}.gov.zx")),
+    })
+}
+
+/// NS records drawn from a small host pool (so one host serves many
+/// names), plus SOA and A records under the same owners.
+pub(crate) fn rdata() -> impl Strategy<Value = RecordData> {
+    const HOSTS: [&str; 4] =
+        ["ns1.gov.zz", "ns2.city.gov.zz", "ns1.prov.example", "ns2.prov.example"];
+    (0u8..4, 0..HOSTS.len()).prop_map(|(kind, host)| match kind {
+        0 | 1 => RecordData::Ns(n(HOSTS[host])),
+        2 => RecordData::Soa(Soa::new(n(HOSTS[host]), n("hostmaster.gov.zz"))),
+        _ => RecordData::A([192, 0, 2, host as u8].into()),
+    })
+}
+
+/// Spans from 2008 to 2023: wholly before 2011, wholly after 2020,
+/// single days, and spans straddling one or more year boundaries.
+pub(crate) fn span() -> impl Strategy<Value = DateRange> {
+    let from = SimDate::from_ymd(2008, 1, 1).days();
+    let to = SimDate::from_ymd(2023, 12, 31).days();
+    (from..to, 0i64..1500).prop_map(|(start, len)| {
+        DateRange::new(SimDate::from_days(start), SimDate::from_days(start + len))
+    })
+}
+
+/// Histories over records drawn by [`owner`], [`rdata`] and [`span`]:
+/// one per owner, holding its NS and SOA entries, under the longest of
+/// the seeds `city.gov.zz` (country yy), `gov.zz` (zz) and the decoy's
+/// `gov.zx` (zx). So `ns1.gov.zz` is private under `gov.zz` but not
+/// under the other two.
+pub(crate) fn drawn_histories() -> impl Strategy<Value = Vec<DomainHistory>> {
+    const SEEDS: [(&str, &str); 3] = [("city.gov.zz", "yy"), ("gov.zz", "zz"), ("gov.zx", "zx")];
+    prop::collection::vec((owner(), rdata(), span(), 1u64..5), 0..40).prop_map(|records| {
+        let mut by_name: BTreeMap<DomainName, DomainHistory> = BTreeMap::new();
+        for (name, rdata, span, count) in records {
+            let (seed, cc) = SEEDS
+                .into_iter()
+                .find(|(seed, _)| name.is_within(&n(seed)))
+                .expect("every drawn owner lies under a seed");
+            let h = by_name.entry(name.clone()).or_insert_with(|| DomainHistory {
+                name: name.clone(),
+                country: CountryCode::new(cc),
+                seed: n(seed),
+                ns_entries: Vec::new(),
+                soa_entries: Vec::new(),
+            });
+            let entries = match rdata {
+                RecordData::Ns(_) => &mut h.ns_entries,
+                RecordData::Soa(_) => &mut h.soa_entries,
+                _ => continue,
+            };
+            entries.push(PdnsEntry {
+                name,
+                rdata,
+                first_seen: span.start,
+                last_seen: span.end,
+                count,
+            });
+        }
+        by_name.into_values().collect()
+    })
 }

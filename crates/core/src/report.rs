@@ -8,11 +8,13 @@
 //!
 //! The stages only read the dataset and the campaign, so they run on two
 //! lanes, each in stage order: the first six (the longitudinal
-//! reconstruction, its four dependants and yearly) on the calling
-//! thread, the last seven on a named scoped thread. The second lane's
-//! failures are appended to the first's, so the report and its failures
-//! are the same whichever lane finishes first. Failpoints are read on
-//! the calling thread before the lanes start.
+//! reconstruction with its year index, the four stages that read that
+//! index, and yearly) on the calling thread, the last seven on a named
+//! scoped thread. The second lane's failures are appended to the
+//! first's, so the report and its failures are the same whichever lane
+//! finishes first, and a yearly failure keeps its place between the
+//! providers' and the replication's. Failpoints are read on the calling
+//! thread before the lanes start.
 
 use std::cell::OnceCell;
 use std::fmt::Write as _;
@@ -539,10 +541,14 @@ impl Report {
         let (mut lon, yearly, (sections, mut rest_failures)) = std::thread::scope(|scope| {
             // The first six stages (the longitudinal chain and yearly)
             // take about as long as the last seven, so those get a lane
-            // of their own. The chain stays on the calling thread: run
-            // on the spawned one, the analysis cost 25% more CPU than
-            // sequentially instead of 9%, probably because the chain's
-            // allocations then went to a fresh malloc arena.
+            // of their own. With the year index, traced at 5% scale on
+            // a 2-vCPU VM, the first six sum to about 0.23 s and the
+            // last seven to 0.21 s; yearly (0.07 s) on the second lane
+            // would tip the balance to 0.16 s against 0.29 s. The chain
+            // stays on the calling thread: run on the spawned one, the
+            // analysis cost 25% more CPU than sequentially instead of 9%,
+            // probably because the chain's allocations then went to a
+            // fresh malloc arena.
             let lane = split
                 .then(|| {
                     std::thread::Builder::new()
@@ -768,9 +774,10 @@ impl Report {
             stage_body!(
                 "replication",
                 format!(
-                    "≥2 NS: {:.1}%  |  countries with no under-replicated domain: {}\n{}",
+                    "≥2 NS: {:.1}%  |  countries with no under-replicated domain: {}  |  countries ≥ 10% single-NS: {}\n{}",
                     self.active_replication.multi_ns_share,
                     self.active_replication.all_replicated_countries,
+                    self.active_replication.high_d1ns_countries.len(),
                     self.active_replication.cdf_table().to_text()
                 )
             ),
@@ -967,7 +974,11 @@ mod tests {
         let campaign = Campaign::new(&world, &matchers);
         let dataset = crate::run_campaign(&campaign, RunnerConfig::default());
         let report = |split| Report::from_dataset_guarded(&campaign, dataset.clone(), None, split);
-        for armed in [None, Some("longitudinal"), Some("diversity")] {
+        // One stage of each lane, the longitudinal chain's head and its
+        // last dependant, and yearly, whose failure sits between the lanes'.
+        for armed in
+            [None, Some("longitudinal"), Some("providers"), Some("yearly"), Some("diversity")]
+        {
             if let Some(stage) = armed {
                 failpoint::arm(stage);
             }

@@ -107,7 +107,7 @@ fn main() {
     };
 
     let lon = Longitudinal::build(&campaign, &seeds);
-    eprintln!("{} domains under the given seeds", lon.histories.len());
+    eprintln!("{} domains under the given seeds", lon.histories().len());
 
     println!("== domains / countries / nameservers per year ==");
     println!("{}", YearlyTotals::compute(&lon).table().to_text());
