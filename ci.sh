@@ -371,7 +371,8 @@ require_rows "$work/figures.out" fig02_03_yearly_totals fig02_03_yearly_totals_r
     fig07_private_share fig08_09_active_replication fig10_12_delegation_analysis \
     fig13_14_consistency_analysis levels_section3
 require_rows "$work/tables.out" table1_diversity table2_3_provider_classification \
-    table2_major_providers_render table3_top_providers_render
+    probed_attribution_concentration_smells table2_major_providers_render \
+    table3_top_providers_render
 
 echo "== bench guard: campaign throughput scales with workers =="
 # End-to-end probes/sec at 1/2/4/8 workers over the same world. The

@@ -4,8 +4,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use govdns_bench::fixture;
+use govdns_core::analysis::concentration::ConcentrationAnalysis;
 use govdns_core::analysis::diversity::DiversityTable;
 use govdns_core::analysis::providers::ProviderAnalysis;
+use govdns_core::analysis::smells::SmellAnalysis;
 
 fn tables(c: &mut Criterion) {
     let f = fixture();
@@ -24,6 +26,17 @@ fn tables(c: &mut Criterion) {
         b.iter(|| {
             let t = ProviderAnalysis::compute(black_box(&f.longitudinal), black_box(&campaign));
             black_box(t.years.len())
+        })
+    });
+
+    // The probed attribution's two readers: the §IV-A concentration text
+    // and the smell engine, each classifying the probes' hosts.
+    c.bench_function("probed_attribution_concentration_smells", |b| {
+        b.iter(|| {
+            let ds = black_box(&f.dataset);
+            let concentration = ConcentrationAnalysis::compute(ds, black_box(&campaign));
+            let smells = SmellAnalysis::compute(ds, black_box(&campaign));
+            black_box(concentration.seeds.len() + smells.verdicts.len())
         })
     });
 

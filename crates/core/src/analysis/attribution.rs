@@ -7,6 +7,12 @@
 //!    matches the zone's MNAME or RNAME (white-label providers);
 //! 3. else the host's registered domain.
 //!
+//! [`ProviderRules`] reads both rule lists through a [`MatcherIndex`]:
+//! a name's suffixes are looked up among the registered-domain rules and
+//! only the prefix rules are tested one by one. The first match is the
+//! matching rule with the lowest position, which is what a scan of the
+//! list in order finds.
+//!
 //! Tables II–III apply it over the PDNS history
 //! ([`providers`](crate::analysis::providers)). The §IV-A concentration
 //! text and the provider-monoculture smell apply it over the active
@@ -15,7 +21,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use govdns_model::DomainName;
-use govdns_world::{MatchTarget, ProviderMatcher};
+use govdns_world::{MatchTarget, MatcherIndex, ProviderMatcher};
 
 use crate::MeasurementDataset;
 
@@ -41,38 +47,48 @@ impl<'c> HostLabel<'c> {
     }
 }
 
-/// Classifies each distinct host in `hosts` once by the hostname rules.
-pub(crate) fn classify_hosts<'h, 'c>(
-    matchers: &'c [ProviderMatcher],
-    hosts: impl IntoIterator<Item = &'h DomainName>,
-) -> HashMap<&'h DomainName, HostLabel<'c>> {
-    let mut labels = HashMap::new();
-    for host in hosts {
-        labels.entry(host).or_insert_with(|| {
-            matchers
-                .iter()
-                .filter(|m| m.target == MatchTarget::Hostname)
-                .find(|m| m.matches(host))
-                .map_or_else(
-                    || HostLabel::Anonymous(host.suffix(2).to_string()),
-                    |m| HostLabel::Provider(&m.label),
-                )
-        });
-    }
-    labels
+/// The paper's rule set, indexed once per analysis: the hostname rules
+/// and the SOA rules of `campaign.matchers`, each answering with its
+/// first matching rule in catalog order.
+#[derive(Debug)]
+pub(crate) struct ProviderRules<'c> {
+    hostname: MatcherIndex<'c>,
+    soa: MatcherIndex<'c>,
 }
 
-/// The first SOA rule that matches `mname` or `rname`.
-pub(crate) fn soa_rule<'c>(
-    matchers: &'c [ProviderMatcher],
-    mname: &DomainName,
-    rname: &DomainName,
-) -> Option<&'c str> {
-    matchers
-        .iter()
-        .filter(|m| m.target == MatchTarget::SoaName)
-        .find(|m| m.matches(mname) || m.matches(rname))
-        .map(|m| m.label.as_str())
+impl<'c> ProviderRules<'c> {
+    pub(crate) fn new(matchers: &'c [ProviderMatcher]) -> Self {
+        ProviderRules {
+            hostname: MatcherIndex::new(matchers, Some(MatchTarget::Hostname)),
+            soa: MatcherIndex::new(matchers, Some(MatchTarget::SoaName)),
+        }
+    }
+
+    /// Classifies each distinct host in `hosts` once by the hostname
+    /// rules.
+    pub(crate) fn classify_hosts<'h>(
+        &self,
+        hosts: impl IntoIterator<Item = &'h DomainName>,
+    ) -> HashMap<&'h DomainName, HostLabel<'c>> {
+        let mut labels = HashMap::new();
+        for host in hosts {
+            labels.entry(host).or_insert_with(|| self.host_label(host));
+        }
+        labels
+    }
+
+    /// What the hostname rules say about `host`.
+    pub(crate) fn host_label(&self, host: &DomainName) -> HostLabel<'c> {
+        match self.hostname.first_match(host) {
+            Some(m) => HostLabel::Provider(&m.label),
+            None => HostLabel::Anonymous(host.suffix(2).to_string()),
+        }
+    }
+
+    /// The first SOA rule that matches `mname` or `rname`.
+    pub(crate) fn soa_rule(&self, mname: &DomainName, rname: &DomainName) -> Option<&'c str> {
+        self.soa.first_match_of(&[mname, rname]).map(|m| m.label.as_str())
+    }
 }
 
 /// One responsive probe's attribution.
@@ -117,7 +133,8 @@ impl<'d> ProbedAttribution<'d> {
         };
         let responsive: Vec<usize> =
             (0..ds.probes.len()).filter(|&i| ds.probes[i].parent_nonempty()).collect();
-        let hosts = classify_hosts(matchers, responsive.iter().flat_map(|&i| external(i)));
+        let rules = ProviderRules::new(matchers);
+        let hosts = rules.classify_hosts(responsive.iter().flat_map(|&i| external(i)));
 
         let mut probes = vec![None; ds.probes.len()];
         let mut seeds: BTreeMap<&DomainName, SeedTally> = BTreeMap::new();
@@ -125,7 +142,7 @@ impl<'d> ProbedAttribution<'d> {
             let (probe, seed) = (&ds.probes[i], ds.seed_of(i));
             // The SOA is the probe's, so it is looked up at most once.
             let mut by_soa = None;
-            let soa = || probe.soa.as_ref().and_then(|s| soa_rule(matchers, &s.mname, &s.rname));
+            let soa = || probe.soa.as_ref().and_then(|s| rules.soa_rule(&s.mname, &s.rname));
             let labels: BTreeSet<&str> = external(i)
                 .map(|host| hosts[host].resolve(|| *by_soa.get_or_insert_with(soa)))
                 .collect();

@@ -2,12 +2,14 @@
 //! classify nameserver hostnames by provider, per year, and measure how
 //! many domains, countries, and sub-region groups rely on each.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
 
 use govdns_model::{DomainName, Year};
 use govdns_world::{Country, CountryCode};
 
-use crate::analysis::attribution::{classify_hosts, soa_rule, HostLabel};
+use crate::analysis::attribution::{HostLabel, ProviderRules};
 use crate::analysis::longitudinal::{year_bits, Longitudinal};
 use crate::stats;
 use crate::tables::{fmt_pct, TextTable};
@@ -78,12 +80,72 @@ pub struct ProviderAnalysis {
     pub total_groups: usize,
 }
 
-/// Every NS host some domain uses outside its own `d_gov`.
-fn external_hosts(lon: &Longitudinal) -> impl Iterator<Item = &DomainName> {
-    lon.histories().iter().flat_map(|h| {
-        let hosts = h.ns_entries.iter().filter_map(|e| e.rdata.as_ns());
-        hosts.filter(|host| !host.is_within(&h.seed))
-    })
+/// Dense ids for the names the year loop counts (provider labels,
+/// groups, countries), so a domain-year's labels are a sorted `Vec` and
+/// each year's usage a `Vec` indexed by label.
+struct Interner<K>(HashMap<K, usize>);
+
+impl<K: Hash + Eq> Interner<K> {
+    fn new() -> Self {
+        Interner(HashMap::new())
+    }
+
+    fn id(&mut self, name: K) -> usize {
+        let next = self.0.len();
+        *self.0.entry(name).or_insert(next)
+    }
+
+    /// The names, indexed by id.
+    fn names(&self) -> Vec<&K> {
+        let mut names: Vec<Option<&K>> = vec![None; self.0.len()];
+        for (name, &id) in &self.0 {
+            names[id] = Some(name);
+        }
+        names.into_iter().flatten().collect()
+    }
+}
+
+/// A set of dense ids, one bit each.
+#[derive(Debug, Clone, Default)]
+struct IdSet(Vec<u64>);
+
+impl IdSet {
+    fn insert(&mut self, id: usize) {
+        let word = id / 64;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (id % 64);
+    }
+
+    /// The ids, ascending.
+    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(word, &bits)| {
+            let mut bits = bits;
+            std::iter::from_fn(move || {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits.wrapping_sub(1);
+                (bit < 64).then_some(word * 64 + bit)
+            })
+        })
+    }
+}
+
+/// One label's usage in one year, over dense group and country ids.
+#[derive(Debug, Clone, Default)]
+struct Usage {
+    domains: usize,
+    d1p: usize,
+    groups: IdSet,
+    countries: IdSet,
+}
+
+/// An external host's label id. An anonymous host's label is its
+/// registered domain unless an SOA rule matches the zone.
+#[derive(Debug, Clone, Copy)]
+enum HostId {
+    Provider(usize),
+    Anonymous(usize),
 }
 
 impl ProviderAnalysis {
@@ -92,80 +154,108 @@ impl ProviderAnalysis {
         let top10 = lon.top10_countries();
         let country_index: BTreeMap<CountryCode, &Country> =
             campaign.countries.iter().map(|c| (c.code, c)).collect();
-        let mut groups: HashMap<CountryCode, String> = HashMap::new();
+        let (mut countries, mut groups) = (Interner::new(), Interner::new());
+        // Country → (country id, group id).
+        let mut places: HashMap<CountryCode, (usize, usize)> = HashMap::new();
         for h in lon.histories() {
-            groups.entry(h.country).or_insert_with(|| {
-                if top10.contains(&h.country) {
+            places.entry(h.country).or_insert_with(|| {
+                let group = if top10.contains(&h.country) {
                     format!("country:{}", h.country)
                 } else {
                     country_index
                         .get(&h.country)
                         .map(|c| c.sub_region.to_string())
                         .unwrap_or_else(|| "unknown".to_owned())
-                }
+                };
+                (countries.id(h.country), groups.id(group))
             });
         }
         // 22 sub-regions + one group per top-10 country.
         let total_groups = govdns_world::SubRegion::all().len() + top10.len();
-        let hosts = classify_hosts(campaign.matchers, external_hosts(lon));
+        let rules = ProviderRules::new(campaign.matchers);
+        let mut labels: Interner<Cow<'_, str>> = Interner::new();
+        // Each distinct external host, classified once.
+        let mut hosts: HashMap<&DomainName, HostId> = HashMap::new();
 
-        let mut markets: Vec<(usize, BTreeMap<&str, LabelStats>)> =
+        let mut markets: Vec<(usize, Vec<Usage>)> =
             year_bits().map(|_| Default::default()).collect();
         // Per NS entry of the current history: its years, and its host's
         // label (`None` for a host within the seed).
-        let mut entries: Vec<(u16, Option<&HostLabel>)> = Vec::new();
+        let mut entries: Vec<(u16, Option<HostId>)> = Vec::new();
+        let mut year_labels: Vec<usize> = Vec::new();
         for (h, ix) in lon.indexed() {
-            let group = &groups[&h.country];
+            let (country, group) = places[&h.country];
             entries.clear();
             entries.extend(h.ns_entries.iter().zip(&ix.ns).filter_map(|(e, &years)| {
                 let host = e.rdata.as_ns()?;
-                Some((years, (!host.is_within(&h.seed)).then(|| &hosts[host])))
+                if host.is_within(&h.seed) {
+                    return Some((years, None));
+                }
+                let id = *hosts.entry(host).or_insert_with(|| match rules.host_label(host) {
+                    HostLabel::Provider(label) => HostId::Provider(labels.id(label.into())),
+                    HostLabel::Anonymous(domain) => HostId::Anonymous(labels.id(domain.into())),
+                });
+                Some((years, Some(id)))
             }));
-            for ((_, bit), (total_domains, per_label)) in year_bits().zip(&mut markets) {
+            for ((_, bit), (total_domains, usage)) in year_bits().zip(&mut markets) {
                 if ix.active & bit == 0 {
                     continue;
                 }
                 *total_domains += 1;
-                let mut labels: BTreeSet<&str> = BTreeSet::new();
+                year_labels.clear();
                 let mut private = false;
                 // Hostname rules first; for anonymous hostnames, fall
                 // back to the zone's SOA (looked up at most once per
                 // domain-year); else the host's registered domain.
                 let mut by_soa = None;
-                let soa = || {
+                let mut soa = || {
                     let soa_entries = h.soa_entries.iter().zip(&ix.soa);
                     let active = soa_entries.filter(|&(_, &years)| years & bit != 0);
                     active
                         .filter_map(|(e, _)| e.rdata.as_soa())
-                        .find_map(|soa| soa_rule(campaign.matchers, &soa.mname, &soa.rname))
+                        .find_map(|soa| rules.soa_rule(&soa.mname, &soa.rname))
+                        .map(|label| labels.id(label.into()))
                 };
-                for &(_, label) in entries.iter().filter(|&&(years, _)| years & bit != 0) {
-                    match label {
+                for &(_, host) in entries.iter().filter(|&&(years, _)| years & bit != 0) {
+                    match host {
                         None => private = true,
-                        Some(label) => {
-                            labels.insert(label.resolve(|| *by_soa.get_or_insert_with(soa)));
+                        Some(HostId::Provider(id)) => year_labels.push(id),
+                        Some(HostId::Anonymous(id)) => {
+                            year_labels.push(by_soa.get_or_insert_with(&mut soa).unwrap_or(id));
                         }
                     }
                 }
-                let single = labels.len() == 1 && !private;
-                for label in labels {
-                    let slot = per_label.entry(label).or_default();
+                year_labels.sort_unstable();
+                year_labels.dedup();
+                let single = year_labels.len() == 1 && !private;
+                for &id in &year_labels {
+                    if id >= usage.len() {
+                        usage.resize_with(id + 1, Usage::default);
+                    }
+                    let slot = &mut usage[id];
                     slot.domains += 1;
-                    if single {
-                        slot.d1p += 1;
-                    }
-                    if !slot.groups.contains(group) {
-                        slot.groups.insert(group.clone());
-                    }
-                    slot.countries.insert(h.country);
+                    slot.d1p += usize::from(single);
+                    slot.groups.insert(group);
+                    slot.countries.insert(country);
                 }
             }
         }
+        let (labels, groups, countries) = (labels.names(), groups.names(), countries.names());
         let years = year_bits()
             .zip(markets)
-            .map(|((year, _), (total_domains, per_label))| {
-                let per_label =
-                    per_label.into_iter().map(|(label, s)| (label.to_owned(), s)).collect();
+            .map(|((year, _), (total_domains, usage))| {
+                let used = usage.into_iter().enumerate().filter(|(_, u)| u.domains > 0);
+                let per_label = used
+                    .map(|(id, u)| {
+                        let stats = LabelStats {
+                            domains: u.domains,
+                            d1p: u.d1p,
+                            groups: u.groups.ids().map(|g| groups[g].clone()).collect(),
+                            countries: u.countries.ids().map(|c| *countries[c]).collect(),
+                        };
+                        (labels[id].to_string(), stats)
+                    })
+                    .collect();
                 ProviderYearStats { year, total_domains, per_label }
             })
             .collect();
@@ -262,6 +352,14 @@ mod tests {
     use govdns_world::{MatchRule, MatchTarget, ProviderMatcher};
     use proptest::prelude::*;
 
+    /// Every NS host some domain uses outside its own `d_gov`.
+    fn external_hosts(lon: &Longitudinal) -> impl Iterator<Item = &DomainName> {
+        lon.histories().iter().flat_map(|h| {
+            let hosts = h.ns_entries.iter().filter_map(|e| e.rdata.as_ns());
+            hosts.filter(|host| !host.is_within(&h.seed))
+        })
+    }
+
     /// Tables II–III as computed before the year index: per year, every
     /// active history's hosts re-found, hashed and tested against the
     /// seed. The indexed pass must reproduce it exactly.
@@ -280,7 +378,8 @@ mod tests {
             }
         };
         let total_groups = govdns_world::SubRegion::all().len() + top10.len();
-        let hosts = classify_hosts(campaign.matchers, external_hosts(lon));
+        let rules = ProviderRules::new(campaign.matchers);
+        let hosts = rules.classify_hosts(external_hosts(lon));
         let years = Longitudinal::years()
             .map(|year| {
                 let window = DateRange::year(year);
@@ -293,7 +392,7 @@ mod tests {
                     let mut by_soa = None;
                     let soa = || {
                         let soa_names = h.soa_names_in(&window);
-                        soa_names.iter().find_map(|(m, r)| soa_rule(campaign.matchers, m, r))
+                        soa_names.iter().find_map(|(m, r)| rules.soa_rule(m, r))
                     };
                     for host in h.ns_hosts_in(&window) {
                         if host.is_within(&h.seed) {
@@ -398,6 +497,16 @@ mod tests {
     }
 
     #[test]
+    fn id_sets_list_their_ids_in_order_across_words() {
+        let mut set = IdSet::default();
+        for id in [200, 64, 0, 63, 64, 129] {
+            set.insert(id);
+        }
+        assert_eq!(set.ids().collect::<Vec<_>>(), [0, 63, 64, 129, 200]);
+        assert_eq!(IdSet::default().ids().count(), 0);
+    }
+
+    #[test]
     fn classification_and_d1p() {
         let f = fixture_with_matchers();
         let p = ProviderAnalysis::compute(&demo(), &f.campaign());
@@ -464,7 +573,7 @@ mod tests {
                 vec![ns_entry("b.gov.de", "ada.ns.cloudflare.com", (2015, 3, 1), (2020, 12, 31))],
             ),
         ]);
-        let hosts = classify_hosts(&f.matchers, external_hosts(&lon));
+        let hosts = ProviderRules::new(&f.matchers).classify_hosts(external_hosts(&lon));
         assert_eq!(hosts.len(), 1, "one distinct host, one classification");
         assert_eq!(hosts[&n("ada.ns.cloudflare.com")], HostLabel::Provider("cloudflare.com"));
         let p = ProviderAnalysis::compute(&lon, &f.campaign());
@@ -509,7 +618,7 @@ mod tests {
             ),
         ];
         let lon = longitudinal(vec![h]);
-        let hosts = classify_hosts(&f.matchers, external_hosts(&lon));
+        let hosts = ProviderRules::new(&f.matchers).classify_hosts(external_hosts(&lon));
         assert_eq!(hosts[&n("ns1.anon-host.net")], HostLabel::Anonymous("anon-host.net".into()));
         let p = ProviderAnalysis::compute(&lon, &f.campaign());
         let labels = |year| p.year(year).unwrap().per_label.keys().cloned().collect::<Vec<_>>();

@@ -541,10 +541,11 @@ impl Report {
         let (mut lon, yearly, (sections, mut rest_failures)) = std::thread::scope(|scope| {
             // The first six stages (the longitudinal chain and yearly)
             // take about as long as the last seven, so those get a lane
-            // of their own. With the year index, traced at 5% scale on
-            // a 2-vCPU VM, the first six sum to about 0.23 s and the
-            // last seven to 0.21 s; yearly (0.07 s) on the second lane
-            // would tip the balance to 0.16 s against 0.29 s. The chain
+            // of their own. With the year index and the matcher index,
+            // traced at 5% scale on a 2-vCPU VM (median of seven runs),
+            // the first six sum to about 0.18 s and the last seven to
+            // 0.16 s; yearly (0.07 s) on the second lane would tip the
+            // balance to 0.11 s against 0.23 s. The chain
             // stays on the calling thread: run on the spawned one, the
             // analysis cost 25% more CPU than sequentially instead of 9%,
             // probably because the chain's allocations then went to a

@@ -29,7 +29,7 @@ use std::net::Ipv4Addr;
 use govdns_core::{MeasurementDataset, ScenarioSpec};
 use govdns_model::fnv64;
 use govdns_simnet::{prefix24, AsnDb, Prefix24};
-use govdns_world::ProviderMatcher;
+use govdns_world::{MatcherIndex, ProviderMatcher};
 
 /// The scenario families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -352,9 +352,11 @@ fn provider_scenarios(dataset: &MeasurementDataset, matchers: &[ProviderMatcher]
     // label → (addrs, candidate domains, host → anycast address set)
     type Group = (BTreeSet<Ipv4Addr>, BTreeSet<String>, BTreeMap<String, BTreeSet<Ipv4Addr>>);
     let mut groups: BTreeMap<String, Group> = BTreeMap::new();
+    // A server belongs to the first rule of either target its host matches.
+    let rules = MatcherIndex::new(matchers, None);
     for probe in &dataset.probes {
         for server in &probe.servers {
-            let Some(m) = matchers.iter().find(|m| m.matches(&server.host)) else { continue };
+            let Some(m) = rules.first_match(&server.host) else { continue };
             let entry = groups.entry(m.label.clone()).or_default();
             entry.0.extend(server.addrs.iter().copied());
             entry.1.insert(probe.domain.to_string());

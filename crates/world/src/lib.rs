@@ -55,7 +55,8 @@ pub use faults::{FaultClass, FaultPlan, InconsistencyKind};
 pub use generator::{WorldConfig, WorldGenerator};
 pub use govdns_pdns::SensorConfig;
 pub use provider::{
-    MatchRule, MatchTarget, NamingStyle, Provider, ProviderCatalog, ProviderId, ProviderMatcher,
+    MatchRule, MatchTarget, MatcherIndex, NamingStyle, Provider, ProviderCatalog, ProviderId,
+    ProviderMatcher,
 };
 pub use registrar::{PriceUsd, Registrar};
 pub use timeline::{DomainTimeline, Epoch};

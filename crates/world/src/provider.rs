@@ -1,3 +1,5 @@
+use std::collections::HashMap;
+
 use govdns_model::DomainName;
 
 use crate::country::{Country, CountryCode, EgovTier};
@@ -254,6 +256,71 @@ impl ProviderMatcher {
             }
             MatchRule::RegisteredDomain(dom) => host.is_within(dom),
         }
+    }
+}
+
+/// A list of provider rules indexed for classification. It answers what
+/// a scan of the list for the first rule that matches answers, with a
+/// few hash lookups instead of a test per rule: the matching rule with
+/// the lowest position in the list.
+#[derive(Debug, Clone)]
+pub struct MatcherIndex<'m> {
+    matchers: &'m [ProviderMatcher],
+    /// Registered domain → the position of its earliest rule.
+    domains: HashMap<DomainName, usize>,
+    /// The label counts of those domains, ascending and distinct.
+    levels: Vec<usize>,
+    /// The positions of the prefix rules, ascending.
+    prefixes: Vec<usize>,
+}
+
+impl<'m> MatcherIndex<'m> {
+    /// Indexes the rules of `matchers` that apply to `target`, or every
+    /// rule when `target` is `None`.
+    pub fn new(matchers: &'m [ProviderMatcher], target: Option<MatchTarget>) -> Self {
+        let mut domains = HashMap::new();
+        let mut prefixes = Vec::new();
+        for (pos, m) in matchers.iter().enumerate() {
+            if target.is_some_and(|t| t != m.target) {
+                continue;
+            }
+            match &m.rule {
+                MatchRule::SecondLabelPrefix(_) => prefixes.push(pos),
+                MatchRule::RegisteredDomain(dom) => {
+                    domains.entry(dom.clone()).or_insert(pos);
+                }
+            }
+        }
+        let mut levels: Vec<usize> = domains.keys().map(DomainName::level).collect();
+        levels.sort_unstable();
+        levels.dedup();
+        MatcherIndex { matchers, domains, levels, prefixes }
+    }
+
+    /// The first rule that matches `host`.
+    pub fn first_match(&self, host: &DomainName) -> Option<&'m ProviderMatcher> {
+        self.first_match_of(&[host])
+    }
+
+    /// The first rule that matches any of `names`.
+    pub fn first_match_of(&self, names: &[&DomainName]) -> Option<&'m ProviderMatcher> {
+        names.iter().filter_map(|name| self.position(name)).min().map(|pos| &self.matchers[pos])
+    }
+
+    /// The position of the first rule that matches `host`: the earliest
+    /// registered-domain rule among the host's suffixes, unless a prefix
+    /// rule before it matches.
+    fn position(&self, host: &DomainName) -> Option<usize> {
+        let labels = host.labels();
+        let by_domain = self
+            .levels
+            .iter()
+            .take_while(|&&n| n <= labels.len())
+            .filter_map(|&n| self.domains.get(&labels[labels.len() - n..]).copied())
+            .min();
+        let before = by_domain.unwrap_or(usize::MAX);
+        let mut prefixes = self.prefixes.iter().copied().take_while(|&pos| pos < before);
+        prefixes.find(|&pos| self.matchers[pos].matches(host)).or(by_domain)
     }
 }
 
@@ -654,24 +721,13 @@ impl ProviderCatalog {
         }
         out
     }
-
-    /// Classifies one nameserver hostname.
-    pub fn classify(&self, host: &DomainName) -> Option<&Provider> {
-        // Amazon's prefix rule first, then registered-domain lookups.
-        if host.labels().len() >= 2 && host.labels()[1].as_str().starts_with("awsdns-") {
-            return self.providers.iter().find(|p| matches!(p.style, NamingStyle::AwsDns));
-        }
-        let registered = host.suffix(2);
-        self.providers.iter().find(|p| {
-            p.style.registered_domains().iter().any(|d| *d == registered || host.is_within(d))
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::countries_data::countries;
+    use proptest::prelude::*;
 
     fn catalog() -> ProviderCatalog {
         ProviderCatalog::build(&countries(), |_, _| DiversityPolicy::MultiSlash24)
@@ -731,11 +787,15 @@ mod tests {
     }
 
     #[test]
-    fn classification_recognizes_each_style() {
+    fn matchers_cover_the_same_cases() {
         let cat = catalog();
+        let matchers = cat.matchers();
+        let index = MatcherIndex::new(&matchers, Some(MatchTarget::Hostname));
         let cases = [
             ("ns-432.awsdns-21.net", "AWS DNS"),
+            ("ns-12.awsdns-63.org", "AWS DNS"),
             ("ben.ns.cloudflare.com", "cloudflare.com"),
+            ("zoe.ns.cloudflare.com", "cloudflare.com"),
             ("ns1-03.azure-dns.com", "Azure DNS"),
             ("ns2.p09.dynect.net", "Dyn"),
             ("pns13.cloudns.net", "cloudns.net"),
@@ -744,22 +804,96 @@ mod tests {
             ("ns2.webhost1.br", "webhost1.br"),
         ];
         for (host, label) in cases {
-            let got = cat.classify(&host.parse().unwrap()).map(|p| p.label.as_str());
+            let got = index.first_match(&host.parse().unwrap()).map(|m| m.label.as_str());
             assert_eq!(got, Some(label), "classifying {host}");
         }
-        assert!(cat.classify(&"ns1.gov.br".parse().unwrap()).is_none());
+        let host: DomainName = "ns1.gov.br".parse().unwrap();
+        assert_eq!(MatcherIndex::new(&matchers, None).first_match(&host), None);
     }
 
-    #[test]
-    fn matchers_cover_the_same_cases() {
-        let cat = catalog();
-        let matchers = cat.matchers();
-        let host: DomainName = "ns-12.awsdns-63.org".parse().unwrap();
-        assert!(matchers.iter().any(|m| m.matches(&host) && m.label == "AWS DNS"));
-        let host: DomainName = "zoe.ns.cloudflare.com".parse().unwrap();
-        assert!(matchers.iter().any(|m| m.matches(&host) && m.label == "cloudflare.com"));
-        let host: DomainName = "ns1.gov.br".parse().unwrap();
-        assert!(!matchers.iter().any(|m| m.matches(&host)));
+    fn domain(name: &str) -> MatchRule {
+        MatchRule::RegisteredDomain(name.parse().unwrap())
+    }
+
+    fn target() -> impl Strategy<Value = MatchTarget> {
+        prop::sample::select(vec![MatchTarget::Hostname, MatchTarget::SoaName])
+    }
+
+    /// A rule list. A duplicated domain, a domain nested in it and a
+    /// prefix rule are placed at drawn positions among up to eight rules
+    /// drawn from a pool, so the prefix rule lands before, between or
+    /// after domain rules; half the lists also hold a root-domain rule.
+    /// Every rule has a drawn target.
+    fn rules() -> impl Strategy<Value = Vec<ProviderMatcher>> {
+        let pool = vec![
+            domain("example.com"),
+            domain("ns.example.com"),
+            domain("other.net"),
+            domain("brand.example"),
+            domain("gov.zz"),
+            domain("."),
+            MatchRule::SecondLabelPrefix("awsdns-".into()),
+            MatchRule::SecondLabelPrefix("ns".into()),
+        ];
+        let drawn = prop::collection::vec((prop::sample::select(pool), target()), 0..8);
+        let placed = prop::collection::vec((0..16usize, target()), 5..6);
+        (drawn, placed, any::<bool>()).prop_map(|(mut rules, placed, with_root)| {
+            let required = [
+                domain("example.com"),
+                domain("example.com"),
+                domain("ns.example.com"),
+                MatchRule::SecondLabelPrefix("ns".into()),
+                domain("."),
+            ];
+            let n = if with_root { 5 } else { 4 };
+            for ((at, target), rule) in placed.into_iter().zip(required).take(n) {
+                rules.insert(at % (rules.len() + 1), (rule, target));
+            }
+            let rules = rules.into_iter().enumerate();
+            rules
+                .map(|(i, (rule, target))| ProviderMatcher {
+                    label: format!("rule {i}"),
+                    rule,
+                    target,
+                })
+                .collect()
+        })
+    }
+
+    /// One-label, in-seed, deep, prefix-matched and unmatched hosts, and
+    /// names under a domain only SOA rules may use.
+    const HOSTS: [&str; 11] = [
+        "ns",
+        "com",
+        "example.com",
+        "ns.example.com",
+        "a.ns.example.com",
+        "a.b.ns.example.com",
+        "ns1.a.gov.zz",
+        "ns-1.awsdns-01.com",
+        "x.other.net",
+        "hostmaster.brand.example",
+        "ns1.anon.org",
+    ];
+
+    proptest! {
+        #[test]
+        fn the_index_finds_the_scans_first_match(matchers in rules()) {
+            let hosts: Vec<DomainName> = HOSTS.iter().map(|h| h.parse().unwrap()).collect();
+            for target in [Some(MatchTarget::Hostname), Some(MatchTarget::SoaName), None] {
+                let index = MatcherIndex::new(&matchers, target);
+                let scan = |names: &[&DomainName]| {
+                    let mut rules = matchers.iter().filter(|m| target.is_none_or(|t| m.target == t));
+                    rules.find(|m| names.iter().any(|name| m.matches(name)))
+                };
+                for a in &hosts {
+                    prop_assert_eq!(index.first_match(a), scan(&[a]));
+                    for b in &hosts {
+                        prop_assert_eq!(index.first_match_of(&[a, b]), scan(&[a, b]));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
