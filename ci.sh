@@ -356,9 +356,9 @@ python3 -c "import json; d = json.load(open('BENCH_telemetry.json')); assert d, 
 echo "== bench guard: substrate rows =="
 cargo bench -q -p govdns-bench --bench substrates > "$work/substrates.out"
 cat "$work/substrates.out"
-require_rows "$work/substrates.out" wire/encode wire/decode server_handle_query \
-    server_handle_nxdomain pdns_wildcard_search resolver_iterative_walk zonefile/parse \
-    pdns_tsv/export pdns_tsv/import trace/decode_domain trace/read
+require_rows "$work/substrates.out" wire/encode wire/encoded_len wire/decode simnet_deliver \
+    server_handle_query server_handle_nxdomain pdns_wildcard_search resolver_iterative_walk \
+    zonefile/parse pdns_tsv/export pdns_tsv/import trace/decode_domain trace/read
 
 echo "== bench guard: analysis rows =="
 # One row per figure and table of the evaluation, over the bench

@@ -1,4 +1,5 @@
-//! Substrate microbenches: wire codec, zone lookup (answer and NXDOMAIN),
+//! Substrate microbenches: wire codec (encode, size, decode), one
+//! telemetry-attached network delivery, zone lookup (answer and NXDOMAIN),
 //! PDNS wildcard search, iterative resolution, zone files, PDNS TSV, and
 //! the trace read-back (one domain record, one whole file).
 
@@ -8,7 +9,8 @@ use std::hint::black_box;
 use govdns_bench::fixture;
 use govdns_core::{run_campaign, Campaign, RunnerConfig};
 use govdns_model::{wire, DomainName, Message, Rcode, RecordType};
-use govdns_simnet::{ServerBehavior, StubResolver};
+use govdns_simnet::{ServerBehavior, SimNetwork, StubResolver};
+use govdns_telemetry::Registry;
 use govdns_trace::{read_trace, TraceRecord, TraceSpec};
 use govdns_world::{WorldConfig, WorldGenerator};
 
@@ -19,27 +21,38 @@ fn substrates(c: &mut Criterion) {
     let sample_domain: DomainName =
         f.dataset.discovered[f.dataset.discovered.len() / 2].name.clone();
     let q = Message::query(1, sample_domain.clone(), RecordType::Ns);
-    let reply = {
-        // Grab a real response from the network.
-        let mut msg = None;
-        for addr in f.world.network.servers().map(|s| s.addr()) {
-            if let Some(r) = f.world.network.deliver(addr, &q).reply() {
-                if !r.answers.is_empty() || !r.authority.is_empty() {
-                    msg = Some(r.clone());
-                    break;
-                }
-            }
-        }
-        msg.unwrap_or_else(|| q.response())
-    };
+    // Grab a real response, and the server that sent it, from the network.
+    let (answering, reply) = f
+        .world
+        .network
+        .servers()
+        .find_map(|s| {
+            let r = f.world.network.deliver(s.addr(), &q).reply()?.clone();
+            (!r.answers.is_empty() || !r.authority.is_empty()).then_some((s.addr(), r))
+        })
+        .expect("some server answers the sample domain");
     let encoded = wire::encode(&reply);
     let mut group = c.benchmark_group("wire");
     group.throughput(Throughput::Bytes(encoded.len() as u64));
     group.bench_function("encode", |b| b.iter(|| black_box(wire::encode(black_box(&reply)))));
+    group.bench_function("encoded_len", |b| {
+        b.iter(|| black_box(wire::encoded_len(black_box(&reply))))
+    });
     group.bench_function("decode", |b| {
         b.iter(|| black_box(wire::decode(black_box(&encoded)).expect("valid wire data")))
     });
     group.finish();
+
+    // One delivery of that query, accounting and telemetry included, on
+    // a copy of the network with a registry attached.
+    let mut network = SimNetwork::new(7);
+    for server in f.world.network.servers() {
+        network.add_server(server.clone());
+    }
+    network.attach_telemetry(&Registry::new());
+    c.bench_function("simnet_deliver", |b| {
+        b.iter(|| black_box(network.deliver(black_box(answering), black_box(&q))))
+    });
 
     // Authoritative zone lookup through a loaded server.
     let busiest =

@@ -93,66 +93,85 @@ impl<'c> ProviderRules<'c> {
 
 /// One responsive probe's attribution.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ProbeAttribution {
+pub(crate) struct ProbeAttribution<'a> {
     /// The provider labels of its external nameservers.
-    pub labels: BTreeSet<String>,
+    pub labels: BTreeSet<&'a str>,
     /// Whether any nameserver lies inside its seed.
     pub private: bool,
 }
 
 /// One seed's provider mix over its responsive probes.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct SeedTally {
+pub(crate) struct SeedTally<'a> {
     /// Responsive domains under the seed.
     pub responsive: usize,
     /// Those with a private (in-seed) nameserver.
     pub private: usize,
     /// Provider label → domains using it.
-    pub domains: BTreeMap<String, usize>,
+    pub domains: BTreeMap<&'a str, usize>,
+}
+
+/// The external nameservers of a dataset's responsive probes, each
+/// classified once by the hostname rules. A [`ProbedAttribution`]
+/// borrows its labels from here and from the rules.
+#[derive(Debug)]
+pub(crate) struct ProbedHosts<'d, 'c> {
+    rules: ProviderRules<'c>,
+    labels: HashMap<&'d DomainName, HostLabel<'c>>,
+}
+
+impl<'d, 'c> ProbedHosts<'d, 'c> {
+    /// Classifies the external hosts of every responsive probe.
+    pub(crate) fn classify(ds: &'d MeasurementDataset, matchers: &'c [ProviderMatcher]) -> Self {
+        let rules = ProviderRules::new(matchers);
+        let labels = rules.classify_hosts(responsive(ds).flat_map(|i| external(ds, i)));
+        ProbedHosts { rules, labels }
+    }
+}
+
+/// The probes whose parent listed NS records.
+fn responsive(ds: &MeasurementDataset) -> impl Iterator<Item = usize> + '_ {
+    (0..ds.probes.len()).filter(|&i| ds.probes[i].parent_nonempty())
+}
+
+/// Probe `i`'s nameservers outside its seed, less one-label hosts.
+fn external(ds: &MeasurementDataset, i: usize) -> impl Iterator<Item = &DomainName> {
+    let (probe, seed) = (&ds.probes[i], ds.seed_of(i));
+    let hosts = probe.parent_ns.iter().chain(&probe.child_ns);
+    hosts.filter(move |h| !h.is_within(seed) && h.level() >= 2)
 }
 
 /// The attribution of every probe in a dataset, built once and read by
 /// both the concentration analysis and the smell engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ProbedAttribution<'d> {
+pub(crate) struct ProbedAttribution<'a> {
     /// Per probe, in dataset order: `None` when the parent listed no NS.
-    pub probes: Vec<Option<ProbeAttribution>>,
+    pub probes: Vec<Option<ProbeAttribution<'a>>>,
     /// Per seed with responsive probes.
-    pub seeds: BTreeMap<&'d DomainName, SeedTally>,
+    pub seeds: BTreeMap<&'a DomainName, SeedTally<'a>>,
 }
 
-impl<'d> ProbedAttribution<'d> {
+impl<'a> ProbedAttribution<'a> {
     /// Attributes every responsive probe's nameservers. A host inside the
     /// probe's seed marks it private; a one-label host (a relative-label
     /// artifact) is skipped.
-    pub(crate) fn build(ds: &'d MeasurementDataset, matchers: &[ProviderMatcher]) -> Self {
-        let external = |i: usize| {
-            let (probe, seed) = (&ds.probes[i], ds.seed_of(i));
-            let hosts = probe.parent_ns.iter().chain(&probe.child_ns);
-            hosts.filter(move |h| !h.is_within(seed) && h.level() >= 2)
-        };
-        let responsive: Vec<usize> =
-            (0..ds.probes.len()).filter(|&i| ds.probes[i].parent_nonempty()).collect();
-        let rules = ProviderRules::new(matchers);
-        let hosts = rules.classify_hosts(responsive.iter().flat_map(|&i| external(i)));
-
+    pub(crate) fn build(ds: &'a MeasurementDataset, hosts: &'a ProbedHosts<'a, 'a>) -> Self {
         let mut probes = vec![None; ds.probes.len()];
         let mut seeds: BTreeMap<&DomainName, SeedTally> = BTreeMap::new();
-        for i in responsive {
+        for i in responsive(ds) {
             let (probe, seed) = (&ds.probes[i], ds.seed_of(i));
             // The SOA is the probe's, so it is looked up at most once.
             let mut by_soa = None;
-            let soa = || probe.soa.as_ref().and_then(|s| rules.soa_rule(&s.mname, &s.rname));
-            let labels: BTreeSet<&str> = external(i)
-                .map(|host| hosts[host].resolve(|| *by_soa.get_or_insert_with(soa)))
+            let soa = || probe.soa.as_ref().and_then(|s| hosts.rules.soa_rule(&s.mname, &s.rname));
+            let labels: BTreeSet<&str> = external(ds, i)
+                .map(|host| hosts.labels[host].resolve(|| *by_soa.get_or_insert_with(soa)))
                 .collect();
-            let labels: BTreeSet<String> = labels.into_iter().map(str::to_owned).collect();
             let private = probe.parent_ns.iter().chain(&probe.child_ns).any(|h| h.is_within(seed));
             let tally = seeds.entry(seed).or_default();
             tally.responsive += 1;
             tally.private += usize::from(private);
-            for label in &labels {
-                *tally.domains.entry(label.clone()).or_insert(0) += 1;
+            for &label in &labels {
+                *tally.domains.entry(label).or_insert(0) += 1;
             }
             probes[i] = Some(ProbeAttribution { labels, private });
         }
@@ -288,20 +307,30 @@ mod tests {
             let ds = dataset(probes);
             let f = fixture();
             let campaign = f.campaign();
-            let table = ProbedAttribution::build(&ds, campaign.matchers);
+            let hosts = ProbedHosts::classify(&ds, campaign.matchers);
+            let table = ProbedAttribution::build(&ds, &hosts);
 
+            // The oracle's owned labels, which its tally borrows.
+            let oracle: Vec<_> = ds
+                .probes
+                .iter()
+                .enumerate()
+                .map(|(i, probe)| provider_labels(probe, ds.seed_of(i), &campaign))
+                .collect();
             let mut seeds: BTreeMap<&DomainName, SeedTally> = BTreeMap::new();
             for (i, probe) in ds.probes.iter().enumerate() {
                 if !probe.parent_nonempty() {
                     prop_assert_eq!(&table.probes[i], &None);
                     continue;
                 }
-                let (labels, private) = provider_labels(probe, ds.seed_of(i), &campaign);
+                let (labels, private) = &oracle[i];
+                let (labels, private): (BTreeSet<&str>, bool) =
+                    (labels.iter().map(String::as_str).collect(), *private);
                 let tally = seeds.entry(ds.seed_of(i)).or_default();
                 tally.responsive += 1;
                 tally.private += usize::from(private);
-                for label in &labels {
-                    *tally.domains.entry(label.clone()).or_insert(0) += 1;
+                for &label in &labels {
+                    *tally.domains.entry(label).or_insert(0) += 1;
                 }
                 prop_assert_eq!(&table.probes[i], &Some(ProbeAttribution { labels, private }));
             }

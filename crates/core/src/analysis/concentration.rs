@@ -6,7 +6,7 @@
 
 use govdns_model::DomainName;
 
-use crate::analysis::attribution::ProbedAttribution;
+use crate::analysis::attribution::{ProbedAttribution, ProbedHosts};
 use crate::stats;
 use crate::tables::{fmt_pct, TextTable};
 use crate::{Campaign, MeasurementDataset};
@@ -45,7 +45,8 @@ impl ConcentrationAnalysis {
     /// Classifies every responsive domain's nameservers and aggregates
     /// per seed.
     pub fn compute(ds: &MeasurementDataset, campaign: &Campaign<'_>) -> Self {
-        ConcentrationAnalysis::from_attribution(&ProbedAttribution::build(ds, campaign.matchers))
+        let hosts = ProbedHosts::classify(ds, campaign.matchers);
+        ConcentrationAnalysis::from_attribution(&ProbedAttribution::build(ds, &hosts))
     }
 
     /// Reports the per-seed tallies of a probed attribution table.
@@ -56,7 +57,7 @@ impl ConcentrationAnalysis {
             .map(|(&seed, tally)| {
                 let (responsive, private) = (tally.responsive, tally.private);
                 let mut providers: Vec<(String, usize)> =
-                    tally.domains.iter().map(|(label, &n)| (label.clone(), n)).collect();
+                    tally.domains.iter().map(|(&label, &n)| (label.to_owned(), n)).collect();
                 providers.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
                 let hhi = if responsive == 0 {
                     0.0

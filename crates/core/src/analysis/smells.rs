@@ -33,7 +33,7 @@ use govdns_simnet::prefix24;
 use govdns_trace::{DomainBlock, Step, TraceData, TraceLog};
 use govdns_world::CountryCode;
 
-use crate::analysis::attribution::{ProbeAttribution, ProbedAttribution};
+use crate::analysis::attribution::{ProbeAttribution, ProbedAttribution, ProbedHosts};
 use crate::analysis::consistency::{classify, ConsistencyClass};
 use crate::tables::TextTable;
 use crate::{Campaign, MeasurementDataset};
@@ -211,7 +211,8 @@ impl SmellAnalysis {
     /// [`attach_evidence`](SmellAnalysis::attach_evidence) sees the
     /// trace log.
     pub fn compute(ds: &MeasurementDataset, campaign: &Campaign<'_>) -> Self {
-        SmellAnalysis::from_attribution(ds, &ProbedAttribution::build(ds, campaign.matchers))
+        let hosts = ProbedHosts::classify(ds, campaign.matchers);
+        SmellAnalysis::from_attribution(ds, &ProbedAttribution::build(ds, &hosts))
     }
 
     /// Runs every detector; the monoculture detector reads the probes'

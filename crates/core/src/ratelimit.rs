@@ -13,11 +13,10 @@
 //! [`QueryLedger`](govdns_telemetry::QueryLedger).
 
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use govdns_simnet::ShardedCounts;
-use govdns_telemetry::{Counter, QueryLedger, Registry};
+use govdns_telemetry::{Counter, QueryLedger, Registry, Stripes};
 
 /// The phase of the campaign a query belongs to, for ledger accounting.
 ///
@@ -75,13 +74,14 @@ impl QueryRound {
         QueryRound::Retry,
     ];
 
-    fn index(self) -> usize {
+    /// The round's [`Inner::counts`] cell; cell 0 is the total.
+    fn cell(self) -> usize {
         match self {
-            QueryRound::Round1 => 0,
-            QueryRound::Round2 => 1,
-            QueryRound::Soa => 2,
-            QueryRound::Side => 3,
-            QueryRound::Retry => 4,
+            QueryRound::Round1 => 1,
+            QueryRound::Round2 => 2,
+            QueryRound::Soa => 3,
+            QueryRound::Side => 4,
+            QueryRound::Retry => 5,
         }
     }
 }
@@ -104,6 +104,9 @@ pub struct LimiterState {
     pub per_destination_retries: Vec<(Ipv4Addr, u64)>,
 }
 
+/// The [`Inner::counts`] cell of the total.
+const ISSUED: usize = 0;
+
 /// A shared query-budget meter with per-round and per-destination
 /// ledger accounting.
 #[derive(Debug, Clone)]
@@ -113,8 +116,9 @@ pub struct RateLimiter {
 
 #[derive(Debug)]
 struct Inner {
-    issued: AtomicU64,
-    per_round: [AtomicU64; 5],
+    /// Queries issued: the total in cell 0, then one cell per round
+    /// (see [`QueryRound::cell`]), in per-thread stripes.
+    counts: Stripes,
     max_qps: u32,
     /// Per-destination soft cap for ledger reporting; `None` means
     /// uncapped — an explicit state, not a zero sentinel a default could
@@ -153,8 +157,7 @@ impl RateLimiter {
         assert!(max_qps > 0, "rate limit must be positive");
         RateLimiter {
             inner: Arc::new(Inner {
-                issued: AtomicU64::new(0),
-                per_round: [const { AtomicU64::new(0) }; 5],
+                counts: Stripes::new(1 + QueryRound::ALL.len()),
                 max_qps,
                 destination_cap,
                 per_destination: ShardedCounts::new(),
@@ -172,11 +175,7 @@ impl RateLimiter {
     /// Accounts for one query in `round`, optionally attributed to a
     /// destination for the per-destination cap ledger.
     pub fn acquire_for(&self, round: QueryRound, dst: Option<Ipv4Addr>) {
-        self.inner.issued.fetch_add(1, Ordering::Relaxed);
-        self.inner.per_round[round.index()].fetch_add(1, Ordering::Relaxed);
-        if let Some(c) = &self.inner.counter {
-            c.inc();
-        }
+        self.account(round, 1);
         if let Some(dst) = dst {
             self.inner.per_destination.update(dst, |n| *n += 1);
         }
@@ -216,8 +215,9 @@ impl RateLimiter {
         if n == 0 {
             return;
         }
-        self.inner.issued.fetch_add(n, Ordering::Relaxed);
-        self.inner.per_round[round.index()].fetch_add(n, Ordering::Relaxed);
+        let counts = self.inner.counts.local();
+        counts.add(ISSUED, n);
+        counts.add(round.cell(), n);
         if let Some(c) = &self.inner.counter {
             c.add(n);
         }
@@ -225,12 +225,12 @@ impl RateLimiter {
 
     /// Total queries issued so far.
     pub fn issued(&self) -> u64 {
-        self.inner.issued.load(Ordering::Relaxed)
+        self.inner.counts.sum(ISSUED)
     }
 
     /// Queries issued so far in `round`.
     pub fn issued_in(&self, round: QueryRound) -> u64 {
-        self.inner.per_round[round.index()].load(Ordering::Relaxed)
+        self.inner.counts.sum(round.cell())
     }
 
     /// The configured cap.
@@ -277,9 +277,10 @@ impl RateLimiter {
     /// destination that burned its [`QueryRound::Retry`] budget before
     /// the crash stays burned after resume.
     pub fn restore_state(&self, state: &LimiterState) {
-        let previously_issued = self.inner.issued.swap(state.issued, Ordering::Relaxed);
-        for (slot, &value) in self.inner.per_round.iter().zip(state.per_round.iter()) {
-            slot.store(value, Ordering::Relaxed);
+        let previously_issued = self.issued();
+        self.inner.counts.restore(ISSUED, state.issued);
+        for (round, &value) in QueryRound::ALL.iter().zip(&state.per_round) {
+            self.inner.counts.restore(round.cell(), value);
         }
         self.inner.per_destination.restore(state.per_destination.iter().copied());
         self.inner.per_destination_retries.restore(state.per_destination_retries.iter().copied());

@@ -20,7 +20,7 @@ use std::cell::OnceCell;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::analysis::attribution::ProbedAttribution;
+use crate::analysis::attribution::{ProbedAttribution, ProbedHosts};
 use crate::analysis::concentration::ConcentrationAnalysis;
 use crate::analysis::consistency::ConsistencyAnalysis;
 use crate::analysis::delegation::DelegationAnalysis;
@@ -522,9 +522,14 @@ impl Report {
             let mut f = Vec::new();
             // Concentration and smells read one provider attribution of the
             // probes: whichever of them runs first builds it.
+            let hosts = OnceCell::new();
             let attribution = OnceCell::new();
-            let providers =
-                || attribution.get_or_init(|| ProbedAttribution::build(ds, campaign.matchers));
+            let providers = || {
+                attribution.get_or_init(|| {
+                    let hosts = hosts.get_or_init(|| ProbedHosts::classify(ds, campaign.matchers));
+                    ProbedAttribution::build(ds, hosts)
+                })
+            };
             let sections = (
                 guarded(g, &mut f, "replication", || ActiveReplication::compute(ds)),
                 guarded(g, &mut f, "diversity", || DiversityTable::compute(ds, campaign)),

@@ -46,7 +46,7 @@
 //! // A query below the delegation point yields a referral, not an answer.
 //! let q: DomainName = "www.portal.gov.example".parse()?;
 //! match zone.lookup(&q, govdns_model::RecordType::A) {
-//!     ZoneLookup::Referral { cut, .. } => assert_eq!(cut, child),
+//!     ZoneLookup::Referral { ns, .. } => assert_eq!(ns.name(), &child),
 //!     other => panic!("expected referral, got {other:?}"),
 //! }
 //! # Ok(())
@@ -78,4 +78,4 @@ pub use name::{DomainName, Label, MAX_LABELS, MAX_NAME_LEN};
 pub use record::{RecordData, RecordType, ResourceRecord, Ttl};
 pub use rrset::RrSet;
 pub use soa::Soa;
-pub use zone::{Zone, ZoneLookup};
+pub use zone::{Glue, Zone, ZoneLookup};

@@ -34,12 +34,63 @@ const POINTER_MASK: u8 = 0b1100_0000;
 /// linear scan of borrowed label slices beats hashing owned suffixes.
 type Compression<'a> = Vec<(&'a [Label], u16)>;
 
+/// Where the encoder's bytes go. [`encode`] writes them into a buffer;
+/// [`encoded_len`] only counts them. Compression offsets depend on the
+/// running length alone, so both take every branch the same way.
+trait Sink {
+    fn len(&self) -> usize;
+    fn put(&mut self, bytes: &[u8]);
+    /// Overwrites the two bytes at `at`, already counted in `len`.
+    fn patch_u16(&mut self, at: usize, v: u16);
+}
+
+impl Sink for Vec<u8> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn patch_u16(&mut self, at: usize, v: u16) {
+        self[at..at + 2].copy_from_slice(&v.to_be_bytes());
+    }
+}
+
+/// A sink that keeps only the byte count.
+struct Count(usize);
+
+impl Sink for Count {
+    fn len(&self) -> usize {
+        self.0
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+
+    fn patch_u16(&mut self, _at: usize, _v: u16) {}
+}
+
 /// Encodes a message to wire format with name compression.
 pub fn encode(msg: &Message) -> Vec<u8> {
     let mut buf = Vec::with_capacity(512);
-    let mut compress = Compression::new();
+    write_message(&mut buf, msg);
+    buf
+}
 
-    put_u16(&mut buf, msg.id);
+/// Size in bytes of the encoded form of `msg`, computed by the same
+/// writer as [`encode`] without building the bytes.
+pub fn encoded_len(msg: &Message) -> usize {
+    let mut count = Count(0);
+    write_message(&mut count, msg);
+    count.0
+}
+
+fn write_message(out: &mut impl Sink, msg: &Message) {
+    let mut compress = Compression::with_capacity(16);
+    put_u16(out, msg.id);
     let mut flags = 0u16;
     if msg.kind == MessageKind::Response {
         flags |= FLAG_QR;
@@ -51,91 +102,85 @@ pub fn encode(msg: &Message) -> Vec<u8> {
         flags |= FLAG_TC;
     }
     flags |= u16::from(msg.rcode.code());
-    put_u16(&mut buf, flags);
-    put_u16(&mut buf, 1); // qdcount
-    put_u16(&mut buf, msg.answers.len() as u16);
-    put_u16(&mut buf, msg.authority.len() as u16);
-    put_u16(&mut buf, msg.additional.len() as u16);
+    put_u16(out, flags);
+    put_u16(out, 1); // qdcount
+    put_u16(out, msg.answers.len() as u16);
+    put_u16(out, msg.authority.len() as u16);
+    put_u16(out, msg.additional.len() as u16);
 
-    encode_name(&mut buf, &msg.question.name, &mut compress);
-    put_u16(&mut buf, msg.question.rtype.code());
-    put_u16(&mut buf, CLASS_IN);
+    encode_name(out, &msg.question.name, &mut compress);
+    put_u16(out, msg.question.rtype.code());
+    put_u16(out, CLASS_IN);
 
     for rr in msg.answers.iter().chain(&msg.authority).chain(&msg.additional) {
-        encode_record(&mut buf, rr, &mut compress);
+        encode_record(out, rr, &mut compress);
     }
-    buf
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_be_bytes());
+fn put_u16(out: &mut impl Sink, v: u16) {
+    out.put(&v.to_be_bytes());
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_be_bytes());
+fn put_u32(out: &mut impl Sink, v: u32) {
+    out.put(&v.to_be_bytes());
 }
 
-/// Size in bytes of the encoded form of `msg`.
-pub fn encoded_len(msg: &Message) -> usize {
-    encode(msg).len()
-}
-
-fn encode_name<'a>(buf: &mut Vec<u8>, name: &'a DomainName, compress: &mut Compression<'a>) {
+fn encode_name<'a>(out: &mut impl Sink, name: &'a DomainName, compress: &mut Compression<'a>) {
     let labels = name.labels();
     for i in 0..labels.len() {
         let suffix = &labels[i..];
         // A suffix is recorded at most once, so the first offset wins.
         if let Some(&(_, off)) = compress.iter().find(|(known, _)| *known == suffix) {
-            put_u16(buf, 0xC000 | off);
+            put_u16(out, 0xC000 | off);
             return;
         }
         // Pointers can only address the first 16 KiB - 2 bits of a message.
-        if buf.len() < 0x3FFF {
-            compress.push((suffix, buf.len() as u16));
+        if out.len() < 0x3FFF {
+            compress.push((suffix, out.len() as u16));
         }
         let l = labels[i].as_str().as_bytes();
-        buf.push(l.len() as u8);
-        buf.extend_from_slice(l);
+        out.put(&[l.len() as u8]);
+        out.put(l);
     }
-    buf.push(0);
+    out.put(&[0]);
 }
 
-fn encode_record<'a>(buf: &mut Vec<u8>, rr: &'a ResourceRecord, compress: &mut Compression<'a>) {
-    encode_name(buf, &rr.name, compress);
-    put_u16(buf, rr.rtype().code());
-    put_u16(buf, CLASS_IN);
-    put_u32(buf, rr.ttl);
-    let len_pos = buf.len();
-    put_u16(buf, 0); // rdlength placeholder
-    let rdata_start = buf.len();
+fn encode_record<'a>(out: &mut impl Sink, rr: &'a ResourceRecord, compress: &mut Compression<'a>) {
+    encode_name(out, &rr.name, compress);
+    put_u16(out, rr.rtype().code());
+    put_u16(out, CLASS_IN);
+    put_u32(out, rr.ttl);
+    let len_pos = out.len();
+    put_u16(out, 0); // rdlength placeholder
+    let rdata_start = out.len();
     match &rr.data {
-        RecordData::A(a) => buf.extend_from_slice(&a.octets()),
-        RecordData::Aaaa(a) => buf.extend_from_slice(&a.octets()),
+        RecordData::A(a) => out.put(&a.octets()),
+        RecordData::Aaaa(a) => out.put(&a.octets()),
         RecordData::Ns(n) | RecordData::Cname(n) | RecordData::Ptr(n) => {
-            encode_name(buf, n, compress)
+            encode_name(out, n, compress)
         }
         RecordData::Soa(soa) => {
-            encode_name(buf, &soa.mname, compress);
-            encode_name(buf, &soa.rname, compress);
-            put_u32(buf, soa.serial);
-            put_u32(buf, soa.refresh);
-            put_u32(buf, soa.retry);
-            put_u32(buf, soa.expire);
-            put_u32(buf, soa.minimum);
+            encode_name(out, &soa.mname, compress);
+            encode_name(out, &soa.rname, compress);
+            put_u32(out, soa.serial);
+            put_u32(out, soa.refresh);
+            put_u32(out, soa.retry);
+            put_u32(out, soa.expire);
+            put_u32(out, soa.minimum);
         }
         RecordData::Txt(t) => {
             // Character-strings of up to 255 bytes each.
             for chunk in t.as_bytes().chunks(255) {
-                buf.push(chunk.len() as u8);
-                buf.extend_from_slice(chunk);
+                out.put(&[chunk.len() as u8]);
+                out.put(chunk);
             }
             if t.is_empty() {
-                buf.push(0);
+                out.put(&[0]);
             }
         }
     }
-    let rdlen = (buf.len() - rdata_start) as u16;
-    buf[len_pos..len_pos + 2].copy_from_slice(&rdlen.to_be_bytes());
+    let rdlen = (out.len() - rdata_start) as u16;
+    out.patch_u16(len_pos, rdlen);
 }
 
 /// Decodes a wire-format message.

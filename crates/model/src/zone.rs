@@ -1,4 +1,5 @@
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::net::Ipv4Addr;
 
 use crate::{DomainName, RecordData, RecordType, RrSet, Soa, Ttl};
@@ -11,20 +12,20 @@ const DEFAULT_TTL: Ttl = 3600;
 /// response: the distinction between an authoritative answer and a referral
 /// at a zone cut is precisely what the study's Figure-1 measurement client
 /// drives on (step ② is a referral from the parent; step ④ an authoritative
-/// answer from the child).
+/// answer from the child). The RRsets are borrowed from the zone, so a
+/// server copies each record once, into the reply it builds.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ZoneLookup {
+pub enum ZoneLookup<'a> {
     /// The zone is authoritative for the name and holds the RRset.
-    Answer(RrSet),
+    Answer(&'a RrSet),
     /// The name lies at or below a delegation: here are the NS records of
-    /// the closest enclosing cut, plus any in-zone glue addresses.
+    /// the closest enclosing cut (whose owner is the delegation point),
+    /// plus any in-zone glue addresses.
     Referral {
-        /// The delegation point (owner of the NS RRset).
-        cut: DomainName,
         /// The delegation NS RRset as stored in the parent.
-        ns: RrSet,
-        /// Glue A records for NS targets that live under the cut.
-        glue: Vec<(DomainName, Ipv4Addr)>,
+        ns: &'a RrSet,
+        /// Glue A records for NS targets that live under the origin.
+        glue: Glue<'a>,
     },
     /// The name exists but carries no RRset of the requested type.
     NoData,
@@ -32,6 +33,47 @@ pub enum ZoneLookup {
     NxDomain,
     /// The name is not within this zone's origin at all.
     OutOfZone,
+}
+
+/// The glue of a referral, yielded lazily in NS-target order: for each
+/// target within the zone origin, every address of its A RRset.
+#[derive(Clone)]
+pub struct Glue<'a> {
+    zone: &'a Zone,
+    targets: std::slice::Iter<'a, RecordData>,
+    current: Option<(&'a DomainName, std::slice::Iter<'a, RecordData>)>,
+}
+
+impl<'a> Iterator for Glue<'a> {
+    type Item = (&'a DomainName, Ipv4Addr);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some((target, addrs)) = &mut self.current {
+                if let Some(addr) = addrs.find_map(RecordData::as_a) {
+                    return Some((*target, addr));
+                }
+            }
+            let target = self.targets.find_map(RecordData::as_ns)?;
+            let in_zone = target.is_within(&self.zone.origin);
+            let addrs = in_zone.then(|| self.zone.rrset(target, RecordType::A)).flatten();
+            self.current = addrs.map(|set| (target, set.iter()));
+        }
+    }
+}
+
+impl PartialEq for Glue<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.clone().eq(other.clone())
+    }
+}
+
+impl Eq for Glue<'_> {}
+
+impl fmt::Debug for Glue<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.clone()).finish()
+    }
 }
 
 /// An authoritative DNS zone: an origin plus the records at and below it,
@@ -166,7 +208,7 @@ impl Zone {
     }
 
     /// Authoritative lookup with zone-cut semantics. See [`ZoneLookup`].
-    pub fn lookup(&self, name: &DomainName, rtype: RecordType) -> ZoneLookup {
+    pub fn lookup(&self, name: &DomainName, rtype: RecordType) -> ZoneLookup<'_> {
         if !name.is_within(&self.origin) {
             return ZoneLookup::OutOfZone;
         }
@@ -174,17 +216,16 @@ impl Zone {
             // Asking the parent for NS of the cut itself is still a
             // referral (non-authoritative), which is exactly what the
             // measurement pipeline's step ② consumes.
-            let cut = ns.name().clone();
-            let glue = self.glue_for(ns);
-            return ZoneLookup::Referral { cut, ns: ns.clone(), glue };
+            let glue = Glue { zone: self, targets: ns.iter(), current: None };
+            return ZoneLookup::Referral { ns, glue };
         }
         match self.records.get(name) {
             Some(by_type) => match by_type.get(&rtype) {
-                Some(set) => ZoneLookup::Answer(set.clone()),
+                Some(set) => ZoneLookup::Answer(set),
                 None => match by_type.get(&RecordType::Cname) {
                     // A CNAME at the name answers any type (except CNAME,
                     // handled above when rtype == Cname).
-                    Some(cname) if rtype != RecordType::Cname => ZoneLookup::Answer(cname.clone()),
+                    Some(cname) if rtype != RecordType::Cname => ZoneLookup::Answer(cname),
                     _ => ZoneLookup::NoData,
                 },
             },
@@ -203,23 +244,6 @@ impl Zone {
                 }
             }
         }
-    }
-
-    fn glue_for(&self, ns: &RrSet) -> Vec<(DomainName, Ipv4Addr)> {
-        let mut glue = Vec::new();
-        for target in ns.ns_targets() {
-            if !target.is_within(&self.origin) {
-                continue;
-            }
-            if let Some(a_set) = self.records.get(target).and_then(|t| t.get(&RecordType::A)) {
-                for d in a_set.iter() {
-                    if let Some(addr) = d.as_a() {
-                        glue.push((target.clone(), addr));
-                    }
-                }
-            }
-        }
-        glue
     }
 }
 
@@ -267,12 +291,12 @@ mod tests {
         let z = sample_zone();
         for q in ["portal.gov.example", "www.portal.gov.example", "a.b.portal.gov.example"] {
             match z.lookup(&n(q), RecordType::A) {
-                ZoneLookup::Referral { cut, ns, glue } => {
-                    assert_eq!(cut, n("portal.gov.example"));
+                ZoneLookup::Referral { ns, glue } => {
+                    assert_eq!(ns.name(), &n("portal.gov.example"));
                     assert_eq!(ns.len(), 1);
                     assert_eq!(
-                        glue,
-                        vec![(n("ns1.portal.gov.example"), Ipv4Addr::new(198, 51, 100, 1))]
+                        glue.collect::<Vec<_>>(),
+                        vec![(&n("ns1.portal.gov.example"), Ipv4Addr::new(198, 51, 100, 1))]
                     );
                 }
                 other => panic!("expected referral for {q}, got {other:?}"),
@@ -330,7 +354,7 @@ mod tests {
         // Data *below* the portal cut is occluded, even NS data.
         z.add_ns(n("deep.portal.gov.example"), n("ns.elsewhere.example"));
         match z.lookup(&n("x.deep.portal.gov.example"), RecordType::A) {
-            ZoneLookup::Referral { cut, .. } => assert_eq!(cut, n("portal.gov.example")),
+            ZoneLookup::Referral { ns, .. } => assert_eq!(ns.name(), &n("portal.gov.example")),
             other => panic!("expected referral, got {other:?}"),
         }
     }

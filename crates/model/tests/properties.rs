@@ -3,12 +3,13 @@
 //! tests that hold the hot-path algorithms to the ones they replaced.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 
 use govdns_model::{
-    wire, DateRange, DomainName, Label, Message, RecordData, RecordType, ResourceRecord, SimDate,
-    Soa, Zone, ZoneLookup,
+    wire, DateRange, DomainName, Label, Message, RecordData, RecordType, ResourceRecord, RrSet,
+    SimDate, Soa, Zone, ZoneLookup,
 };
 
 fn label_strategy() -> impl Strategy<Value = String> {
@@ -215,6 +216,30 @@ fn pooled_rdata_strategy() -> impl Strategy<Value = RecordData> {
     ]
 }
 
+/// Rdata of every variant from pooled names, with TXT at the lengths
+/// where its 255-byte chunking changes shape.
+fn every_rdata_strategy() -> impl Strategy<Value = RecordData> {
+    prop_oneof![
+        any::<[u8; 4]>().prop_map(|o| RecordData::A(o.into())),
+        any::<[u8; 16]>().prop_map(|o| RecordData::Aaaa(o.into())),
+        pooled_name_strategy(5).prop_map(RecordData::Ns),
+        pooled_name_strategy(5).prop_map(RecordData::Cname),
+        pooled_name_strategy(5).prop_map(RecordData::Ptr),
+        (pooled_name_strategy(4), pooled_name_strategy(4), any::<u32>())
+            .prop_map(|(m, r, serial)| RecordData::Soa(Soa::new(m, r).with_serial(serial))),
+        prop::sample::select(vec![0usize, 1, 254, 255, 256, 510, 511, 700])
+            .prop_map(|n| RecordData::Txt("t".repeat(n))),
+    ]
+}
+
+fn every_records() -> impl Strategy<Value = Vec<ResourceRecord>> {
+    prop::collection::vec(
+        (pooled_name_strategy(5), any::<u32>(), every_rdata_strategy())
+            .prop_map(|(name, ttl, data)| ResourceRecord::new(name, ttl, data)),
+        0..8,
+    )
+}
+
 fn pooled_records() -> impl Strategy<Value = Vec<ResourceRecord>> {
     prop::collection::vec(
         (pooled_name_strategy(5), any::<u32>(), pooled_rdata_strategy())
@@ -325,12 +350,39 @@ mod reference_wire {
     }
 }
 
+/// A [`ZoneLookup`] with its borrowed RRsets copied and its glue
+/// collected, so the reference can build one from scratch.
+#[derive(Debug, PartialEq)]
+enum OwnedLookup {
+    Answer(RrSet),
+    Referral { cut: DomainName, ns: RrSet, glue: Vec<(DomainName, Ipv4Addr)> },
+    NoData,
+    NxDomain,
+    OutOfZone,
+}
+
+impl From<ZoneLookup<'_>> for OwnedLookup {
+    fn from(lookup: ZoneLookup<'_>) -> Self {
+        match lookup {
+            ZoneLookup::Answer(set) => OwnedLookup::Answer(set.clone()),
+            ZoneLookup::Referral { ns, glue } => OwnedLookup::Referral {
+                cut: ns.name().clone(),
+                ns: ns.clone(),
+                glue: glue.map(|(name, addr)| (name.clone(), addr)).collect(),
+            },
+            ZoneLookup::NoData => OwnedLookup::NoData,
+            ZoneLookup::NxDomain => OwnedLookup::NxDomain,
+            ZoneLookup::OutOfZone => OwnedLookup::OutOfZone,
+        }
+    }
+}
+
 /// `Zone::lookup` as it was: walk every ancestor for the highest cut,
 /// then scan every owner for an empty non-terminal.
-fn reference_lookup(zone: &Zone, name: &DomainName, rtype: RecordType) -> ZoneLookup {
+fn reference_lookup(zone: &Zone, name: &DomainName, rtype: RecordType) -> OwnedLookup {
     let origin = zone.origin();
     if !name.is_within(origin) {
-        return ZoneLookup::OutOfZone;
+        return OwnedLookup::OutOfZone;
     }
     let mut best = None;
     for anc in name.ancestors() {
@@ -353,19 +405,19 @@ fn reference_lookup(zone: &Zone, name: &DomainName, rtype: RecordType) -> ZoneLo
                 }
             }
         }
-        return ZoneLookup::Referral { cut: ns.name().clone(), ns: ns.clone(), glue };
+        return OwnedLookup::Referral { cut: ns.name().clone(), ns: ns.clone(), glue };
     }
     let owners: BTreeSet<DomainName> = zone.iter().map(|set| set.name().clone()).collect();
     if owners.contains(name) {
         match (zone.rrset(name, rtype), zone.rrset(name, RecordType::Cname)) {
-            (Some(set), _) => ZoneLookup::Answer(set.clone()),
-            (None, Some(cname)) if rtype != RecordType::Cname => ZoneLookup::Answer(cname.clone()),
-            _ => ZoneLookup::NoData,
+            (Some(set), _) => OwnedLookup::Answer(set.clone()),
+            (None, Some(cname)) if rtype != RecordType::Cname => OwnedLookup::Answer(cname.clone()),
+            _ => OwnedLookup::NoData,
         }
     } else if owners.iter().any(|k| k.is_subdomain_of(name)) {
-        ZoneLookup::NoData
+        OwnedLookup::NoData
     } else {
-        ZoneLookup::NxDomain
+        OwnedLookup::NxDomain
     }
 }
 
@@ -428,6 +480,29 @@ proptest! {
     }
 
     #[test]
+    fn encoded_len_is_the_encoded_size(
+        qname in pooled_name_strategy(5),
+        answers in every_records(),
+        authority in every_records(),
+        additional in every_records(),
+        filler in prop::sample::select(vec![0usize, 30, 52, 53, 54, 70]),
+    ) {
+        let mut msg = Message::query(1, qname, RecordType::Ns).response();
+        // 300-byte TXT records under a name of their own, 53 or more of
+        // which push the drawn records past offset 0x3FFF, where the
+        // suffixes they introduce can no longer be pointer targets.
+        let owner: DomainName = "filler.example".parse().unwrap();
+        let txt = RecordData::Txt("f".repeat(300));
+        msg.answers = vec![ResourceRecord::new(owner, 60, txt); filler];
+        msg.answers.extend(answers);
+        msg.authority = authority;
+        msg.additional = additional;
+        let bytes = wire::encode(&msg);
+        prop_assert_eq!(wire::encoded_len(&msg), bytes.len());
+        prop_assert_eq!(wire::decode(&bytes).unwrap(), msg);
+    }
+
+    #[test]
     fn borrowed_suffix_lookups_match_owned_ones(
         keys in prop::collection::vec(pooled_name_strategy(5), 0..24),
         probes in prop::collection::vec(pooled_name_strategy(6), 1..12),
@@ -473,7 +548,13 @@ proptest! {
         }
         for name in &asked {
             for t in [rtype, RecordType::Ns, RecordType::A] {
-                prop_assert_eq!(zone.lookup(name, t), reference_lookup(&zone, name, t), "{} {:?}", name, t);
+                prop_assert_eq!(
+                    OwnedLookup::from(zone.lookup(name, t)),
+                    reference_lookup(&zone, name, t),
+                    "{} {:?}",
+                    name,
+                    t
+                );
             }
         }
     }

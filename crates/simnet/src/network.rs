@@ -1,18 +1,17 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use govdns_model::{wire, Message, Rcode};
-use govdns_telemetry::{Counter, Histogram, Registry};
+use govdns_telemetry::{Counter, Histogram, Registry, Stripes};
 
 use crate::addr::{mix, ShardedCounts};
 use crate::{AuthoritativeServer, FaultDecision, FaultKind, FaultPlan, FaultStats, LatencyModel};
 
 /// Cached telemetry handles for the per-query hot path: interned once
-/// at attach time so `deliver` touches bare atomics only.
+/// at attach time so `deliver` touches per-thread stripes only.
 #[derive(Debug)]
 struct NetSink {
     queries: Counter,
@@ -158,85 +157,88 @@ pub struct TrafficStats {
     pub total_wait_ms: u64,
 }
 
-/// [`TrafficStats`] as independent atomics: the hot path increments
-/// bare counters instead of serializing every worker on one mutex.
-/// Cross-field consistency is only needed at snapshot time, after the
-/// probing workers have drained — which is when `stats()` is read.
-#[derive(Debug, Default)]
-struct AtomicTraffic {
-    queries_sent: AtomicU64,
-    responses_received: AtomicU64,
-    timeouts: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    total_wait_ms: AtomicU64,
+/// [`TrafficStats`] and [`FaultStats`] in per-thread stripes (see
+/// [`Stripes`]): every worker adds to cache lines of its own instead of
+/// passing shared ones between cores on every query, and a snapshot
+/// sums the stripes. Cross-field consistency is only needed at snapshot
+/// time, after the probing workers have drained — which is when
+/// `stats()` is read.
+#[derive(Debug)]
+struct Accounting {
+    cells: Stripes,
 }
 
-impl AtomicTraffic {
-    fn snapshot(&self) -> TrafficStats {
+/// Cells of [`Accounting`]: the [`TrafficStats`] fields in order, then
+/// one per [`FaultKind`] from `FAULTS` on, in [`FaultStats`] order.
+const QUERIES_SENT: usize = 0;
+const RESPONSES_RECEIVED: usize = 1;
+const TIMEOUTS: usize = 2;
+const BYTES_SENT: usize = 3;
+const BYTES_RECEIVED: usize = 4;
+const TOTAL_WAIT_MS: usize = 5;
+const FAULTS: usize = 6;
+
+fn fault_cell(kind: FaultKind) -> usize {
+    FAULTS
+        + match kind {
+            FaultKind::Flap => 0,
+            FaultKind::Loss => 1,
+            FaultKind::Refused => 2,
+            FaultKind::Truncated => 3,
+            FaultKind::Delayed => 4,
+            FaultKind::Outage => 5,
+        }
+}
+
+impl Default for Accounting {
+    fn default() -> Self {
+        Accounting { cells: Stripes::new(FAULTS + 6) }
+    }
+}
+
+impl Accounting {
+    fn traffic(&self) -> TrafficStats {
+        let c = |cell| self.cells.sum(cell);
         TrafficStats {
-            queries_sent: self.queries_sent.load(Ordering::Relaxed),
-            responses_received: self.responses_received.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            total_wait_ms: self.total_wait_ms.load(Ordering::Relaxed),
+            queries_sent: c(QUERIES_SENT),
+            responses_received: c(RESPONSES_RECEIVED),
+            timeouts: c(TIMEOUTS),
+            bytes_sent: c(BYTES_SENT),
+            bytes_received: c(BYTES_RECEIVED),
+            total_wait_ms: c(TOTAL_WAIT_MS),
         }
     }
 
-    fn restore(&self, stats: TrafficStats) {
-        self.queries_sent.store(stats.queries_sent, Ordering::Relaxed);
-        self.responses_received.store(stats.responses_received, Ordering::Relaxed);
-        self.timeouts.store(stats.timeouts, Ordering::Relaxed);
-        self.bytes_sent.store(stats.bytes_sent, Ordering::Relaxed);
-        self.bytes_received.store(stats.bytes_received, Ordering::Relaxed);
-        self.total_wait_ms.store(stats.total_wait_ms, Ordering::Relaxed);
-    }
-}
-
-/// [`FaultStats`] as independent atomics, same rationale as
-/// [`AtomicTraffic`].
-#[derive(Debug, Default)]
-struct AtomicFaults {
-    flap_timeouts: AtomicU64,
-    losses: AtomicU64,
-    refused: AtomicU64,
-    truncated: AtomicU64,
-    delayed: AtomicU64,
-    outages: AtomicU64,
-}
-
-impl AtomicFaults {
-    fn count(&self, kind: FaultKind) {
-        match kind {
-            FaultKind::Flap => &self.flap_timeouts,
-            FaultKind::Loss => &self.losses,
-            FaultKind::Refused => &self.refused,
-            FaultKind::Truncated => &self.truncated,
-            FaultKind::Delayed => &self.delayed,
-            FaultKind::Outage => &self.outages,
-        }
-        .fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> FaultStats {
+    fn faults(&self) -> FaultStats {
+        let c = |kind| self.cells.sum(fault_cell(kind));
         FaultStats {
-            flap_timeouts: self.flap_timeouts.load(Ordering::Relaxed),
-            losses: self.losses.load(Ordering::Relaxed),
-            refused: self.refused.load(Ordering::Relaxed),
-            truncated: self.truncated.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            outages: self.outages.load(Ordering::Relaxed),
+            flap_timeouts: c(FaultKind::Flap),
+            losses: c(FaultKind::Loss),
+            refused: c(FaultKind::Refused),
+            truncated: c(FaultKind::Truncated),
+            delayed: c(FaultKind::Delayed),
+            outages: c(FaultKind::Outage),
         }
     }
 
-    fn restore(&self, stats: FaultStats) {
-        self.flap_timeouts.store(stats.flap_timeouts, Ordering::Relaxed);
-        self.losses.store(stats.losses, Ordering::Relaxed);
-        self.refused.store(stats.refused, Ordering::Relaxed);
-        self.truncated.store(stats.truncated, Ordering::Relaxed);
-        self.delayed.store(stats.delayed, Ordering::Relaxed);
-        self.outages.store(stats.outages, Ordering::Relaxed);
+    fn restore(&self, t: TrafficStats, f: FaultStats) {
+        let values = [
+            t.queries_sent,
+            t.responses_received,
+            t.timeouts,
+            t.bytes_sent,
+            t.bytes_received,
+            t.total_wait_ms,
+            f.flap_timeouts,
+            f.losses,
+            f.refused,
+            f.truncated,
+            f.delayed,
+            f.outages,
+        ];
+        for (cell, value) in values.into_iter().enumerate() {
+            self.cells.restore(cell, value);
+        }
     }
 }
 
@@ -246,7 +248,7 @@ impl AtomicFaults {
 /// `SimNetwork` is `Sync`; the measurement runner queries it from many
 /// threads at once, as the real campaign parallelized its lookups. The
 /// per-query hot path is deliberately lock-light: traffic and fault
-/// counters are bare atomics, per-destination ordinals live in a
+/// counters are per-thread stripes, per-destination ordinals live in a
 /// sharded table, the telemetry/fault plans are read through one brief
 /// `RwLock` access each, and packet loss is a pure hash — no global
 /// mutex or shared RNG is touched between deliveries.
@@ -256,11 +258,10 @@ pub struct SimNetwork {
     loss_rate: f64,
     /// Seed for the deterministic loss hash (see `loss_hits`).
     seed: u64,
-    stats: AtomicTraffic,
+    accounting: Accounting,
     per_destination: ShardedCounts,
     telemetry: RwLock<Option<Arc<NetSink>>>,
     faults: RwLock<Option<Arc<FaultPlan>>>,
-    fault_stats: AtomicFaults,
 }
 
 impl SimNetwork {
@@ -270,11 +271,10 @@ impl SimNetwork {
             servers: HashMap::new(),
             loss_rate: 0.0,
             seed,
-            stats: AtomicTraffic::default(),
+            accounting: Accounting::default(),
             per_destination: ShardedCounts::new(),
             telemetry: RwLock::new(None),
             faults: RwLock::new(None),
-            fault_stats: AtomicFaults::default(),
         }
     }
 
@@ -315,7 +315,7 @@ impl SimNetwork {
 
     /// A snapshot of the injected-fault counters.
     pub fn fault_stats(&self) -> FaultStats {
-        self.fault_stats.snapshot()
+        self.accounting.faults()
     }
 
     /// Sets the packet-loss probability per exchange, in `[0, 1]`.
@@ -417,8 +417,9 @@ impl SimNetwork {
         attempt: u32,
     ) -> (DeliveryOutcome, DeliveryTrace) {
         let qbytes = wire::encoded_len(query) as u64;
-        self.stats.queries_sent.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_sent.fetch_add(qbytes, Ordering::Relaxed);
+        let account = self.accounting.cells.local();
+        account.add(QUERIES_SENT, 1);
+        account.add(BYTES_SENT, qbytes);
         // Post-increment: how many queries the destination had absorbed
         // before this one.
         let dst_queries_so_far = self.per_destination.update(dst, |n| {
@@ -438,7 +439,7 @@ impl SimNetwork {
         };
         let sink = self.telemetry.read().clone();
         let count_fault = |kind: FaultKind| {
-            self.fault_stats.count(kind);
+            account.add(fault_cell(kind), 1);
             if let Some(sink) = &sink {
                 sink.count_fault(kind);
             }
@@ -481,9 +482,9 @@ impl SimNetwork {
                     sink.rtt_ms.record(f64::from(rtt_ms));
                     sink.response_bytes.record(rbytes as f64);
                 }
-                self.stats.responses_received.fetch_add(1, Ordering::Relaxed);
-                self.stats.bytes_received.fetch_add(rbytes, Ordering::Relaxed);
-                self.stats.total_wait_ms.fetch_add(u64::from(rtt_ms), Ordering::Relaxed);
+                account.add(RESPONSES_RECEIVED, 1);
+                account.add(BYTES_RECEIVED, rbytes);
+                account.add(TOTAL_WAIT_MS, u64::from(rtt_ms));
                 DeliveryOutcome::Reply { msg, rtt_ms }
             }
             None => {
@@ -493,8 +494,8 @@ impl SimNetwork {
                     sink.timeouts.inc();
                     sink.rtt_ms.record(f64::from(waited_ms));
                 }
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.stats.total_wait_ms.fetch_add(u64::from(waited_ms), Ordering::Relaxed);
+                account.add(TIMEOUTS, 1);
+                account.add(TOTAL_WAIT_MS, u64::from(waited_ms));
                 DeliveryOutcome::Timeout { waited_ms }
             }
         };
@@ -523,7 +524,7 @@ impl SimNetwork {
 
     /// A snapshot of the traffic counters.
     pub fn stats(&self) -> TrafficStats {
-        self.stats.snapshot()
+        self.accounting.traffic()
     }
 
     /// Every destination's cumulative query count, sorted by address —
@@ -559,8 +560,7 @@ impl SimNetwork {
         faults: FaultStats,
         per_destination: Vec<(Ipv4Addr, u64)>,
     ) {
-        self.stats.restore(stats);
-        self.fault_stats.restore(faults);
+        self.accounting.restore(stats, faults);
         self.per_destination.restore(per_destination);
     }
 

@@ -183,6 +183,8 @@ impl AuthoritativeServer {
             .map(|&idx| &*self.zones[idx])
     }
 
+    /// Builds the reply from the zone's borrowed RRsets, copying each
+    /// record once, straight into its section.
     fn zone_response(&self, query: &Message, relative_bug: bool) -> Message {
         let q = &query.question;
         let Some(zone) = self.best_zone(&q.name) else {
@@ -190,14 +192,103 @@ impl AuthoritativeServer {
             // qname: exactly what a lame delegation target does.
             return query.response().with_rcode(Rcode::Refused);
         };
+        let mut r = query.response();
         match zone.lookup(&q.name, q.rtype) {
             ZoneLookup::Answer(set) => {
+                r.aa = true;
+                push_set(&mut r.answers, set, relative_bug);
+                // Attach in-bailiwick glue for NS answers so clients can
+                // chase targets without extra round trips.
+                for target in set.iter().filter_map(RecordData::as_ns) {
+                    if let Some(a) = zone.rrset(target, RecordType::A) {
+                        push_set(&mut r.additional, a, false);
+                    }
+                }
+            }
+            ZoneLookup::Referral { ns, glue } => {
+                push_set(&mut r.authority, ns, relative_bug);
+                r.additional.extend(glue.map(|(name, addr)| {
+                    ResourceRecord::new(name.clone(), ns.ttl(), RecordData::A(addr))
+                }));
+            }
+            negative @ (ZoneLookup::NoData | ZoneLookup::NxDomain) => {
+                r.aa = true;
+                if negative == ZoneLookup::NxDomain {
+                    r.rcode = Rcode::NxDomain;
+                }
+                if let Some(soa) = zone.rrset(zone.origin(), RecordType::Soa) {
+                    push_set(&mut r.authority, soa, false);
+                }
+            }
+            ZoneLookup::OutOfZone => r.rcode = Rcode::Refused,
+        }
+        r
+    }
+}
+
+/// Appends `set`'s records to `section`. With `relative_bug`, every NS
+/// target is truncated to its leading label — the relative-name
+/// zone-file typo.
+fn push_set(section: &mut Vec<ResourceRecord>, set: &RrSet, relative_bug: bool) {
+    section.reserve(set.len());
+    section.extend(set.iter().map(|data| {
+        let data = match data {
+            RecordData::Ns(target) if relative_bug && target.level() > 1 => {
+                let first = target.labels()[..1].iter().cloned();
+                RecordData::Ns(DomainName::from_labels(first).expect("one label is a valid name"))
+            }
+            other => other.clone(),
+        };
+        ResourceRecord::new(set.name().clone(), set.ttl(), data)
+    }));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use govdns_model::Soa;
+    use proptest::prelude::*;
+
+    /// The lookup result the reply builder used to take: owned RRsets and
+    /// a collected glue list.
+    enum OwnedLookup {
+        Answer(RrSet),
+        Referral { ns: RrSet, glue: Vec<(DomainName, Ipv4Addr)> },
+        NoData,
+        NxDomain,
+        OutOfZone,
+    }
+
+    fn owned_lookup(zone: &Zone, name: &DomainName, rtype: RecordType) -> OwnedLookup {
+        match zone.lookup(name, rtype) {
+            ZoneLookup::Answer(set) => OwnedLookup::Answer(set.clone()),
+            ZoneLookup::Referral { ns, glue } => OwnedLookup::Referral {
+                ns: ns.clone(),
+                glue: glue.map(|(name, addr)| (name.clone(), addr)).collect(),
+            },
+            ZoneLookup::NoData => OwnedLookup::NoData,
+            ZoneLookup::NxDomain => OwnedLookup::NxDomain,
+            ZoneLookup::OutOfZone => OwnedLookup::OutOfZone,
+        }
+    }
+
+    /// `zone_response` as it was: whole RRsets cloned into the message,
+    /// NS targets mangled after the fact.
+    fn reference_zone_response(
+        server: &AuthoritativeServer,
+        query: &Message,
+        relative_bug: bool,
+    ) -> Message {
+        let q = &query.question;
+        let Some(zone) = server.best_zone(&q.name) else {
+            return query.response().with_rcode(Rcode::Refused);
+        };
+        match owned_lookup(zone, &q.name, q.rtype) {
+            OwnedLookup::Answer(set) => {
                 let mut r = query.response().authoritative().with_answer(&set);
                 if relative_bug {
                     mangle_ns_targets(&mut r);
                 }
-                // Attach in-bailiwick glue for NS answers so clients can
-                // chase targets without extra round trips.
                 if set.rtype() == RecordType::Ns {
                     for target in set.ns_targets() {
                         if let Some(a) = zone.rrset(target, RecordType::A) {
@@ -209,7 +300,7 @@ impl AuthoritativeServer {
                 }
                 r
             }
-            ZoneLookup::Referral { ns, glue, .. } => {
+            OwnedLookup::Referral { ns, glue } => {
                 let mut r = query.response().with_authority(&ns);
                 for (name, addr) in glue {
                     r = r.with_additional(ResourceRecord::new(name, ns.ttl(), RecordData::A(addr)));
@@ -219,43 +310,96 @@ impl AuthoritativeServer {
                 }
                 r
             }
-            ZoneLookup::NoData => {
+            OwnedLookup::NoData => {
                 let mut r = query.response().authoritative();
                 if let Some(soa) = zone.rrset(zone.origin(), RecordType::Soa) {
                     r = r.with_authority(soa);
                 }
                 r
             }
-            ZoneLookup::NxDomain => {
+            OwnedLookup::NxDomain => {
                 let mut r = query.response().authoritative().with_rcode(Rcode::NxDomain);
                 if let Some(soa) = zone.rrset(zone.origin(), RecordType::Soa) {
                     r = r.with_authority(soa);
                 }
                 r
             }
-            ZoneLookup::OutOfZone => query.response().with_rcode(Rcode::Refused),
+            OwnedLookup::OutOfZone => query.response().with_rcode(Rcode::Refused),
         }
     }
-}
 
-/// Truncates every NS target in the message to its leading label,
-/// reproducing the relative-name zone-file typo.
-fn mangle_ns_targets(msg: &mut Message) {
-    for rr in msg.answers.iter_mut().chain(msg.authority.iter_mut()) {
-        if let RecordData::Ns(target) = &rr.data {
-            if target.level() > 1 {
-                let first = target.labels()[0].as_str().to_owned();
-                rr.data =
-                    RecordData::Ns(first.parse().expect("a single valid label parses as a name"));
+    fn mangle_ns_targets(msg: &mut Message) {
+        for rr in msg.answers.iter_mut().chain(msg.authority.iter_mut()) {
+            if let RecordData::Ns(target) = &rr.data {
+                if target.level() > 1 {
+                    let first = target.labels()[0].as_str().to_owned();
+                    rr.data = RecordData::Ns(first.parse().unwrap());
+                }
             }
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use govdns_model::Soa;
+    /// A name under `gov.zz` from a small label pool, so owners, NS
+    /// targets and queries collide: apex, cuts, names below cuts, glue
+    /// hosts and empty non-terminals.
+    fn pooled(max_labels: usize) -> impl Strategy<Value = DomainName> {
+        prop::collection::vec(prop::sample::select(vec!["a", "b", "ns1", "www"]), 0..max_labels)
+            .prop_map(|labels| {
+                let origin: DomainName = "gov.zz".parse().unwrap();
+                labels.iter().rev().fold(origin, |name, l| name.prepend(l).unwrap())
+            })
+    }
+
+    /// Rdata for the pooled zone: A records (glue when the owner is an NS
+    /// target), NS targets in and out of the origin, CNAMEs and TXT.
+    fn zone_rdata() -> impl Strategy<Value = RecordData> {
+        prop_oneof![
+            (1u8..4).prop_map(|i| RecordData::A(Ipv4Addr::new(192, 0, 2, i))),
+            pooled(3).prop_map(RecordData::Ns),
+            prop::sample::select(vec!["ns1.other.example", "ns.b.other.example"])
+                .prop_map(|t| RecordData::Ns(t.parse().unwrap())),
+            pooled(3).prop_map(RecordData::Cname),
+            Just(RecordData::Txt("v=spf1 -all".into())),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn replies_match_the_owned_lookup_builder(
+            records in prop::collection::vec((pooled(3), zone_rdata()), 0..20),
+            soa in any::<bool>(),
+            relative_bug in any::<bool>(),
+            queries in prop::collection::vec(pooled(4), 1..12),
+        ) {
+            let mut zone = Zone::new(n("gov.zz"));
+            if soa {
+                zone.set_soa(Soa::new(n("ns1.gov.zz"), n("hostmaster.gov.zz")));
+            }
+            for (owner, data) in records {
+                zone.add(owner, data);
+            }
+            let behavior = if relative_bug {
+                ServerBehavior::RelativeNameBug
+            } else {
+                ServerBehavior::Responsive
+            };
+            let server = AuthoritativeServer::new(Ipv4Addr::new(192, 0, 2, 1), behavior)
+                .with_zone(zone.clone());
+            // Every owner, every drawn name, and one name out of the zone.
+            let names = zone
+                .iter()
+                .map(|set| set.name().clone())
+                .chain(queries)
+                .chain([n("www.other.example")]);
+            for name in names {
+                for rtype in RecordType::all() {
+                    let q = Message::query(7, name.clone(), rtype);
+                    let want = reference_zone_response(&server, &q, relative_bug);
+                    prop_assert_eq!(server.handle(&q), Some(want), "{} {}", name, rtype);
+                }
+            }
+        }
+    }
 
     fn n(s: &str) -> DomainName {
         s.parse().unwrap()

@@ -3,12 +3,19 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::Stripes;
+
 /// A lock-free histogram over a fixed set of bucket upper bounds.
 ///
 /// Values land in the first bucket whose bound is `>= value`; anything
 /// beyond the last bound lands in an implicit overflow bucket. Exact
 /// sum, min, and max are tracked alongside the buckets, so percentile
 /// estimates are clamped to the observed range. Clones share state.
+///
+/// Each thread records into its own stripe of the state (see
+/// [`Stripes`]), and a snapshot folds the stripes together. One thread
+/// only ever touches one stripe, so a single-threaded history reads
+/// back exactly as it was recorded, sum included.
 #[derive(Clone, Debug)]
 pub struct Histogram {
     inner: Arc<Inner>,
@@ -16,15 +23,18 @@ pub struct Histogram {
 
 #[derive(Debug)]
 struct Inner {
-    /// Ascending upper bounds; `buckets` has one extra overflow slot.
+    /// Ascending upper bounds; the cells hold one extra overflow bucket.
     bounds: Vec<f64>,
-    buckets: Box<[AtomicU64]>,
-    count: AtomicU64,
-    /// `f64` bit patterns, accumulated / compared via CAS loops.
-    sum_bits: AtomicU64,
-    min_bits: AtomicU64,
-    max_bits: AtomicU64,
+    /// Per stripe: [`COUNT`], then the `f64` bit patterns of [`SUM`],
+    /// [`MIN`] and [`MAX`], then the buckets from [`BUCKETS`] on.
+    cells: Stripes,
 }
+
+const COUNT: usize = 0;
+const SUM: usize = 1;
+const MIN: usize = 2;
+const MAX: usize = 3;
+const BUCKETS: usize = 4;
 
 /// Default bounds for latencies in milliseconds (0.5 ms – ~8 s).
 const LATENCY_MS_BOUNDS: [f64; 15] = [
@@ -57,64 +67,59 @@ impl Histogram {
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly ascending"
         );
-        let buckets = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
-        Histogram {
-            inner: Arc::new(Inner {
-                bounds,
-                buckets,
-                count: AtomicU64::new(0),
-                sum_bits: AtomicU64::new(0f64.to_bits()),
-                min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-                max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
-            }),
+        let cells = Stripes::new(BUCKETS + bounds.len() + 1);
+        for lane in cells.lanes() {
+            lane.cell(MIN).store(f64::INFINITY.to_bits(), Ordering::Relaxed);
+            lane.cell(MAX).store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
         }
+        Histogram { inner: Arc::new(Inner { bounds, cells }) }
     }
 
     /// Records one observation.
     pub fn record(&self, value: f64) {
         let inner = &*self.inner;
         let idx = inner.bounds.iter().position(|&b| value <= b).unwrap_or(inner.bounds.len());
-        inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        inner.count.fetch_add(1, Ordering::Relaxed);
-        let add = |bits: &AtomicU64, f: &dyn Fn(f64) -> f64| {
-            let mut cur = bits.load(Ordering::Relaxed);
-            loop {
-                let next = f(f64::from_bits(cur)).to_bits();
-                match bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                    Ok(_) => break,
-                    Err(seen) => cur = seen,
-                }
-            }
+        let lane = inner.cells.local();
+        lane.add(BUCKETS + idx, 1);
+        lane.add(COUNT, 1);
+        // Another thread may share the stripe, so these stay atomic;
+        // min and max only write when the value improves on them.
+        let update = |cell: &AtomicU64, f: &dyn Fn(f64) -> Option<f64>| {
+            let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                f(f64::from_bits(bits)).map(f64::to_bits)
+            });
         };
-        add(&inner.sum_bits, &|s| s + value);
-        add(&inner.min_bits, &|m| m.min(value));
-        add(&inner.max_bits, &|m| m.max(value));
+        update(lane.cell(SUM), &|s| Some(s + value));
+        update(lane.cell(MIN), &|m| (value < m).then_some(value));
+        update(lane.cell(MAX), &|m| (value > m).then_some(value));
     }
 
     /// Number of observations so far.
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        self.inner.cells.sum(COUNT)
     }
 
     /// Freezes the current state.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let inner = &*self.inner;
-        let count = inner.count.load(Ordering::Relaxed);
+        let cells = &inner.cells;
+        let count = cells.sum(COUNT);
+        let floats = |cell| cells.lanes().map(move |lane| f64::from_bits(lane.get(cell)));
+        let (min, max) = if count == 0 {
+            (0.0, 0.0)
+        } else {
+            (
+                floats(MIN).fold(f64::INFINITY, f64::min),
+                floats(MAX).fold(f64::NEG_INFINITY, f64::max),
+            )
+        };
         HistogramSnapshot {
             bounds: inner.bounds.clone(),
-            buckets: inner.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            buckets: (0..=inner.bounds.len()).map(|i| cells.sum(BUCKETS + i)).collect(),
             count,
-            sum: f64::from_bits(inner.sum_bits.load(Ordering::Relaxed)),
-            min: if count == 0 {
-                0.0
-            } else {
-                f64::from_bits(inner.min_bits.load(Ordering::Relaxed))
-            },
-            max: if count == 0 {
-                0.0
-            } else {
-                f64::from_bits(inner.max_bits.load(Ordering::Relaxed))
-            },
+            sum: floats(SUM).fold(0.0, |acc, s| acc + s),
+            min,
+            max,
         }
     }
 }

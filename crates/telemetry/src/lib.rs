@@ -8,7 +8,8 @@
 //! primitives every stage of the pipeline reports into:
 //!
 //! * [`Counter`] / [`Gauge`] — lock-free, cheaply cloneable handles
-//!   over shared atomics, safe to bump from worker threads;
+//!   over shared atomics, safe to bump from worker threads; counters
+//!   (and histograms) write to per-thread [`Stripes`];
 //! * [`Histogram`] — fixed-bucket distributions (latency in
 //!   milliseconds, sizes in bytes) answering p50/p90/p99 queries;
 //! * [`Span`] — a scope timer that folds wall-clock durations into
@@ -20,7 +21,7 @@
 //!   CSV rendering.
 //!
 //! Handles are deliberately decoupled from the registry: a hot loop
-//! interns its counter once and then increments a bare atomic, so
+//! interns its counter once and then increments its thread's stripe, so
 //! instrumentation stays cheap enough for per-query paths (measured in
 //! `crates/bench/benches/telemetry.rs`).
 //!
@@ -51,6 +52,7 @@ mod metrics;
 mod registry;
 mod snapshot;
 mod span;
+mod stripe;
 
 pub use delta::{ScalarDelta, TelemetryDelta};
 pub use histogram::{Histogram, HistogramSnapshot};
@@ -58,3 +60,4 @@ pub use metrics::{Counter, Gauge};
 pub use registry::Registry;
 pub use snapshot::{QueryLedger, StageSnapshot, TelemetrySnapshot};
 pub use span::{ProgressEvent, Span};
+pub use stripe::{Lane, Stripes};

@@ -1,16 +1,25 @@
 //! Lock-free scalar metrics: [`Counter`] and [`Gauge`].
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
+
+use crate::Stripes;
 
 /// A monotonically increasing event count.
 ///
-/// Clones share the same underlying atomic, so a hot loop interns its
-/// counter once ([`crate::Registry::counter`]) and increments a bare
-/// `AtomicU64` thereafter — no lock, no lookup.
-#[derive(Clone, Debug, Default)]
+/// Clones share the same [`Stripes`], so a hot loop interns its counter
+/// once ([`crate::Registry::counter`]) and thereafter adds to its own
+/// thread's stripe — no lock, no lookup, no cache line shared with
+/// another worker. Reading sums the stripes.
+#[derive(Clone, Debug)]
 pub struct Counter {
-    value: Arc<AtomicU64>,
+    value: Arc<Stripes>,
+}
+
+impl Default for Counter {
+    fn default() -> Self {
+        Counter { value: Arc::new(Stripes::new(1)) }
+    }
 }
 
 impl Counter {
@@ -26,12 +35,12 @@ impl Counter {
 
     /// Adds `n`.
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.value.add(0, n);
     }
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.value.sum(0)
     }
 }
 

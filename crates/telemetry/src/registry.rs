@@ -13,7 +13,7 @@ use crate::{Counter, Gauge, Histogram, QueryLedger, Span, TelemetrySnapshot};
 ///
 /// Cheaply cloneable (all clones observe the same metrics); name
 /// lookups intern on first use and return shared handles, so hot paths
-/// pay the map lookup once and work on bare atomics afterwards.
+/// pay the map lookup once and work on per-thread stripes afterwards.
 /// [`Registry::snapshot`] freezes everything into a
 /// [`TelemetrySnapshot`].
 #[derive(Clone, Debug, Default)]

@@ -1,8 +1,11 @@
 //! Property tests for the telemetry primitives: percentile estimates
-//! must be monotone in the quantile, and snapshot merging must behave
-//! like the sum it claims to be.
+//! must be monotone in the quantile, snapshot merging must behave like
+//! the sum it claims to be, and the per-thread stripes must add up
+//! to what one thread would have recorded.
 
-use govdns_telemetry::{Histogram, Registry};
+use std::sync::Barrier;
+
+use govdns_telemetry::{Counter, Histogram, Registry, Stripes};
 use proptest::prelude::*;
 
 proptest! {
@@ -67,4 +70,54 @@ proptest! {
         merged.merge(&part_b.snapshot());
         prop_assert_eq!(merged, whole.snapshot());
     }
+}
+
+/// Eight threads — as many as there are stripes — add known amounts to
+/// one counter and record known integer values into one histogram; the
+/// striped totals must equal a single-threaded recording of the same
+/// values exactly, sum, min and max included.
+#[test]
+fn striped_metrics_sum_to_the_single_threaded_totals() {
+    const THREADS: u32 = 8;
+    let value = |t: u32, i: u32| f64::from((t * 7_919 + i * 104_729) % 20_000);
+    let counter = Counter::new();
+    let histogram = Histogram::latency_ms();
+    // All threads write at once, not one after another.
+    let start = Barrier::new(THREADS as usize);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (counter, histogram, start) = (&counter, &histogram, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..2_000 {
+                    counter.add(u64::from(t + 1));
+                    histogram.record(value(t, i));
+                }
+            });
+        }
+    });
+    let want = Histogram::latency_ms();
+    for t in 0..THREADS {
+        for i in 0..2_000 {
+            want.record(value(t, i));
+        }
+    }
+    assert_eq!(counter.get(), (1..=u64::from(THREADS)).sum::<u64>() * 2_000);
+    assert_eq!(histogram.count(), u64::from(THREADS) * 2_000);
+    assert_eq!(histogram.snapshot(), want.snapshot());
+
+    // A restored cell reads back exactly, whatever the stripes held.
+    let cells = Stripes::new(2);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (cells, start) = (&cells, &start);
+            scope.spawn(move || {
+                start.wait();
+                cells.add(0, u64::from(t) + 1);
+                cells.add(1, 1);
+            });
+        }
+    });
+    cells.restore(0, 123_456_789);
+    assert_eq!((cells.sum(0), cells.sum(1)), (123_456_789, u64::from(THREADS)));
 }

@@ -21,7 +21,7 @@ use crate::event::{DomainBlock, FlightDump, Step, TraceData, TraceEvent};
 
 /// Writes one event object straight into `out` — no intermediate value
 /// tree. Domain blocks dominate a trace file's bytes, and this runs on
-/// the worker thread for every sampled event, so it avoids the per-field
+/// the sink thread for every sampled event, so it avoids the per-field
 /// key allocations of a [`Json`] tree. Field order must stay
 /// byte-stable.
 fn write_event(e: &TraceEvent, out: &mut String) {
@@ -107,8 +107,8 @@ fn write_events(events: &[TraceEvent], out: &mut String) {
 }
 
 /// Encodes a `domain` record from a borrowed block — the per-domain hot
-/// path [`Tracer::submit`](crate::Tracer::submit) runs on the worker
-/// thread, outside the sink lock.
+/// path of the trace file's sink encoder, which runs it on the sink
+/// thread as each block arrives in order.
 pub(crate) fn encode_domain(block: &DomainBlock) -> String {
     use std::fmt::Write as _;
     let mut out = String::with_capacity(64 + block.events.len() * 96);
