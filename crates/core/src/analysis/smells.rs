@@ -90,8 +90,8 @@ impl SmellKind {
 pub struct Citation {
     /// Per-domain event sequence number.
     pub seq: u32,
-    /// Protocol step label (`parent_ns`, `referral`, ...).
-    pub step: String,
+    /// Protocol step of the cited event.
+    pub step: Step,
     /// The rendered timeline line.
     pub line: String,
 }
@@ -499,11 +499,8 @@ fn cite(kind: SmellKind, domain: &str, block: &DomainBlock) -> Vec<Citation> {
     /// Citations per verdict — enough to show the pattern without
     /// ballooning the report.
     const MAX_CITATIONS: usize = 8;
-    let citation = |e: &govdns_trace::TraceEvent| Citation {
-        seq: e.seq,
-        step: e.step.as_str().to_owned(),
-        line: e.render(),
-    };
+    let citation =
+        |e: &govdns_trace::TraceEvent| Citation { seq: e.seq, step: e.step, line: e.render() };
     let mut cited: Vec<Citation> = block
         .events
         .iter()

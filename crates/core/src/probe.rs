@@ -16,9 +16,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use govdns_model::{DomainName, Message, Rcode, RecordType, Soa};
-use govdns_simnet::{
-    CacheChanges, CacheEntry, DeliveryOutcome, DeliveryTrace, SimNetwork, StubResolver,
-};
+use govdns_simnet::{CacheChanges, CacheEntry, SimNetwork, StubResolver};
 use govdns_telemetry::{Counter, Histogram, Registry};
 use govdns_trace::{Step, TraceData, WorkerTracer};
 
@@ -1151,9 +1149,10 @@ impl<'n> ProbeClient<'n> {
         self.round.set(QueryRound::Round1);
     }
 
-    /// One exchange with `dst`, gated by the destination's circuit
-    /// breaker (if a bank is attached) and retried under the client's
-    /// [`RetryPolicy`]. A denied admission short-circuits to
+    /// One exchange with `dst`, the only way the walk sends an NS query:
+    /// gated by the destination's circuit breaker (if a bank is
+    /// attached), charged to the rate limiter, and retried under the
+    /// client's [`RetryPolicy`]. A denied admission short-circuits to
     /// [`ResponseClass::Skipped`] with zero attempts — nothing is sent
     /// and the rate limiter is not charged.
     fn send(
@@ -1183,7 +1182,12 @@ impl<'n> ProbeClient<'n> {
                 BreakerAdmission::Allowed => {}
             }
         }
-        let (class, attempts) = self.send_inner(dst, qname, probe);
+        self.limiter.acquire_for(self.round.get(), Some(dst));
+        self.trace(|| TraceData::Charge {
+            round: self.round.get().as_str().into(),
+            dst: Some(dst),
+        });
+        let (class, attempts) = self.exchange_loop(dst, qname, probe);
         self.breaker_settle(dst, rank, &class);
         (class, attempts)
     }
@@ -1209,106 +1213,6 @@ impl<'n> ProbeClient<'n> {
         }
     }
 
-    /// One wave of independent exchanges — every serving address of one
-    /// nameserver host at the same referral depth, probed against the
-    /// network as a batch instead of strictly one at a time. First
-    /// attempts for all admitted destinations are delivered together
-    /// ([`SimNetwork::deliver_batch`]); per-destination processing then
-    /// runs in input order, so observations, limiter charges, retry
-    /// accounting, and trace events are identical to sequential
-    /// [`send`](Self::send) calls over the same addresses.
-    ///
-    /// Falls back to the sequential path when the fan-out is trivial
-    /// (fewer than two addresses) or contains duplicate destinations,
-    /// whose breaker and attempt accounting would interleave.
-    fn send_batch(
-        &self,
-        dsts: &[Ipv4Addr],
-        qname: &DomainName,
-        probe: &mut DomainProbe,
-    ) -> Vec<(ResponseClass, u32)> {
-        let distinct =
-            dsts.len() >= 2 && dsts.iter().enumerate().all(|(i, a)| !dsts[..i].contains(a));
-        if !distinct {
-            return dsts.iter().map(|&dst| self.send(dst, qname, probe)).collect();
-        }
-        let rank = self.round.get().rank();
-        // Phase A: breaker admissions, decided up front. Distinct
-        // destinations hold independent breaker slots, so no exchange
-        // in this wave can change another's admission; the admission
-        // *events* are deferred to phase C so the trace reads exactly
-        // like the sequential walk.
-        let admissions: Vec<BreakerAdmission> = match &self.breakers {
-            Some(bank) => dsts.iter().map(|&dst| bank.admit(dst, rank)).collect(),
-            None => vec![BreakerAdmission::Allowed; dsts.len()],
-        };
-        // Phase B: one shared query message (the id is observable
-        // nowhere in an outcome), first attempts for every admitted
-        // destination delivered as a single wave.
-        let q = Message::query((probe.queries % 0xFFFF) as u16, qname.clone(), RecordType::Ns);
-        let wave: Vec<(Ipv4Addr, u32)> = dsts
-            .iter()
-            .zip(&admissions)
-            .filter(|(_, a)| !matches!(a, BreakerAdmission::Denied))
-            .map(|(&dst, _)| (dst, self.take_attempt(dst, qname)))
-            .collect();
-        let mut delivered = self.network.deliver_batch(&q, &wave).into_iter();
-        // Phase C: per-destination bookkeeping in input order —
-        // admission events, the limiter charge, the stored first
-        // attempt, live retries, breaker settlement — exactly as the
-        // sequential path emits them.
-        dsts.iter()
-            .zip(&admissions)
-            .map(|(&dst, admission)| {
-                match admission {
-                    BreakerAdmission::Denied => {
-                        let class = ResponseClass::Skipped;
-                        if let Some(sink) = &self.telemetry {
-                            sink.tally(&class);
-                            sink.breaker_denied.inc();
-                        }
-                        self.trace(|| TraceData::BreakerDenied { dst });
-                        return (class, 0);
-                    }
-                    BreakerAdmission::Trial => {
-                        if let Some(sink) = &self.telemetry {
-                            sink.breaker_half_open.inc();
-                        }
-                        self.trace(|| TraceData::BreakerTrial { dst });
-                    }
-                    BreakerAdmission::Allowed => {}
-                }
-                let (out, delivery) = delivered.next().expect("one delivery per admitted dst");
-                let attempt = wave.iter().find(|(d, _)| *d == dst).expect("admitted dst in wave").1;
-                self.limiter.acquire_for(self.round.get(), Some(dst));
-                self.trace(|| TraceData::Charge {
-                    round: self.round.get().as_str().into(),
-                    dst: Some(dst),
-                });
-                let (class, attempts) =
-                    self.exchange_loop(dst, qname, probe, Some((attempt, out, delivery)));
-                self.breaker_settle(dst, rank, &class);
-                (class, attempts)
-            })
-            .collect()
-    }
-
-    /// The breaker-free exchange: charges the limiter, delivers, and
-    /// retries transient failures within the retry budget.
-    fn send_inner(
-        &self,
-        dst: Ipv4Addr,
-        qname: &DomainName,
-        probe: &mut DomainProbe,
-    ) -> (ResponseClass, u32) {
-        self.limiter.acquire_for(self.round.get(), Some(dst));
-        self.trace(|| TraceData::Charge {
-            round: self.round.get().as_str().into(),
-            dst: Some(dst),
-        });
-        self.exchange_loop(dst, qname, probe, None)
-    }
-
     /// Takes the next cumulative attempt number for `(dst, qname)`.
     /// Carried across rounds, this is what the fault plan sees — it is
     /// how a flapping server's recovery threshold is eventually crossed.
@@ -1326,45 +1230,24 @@ impl<'n> ProbeClient<'n> {
         now
     }
 
-    /// The retry loop of one charged exchange. `pre` carries a first
-    /// attempt already delivered as part of a batch wave (its attempt
-    /// number and the network's verdict); the loop consumes it before
-    /// falling back to live deliveries for any retries.
+    /// The retry loop of one charged exchange: delivers, and retries
+    /// transient failures within the retry budget.
     fn exchange_loop(
         &self,
         dst: Ipv4Addr,
         qname: &DomainName,
         probe: &mut DomainProbe,
-        mut pre: Option<(u32, DeliveryOutcome, DeliveryTrace)>,
     ) -> (ResponseClass, u32) {
         let mut attempts_here = 0u32;
-        // Built once on the first live delivery and reused across
-        // retries: the message id is observable nowhere in an outcome,
-        // so re-sending the same bytes is indistinguishable from
+        // Built once on the first delivery and reused across retries:
+        // the message id is observable nowhere in an outcome, so
+        // re-sending the same bytes is indistinguishable from
         // re-encoding a fresh message per attempt.
-        let mut query: Option<Message> = None;
+        let query = Message::query((probe.queries % 0xFFFF) as u16, qname.clone(), RecordType::Ns);
         loop {
-            let (attempt, out, delivery) = match pre.take() {
-                Some((attempt, out, delivery)) => {
-                    // The batch wave already delivered this attempt;
-                    // emit the event the live path would have.
-                    self.trace(|| TraceData::Send { dst, attempt });
-                    (attempt, out, delivery)
-                }
-                None => {
-                    let attempt = self.take_attempt(dst, qname);
-                    let q = query.get_or_insert_with(|| {
-                        Message::query(
-                            (probe.queries % 0xFFFF) as u16,
-                            qname.clone(),
-                            RecordType::Ns,
-                        )
-                    });
-                    self.trace(|| TraceData::Send { dst, attempt });
-                    let (out, delivery) = self.network.deliver_attempt_traced(dst, q, attempt);
-                    (attempt, out, delivery)
-                }
-            };
+            let attempt = self.take_attempt(dst, qname);
+            self.trace(|| TraceData::Send { dst, attempt });
+            let (out, delivery) = self.network.deliver_attempt_traced(dst, &query, attempt);
             probe.queries += 1;
             probe.elapsed_ms = probe.elapsed_ms.saturating_add(out.elapsed_ms());
             let class = ResponseClass::of(out.reply(), qname);
@@ -1568,14 +1451,9 @@ impl<'n> ProbeClient<'n> {
                 Some(glued) => glued.clone(),
                 None => self.side_resolve(&host, probe),
             };
-            // All addresses of this host sit at the same referral depth
-            // and are independent queries — one batch wave against the
-            // network; answer processing is pure bookkeeping and runs
-            // after, in address order, exactly as the sequential loop
-            // interleaved it.
-            let outcomes = self.send_batch(&addrs, domain, probe);
             let mut observations = Vec::with_capacity(addrs.len());
-            for (&addr, (class, attempts)) in addrs.iter().zip(outcomes) {
+            for &addr in &addrs {
+                let (class, attempts) = self.send(addr, domain, probe);
                 if let ResponseClass::Authoritative(targets) = &class {
                     for t in targets {
                         if !probe.child_ns.contains(t) {

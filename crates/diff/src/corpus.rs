@@ -195,6 +195,10 @@ impl CorpusCase {
         let num = |value: Option<&Json>, what: &str| -> Result<u64, String> {
             value.and_then(Json::as_u64).ok_or_else(|| format!("corpus case lacks count {what:?}"))
         };
+        let num32 = |value: Option<&Json>, what: &str| -> Result<u32, String> {
+            u32::try_from(num(value, what)?)
+                .map_err(|_| format!("corpus case {what:?} exceeds u32"))
+        };
         let chaos = match doc.get("chaos") {
             None | Some(Json::Null) => None,
             Some(value) => {
@@ -207,9 +211,9 @@ impl CorpusCase {
         };
         let retry = doc.get("retry").ok_or("corpus case lacks \"retry\"")?;
         let retry = RetryPolicy {
-            max_attempts: num(retry.get("max_attempts"), "retry.max_attempts")? as u32,
-            base_backoff_ms: num(retry.get("base_backoff_ms"), "retry.base_backoff_ms")? as u32,
-            max_backoff_ms: num(retry.get("max_backoff_ms"), "retry.max_backoff_ms")? as u32,
+            max_attempts: num32(retry.get("max_attempts"), "retry.max_attempts")?,
+            base_backoff_ms: num32(retry.get("base_backoff_ms"), "retry.base_backoff_ms")?,
+            max_backoff_ms: num32(retry.get("max_backoff_ms"), "retry.max_backoff_ms")?,
             per_destination_budget: None,
         };
         let domains = doc
@@ -233,14 +237,22 @@ impl CorpusCase {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
+        let scale_ppm = num(doc.get("scale_ppm"), "scale_ppm")?;
+        if !(1..=2_000_000).contains(&scale_ppm) {
+            return Err(format!("corpus case scale_ppm {scale_ppm} outside 1..=2000000"));
+        }
+        let max_qps = num32(doc.get("max_qps"), "max_qps")?;
+        if max_qps == 0 {
+            return Err("corpus case max_qps must be positive".into());
+        }
         Ok(CorpusCase {
             name: str_field("name")?,
             trigger: str_field("trigger")?,
             setup: ReplaySetup {
                 world_seed: num(doc.get("world_seed"), "world_seed")?,
-                scale_ppm: num(doc.get("scale_ppm"), "scale_ppm")?,
+                scale_ppm,
                 chaos,
-                max_qps: num(doc.get("max_qps"), "max_qps")? as u32,
+                max_qps,
                 retry,
                 second_round: doc
                     .get("second_round")

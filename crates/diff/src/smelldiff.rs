@@ -65,7 +65,9 @@ impl SmellView {
             let kind =
                 v.get("kind").and_then(Json::as_str).ok_or("verdict lacks a kind")?.to_owned();
             let severity =
-                v.get("severity").and_then(Json::as_u64).ok_or("verdict lacks a severity")? as u32;
+                v.get("severity").and_then(Json::as_u64).ok_or("verdict lacks a severity")?;
+            let severity = u32::try_from(severity)
+                .map_err(|_| format!("verdict severity {severity} exceeds u32"))?;
             rows.entry(domain).or_default().insert(kind, severity);
         }
         Ok(SmellView { rows })
@@ -158,5 +160,12 @@ mod tests {
         assert_eq!(v.verdicts(), 1);
         assert_eq!(v.rows["a.gov.zz"]["lame_delegation"], 65);
         assert!(SmellView::from_canonical_json("{\"no\":1}").is_err());
+    }
+
+    #[test]
+    fn rejects_a_severity_wider_than_u32() {
+        // 2^32 + 5 must not read back as 5.
+        let text = "{\"verdicts\":[{\"domain\":\"a.gov.zz\",\"kind\":\"lame_delegation\",\"severity\":4294967301}]}";
+        assert!(SmellView::from_canonical_json(text).is_err());
     }
 }

@@ -502,26 +502,6 @@ impl SimNetwork {
         (outcome, DeliveryTrace { fault, lost })
     }
 
-    /// Delivers one query to a wave of independent destinations — the
-    /// same-depth fan-out of a referral walk issued as a batch (the
-    /// shape ZDNS-style scanners use to keep sockets full). Attempts
-    /// are delivered through [`deliver_attempt_traced`] in input order,
-    /// so per-destination ordinals — and therefore every fault-plan
-    /// decision — match a sequential walk visiting the same
-    /// destinations in the same order.
-    ///
-    /// [`deliver_attempt_traced`]: SimNetwork::deliver_attempt_traced
-    pub fn deliver_batch(
-        &self,
-        query: &Message,
-        attempts: &[(Ipv4Addr, u32)],
-    ) -> Vec<(DeliveryOutcome, DeliveryTrace)> {
-        attempts
-            .iter()
-            .map(|&(dst, attempt)| self.deliver_attempt_traced(dst, query, attempt))
-            .collect()
-    }
-
     /// A snapshot of the traffic counters.
     pub fn stats(&self) -> TrafficStats {
         self.accounting.traffic()

@@ -26,6 +26,7 @@
 use std::fmt::Write as _;
 
 use govdns_model::json::{self, escape_into, Json};
+use govdns_trace::Step;
 
 pub use govdns_core::analysis::smells::{
     cycle_severity, glue_severity, lame_severity, monoculture_severity, stale_severity, Citation,
@@ -86,7 +87,8 @@ impl SmellReport {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "{{\"seq\":{},\"step\":\"{}\",\"line\":", c.seq, c.step);
+                let _ =
+                    write!(out, "{{\"seq\":{},\"step\":\"{}\",\"line\":", c.seq, c.step.as_str());
                 escape_into(&c.line, &mut out);
                 out.push('}');
             }
@@ -126,13 +128,10 @@ impl SmellReport {
                 SmellKind::parse(kind_label).ok_or(format!("unknown smell kind {kind_label}"))?;
             let mut evidence = Vec::new();
             for c in v.get("evidence").and_then(Json::as_arr).ok_or("verdict missing evidence")? {
+                let step = c.get("step").and_then(Json::as_str).ok_or("citation missing step")?;
                 evidence.push(Citation {
-                    seq: c.get("seq").and_then(Json::as_u64).ok_or("citation missing seq")? as u32,
-                    step: c
-                        .get("step")
-                        .and_then(Json::as_str)
-                        .ok_or("citation missing step")?
-                        .to_owned(),
+                    seq: u32_field(c, "seq", "citation")?,
+                    step: Step::parse(step).ok_or(format!("unknown citation step {step}"))?,
                     line: c
                         .get("line")
                         .and_then(Json::as_str)
@@ -144,10 +143,7 @@ impl SmellReport {
                 kind,
                 domain: field("domain")?.parse().map_err(|e| format!("bad domain: {e:?}"))?,
                 country: field("country")?.parse()?,
-                severity: v
-                    .get("severity")
-                    .and_then(Json::as_u64)
-                    .ok_or("verdict missing severity")? as u32,
+                severity: u32_field(v, "severity", "verdict")?,
                 detail: field("detail")?.to_owned(),
                 refactoring: field("refactoring")?.to_owned(),
                 evidence,
@@ -231,6 +227,13 @@ fn rebuild(verdicts: Vec<SmellVerdict>) -> SmellAnalysis {
     SmellAnalysis { verdicts, by_kind, domains_affected, evidence_cited }
 }
 
+/// Reads `obj[key]` as a `u32`; a missing, non-integer or wider value
+/// is an error naming the `what` that lacks it.
+fn u32_field(obj: &Json, key: &str, what: &str) -> Result<u32, String> {
+    let value = obj.get(key).and_then(Json::as_u64).ok_or(format!("{what} missing {key}"))?;
+    u32::try_from(value).map_err(|_| format!("{what} {key} {value} exceeds u32"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,7 +255,7 @@ mod tests {
                 refactoring: "drop or repair the lame NS records [ns2.x.net]".to_owned(),
                 evidence: vec![Citation {
                     seq: 7,
-                    step: "direct_probe".to_owned(),
+                    step: Step::DirectProbe,
                     line: "#007 [direct_probe] response class=timeout dst=198.51.100.1 attempt=0 ms=1500".to_owned(),
                 }],
             },
@@ -285,6 +288,21 @@ mod tests {
         assert!(json.contains("\"by_kind\":{\"lame_delegation\":1,\"single_homed_glue\":1}"));
         assert!(json.ends_with("\"domains_affected\":2,\"evidence_cited\":1}"));
         assert!(!json.contains('\n'));
+    }
+
+    #[test]
+    fn decoder_rejects_wide_numbers_and_unknown_steps() {
+        let json = sample().canonical_json();
+        // 2^32 + 5 must not read back as 5.
+        for (from, to) in [
+            ("\"seq\":7", "\"seq\":4294967301"),
+            ("\"severity\":65", "\"severity\":4294967301"),
+            ("\"step\":\"direct_probe\"", "\"step\":\"no_such_step\""),
+        ] {
+            assert!(json.contains(from), "{from}");
+            let bad = json.replacen(from, to, 1);
+            assert!(SmellReport::from_canonical_json(&bad).is_err(), "{to} decoded");
+        }
     }
 
     #[test]

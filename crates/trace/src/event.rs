@@ -51,6 +51,13 @@ impl Step {
     }
 }
 
+impl std::fmt::Display for Step {
+    /// Writes the wire label.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// The payload of one trace event.
 ///
 /// Fields deliberately exclude anything that depends on worker

@@ -134,6 +134,40 @@ fn unreadable_undecodable_and_unwritable_files_exit_2() {
     // An unwritable `--out` is named as a failed write, before the run.
     let (code, stderr) = govdns(&["audit", "--out", MISSING]);
     assert!(code == Some(2) && stderr.starts_with("error: cannot write"), "{code:?}\n{stderr}");
+
+    // Corpus cases whose setup no replay can run: a rate of zero (or one
+    // that only wraps to zero as a u32), a zero or out-of-range scale,
+    // and a retry count past u32.
+    let case = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/corpus/providers-seed7.json"
+    ))
+    .expect("the checked-in corpus case");
+    let bad = [
+        ("\"max_qps\":200", "\"max_qps\":0"),
+        ("\"max_qps\":200", "\"max_qps\":4294967296"),
+        ("\"scale_ppm\":4000", "\"scale_ppm\":0"),
+        ("\"scale_ppm\":4000", "\"scale_ppm\":2000001"),
+        ("\"max_attempts\":3", "\"max_attempts\":4294967299"),
+    ];
+    let paths: Vec<String> = bad
+        .iter()
+        .enumerate()
+        .map(|(i, (from, to))| {
+            assert!(case.contains(from), "{from}");
+            let path = std::env::temp_dir()
+                .join(format!("govdns-cli-{}-case{i}.json", std::process::id()));
+            std::fs::write(&path, case.replacen(from, to, 1)).expect("temp dir is writable");
+            path.to_str().expect("temp paths are UTF-8").to_owned()
+        })
+        .collect();
+    let rows: Vec<[&str; 3]> = paths.iter().map(|p| ["diff", "replay", p.as_str()]).collect();
+    let rows: Vec<&[&str]> = rows.iter().map(|r| &r[..]).collect();
+    let wrong = mismatches(2, &rows);
+    for path in &paths {
+        let _ = std::fs::remove_file(path);
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
 #[test]
