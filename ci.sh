@@ -3,7 +3,7 @@
 # push, pull request and nightly schedule: formatting, release build,
 # every workspace member's tests (incl. doc tests, and the end-to-end
 # suite again in release mode with its ignored headline-rate test),
-# warning-free clippy, the benchmark package's own tests, the
+# warning-free clippy and rustdoc, the benchmark package's own tests, the
 # benchmark-scale world fingerprint, the reference run (the paper tables
 # `govdns audit` writes match `report_s010/` byte for byte), the chaos
 # determinism smoke, the crash/resume smoke, the journal-growth gate,
@@ -42,6 +42,13 @@ cargo test -q --release --test end_to_end -- --include-ignored
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc: first-party docs build warning-free =="
+# Broken intra-doc links (a renamed item, a link to a private one) fail
+# here. The vendored stand-ins under vendor/ are excluded: they are not
+# this project's documentation.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
+    --exclude proptest --exclude criterion --exclude rand --exclude parking_lot
 
 echo "== bench harness: the benchmark package still builds and passes =="
 # govdns-perf is a workspace of its own that drives the public API; its

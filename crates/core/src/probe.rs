@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use govdns_model::{DomainName, Message, Rcode, RecordType, Soa};
+use govdns_model::{DomainName, FxHashMap, Message, Rcode, RecordType, Soa};
 use govdns_simnet::{CacheChanges, CacheEntry, SimNetwork, StubResolver};
 use govdns_telemetry::{Counter, Histogram, Registry};
 use govdns_trace::{Step, TraceData, WorkerTracer};
@@ -273,7 +273,7 @@ impl BreakerSlots {
 /// The campaign-wide bank of per-destination circuit breakers, shared
 /// by every probe worker (clones share state).
 ///
-/// Only [`ProbeClient::send`]-path exchanges consult the bank; SOA
+/// Only the NS exchanges of a [`ProbeClient`] walk consult the bank; SOA
 /// fetches and stub-resolver side lookups bypass it, mirroring how the
 /// retry machinery scopes itself to the NS probing protocol.
 #[derive(Debug, Clone)]
@@ -871,13 +871,15 @@ pub struct ProbeClient<'n> {
     round: Cell<QueryRound>,
     retry: RetryPolicy,
     breakers: Option<BreakerBank>,
-    /// Cumulative delivery attempts per `(destination, qname)` pair,
-    /// carried across rounds so a round-2 re-probe continues the attempt
-    /// count instead of restarting it — that continuation is what lets a
-    /// flapping server's `recover_after` threshold be crossed. Nested by
-    /// destination so the hot-path lookup never clones the qname: the
-    /// name is only cloned once, when a pair is first seen.
-    attempts: RefCell<HashMap<Ipv4Addr, HashMap<DomainName, u32>>>,
+    /// The attempt ledger of the domain being probed: cumulative delivery
+    /// attempts per destination. Every NS exchange asks about the probed
+    /// domain, so the destination alone keys it. [`probe`](Self::probe)
+    /// clears it and [`retry_child_side`](Self::retry_child_side)
+    /// continues it, so a round-2 re-probe carries on round 1's count
+    /// instead of restarting it — that continuation is what lets a
+    /// flapping server's `recover_after` threshold be crossed. A client
+    /// probes each domain once, so clearing loses nothing.
+    attempts: RefCell<Vec<(Ipv4Addr, u32)>>,
     /// The flight recorder's per-worker event ring, when tracing is on.
     /// `RefCell` because every emission mutates the ring but probing
     /// methods take `&self`; the client is already `!Sync` by design.
@@ -895,7 +897,7 @@ impl<'n> ProbeClient<'n> {
             round: Cell::new(QueryRound::Round1),
             retry: RetryPolicy::none(),
             breakers: None,
-            attempts: RefCell::new(HashMap::new()),
+            attempts: RefCell::new(Vec::new()),
             tracer: RefCell::new(None),
         }
     }
@@ -1041,6 +1043,7 @@ impl<'n> ProbeClient<'n> {
     pub fn probe(&self, domain: &DomainName) -> DomainProbe {
         let span = self.telemetry.as_ref().map(|t| t.registry.span("probe.domain"));
         self.round.set(QueryRound::Round1);
+        self.attempts.borrow_mut().clear();
         let mut probe = DomainProbe {
             domain: domain.clone(),
             parent_zone: None,
@@ -1213,21 +1216,24 @@ impl<'n> ProbeClient<'n> {
         }
     }
 
-    /// Takes the next cumulative attempt number for `(dst, qname)`.
-    /// Carried across rounds, this is what the fault plan sees — it is
-    /// how a flapping server's recovery threshold is eventually crossed.
-    fn take_attempt(&self, dst: Ipv4Addr, qname: &DomainName) -> u32 {
-        let mut map = self.attempts.borrow_mut();
-        let by_name = map.entry(dst).or_default();
-        // Clone the qname only on the pair's first attempt; every
-        // later lookup hashes the existing key in place.
-        if !by_name.contains_key(qname) {
-            by_name.insert(qname.clone(), 0);
+    /// Takes the next cumulative attempt number for `dst` within the
+    /// probed domain. Carried across rounds, this is what the fault plan
+    /// sees — it is how a flapping server's recovery threshold is
+    /// eventually crossed. A domain has a handful of destinations, so a
+    /// scan beats hashing.
+    fn take_attempt(&self, dst: Ipv4Addr) -> u32 {
+        let mut ledger = self.attempts.borrow_mut();
+        match ledger.iter_mut().find(|(addr, _)| *addr == dst) {
+            Some((_, count)) => {
+                let now = *count;
+                *count += 1;
+                now
+            }
+            None => {
+                ledger.push((dst, 1));
+                0
+            }
         }
-        let slot = by_name.get_mut(qname).expect("just inserted");
-        let now = *slot;
-        *slot += 1;
-        now
     }
 
     /// The retry loop of one charged exchange: delivers, and retries
@@ -1245,7 +1251,7 @@ impl<'n> ProbeClient<'n> {
         // re-encoding a fresh message per attempt.
         let query = Message::query((probe.queries % 0xFFFF) as u16, qname.clone(), RecordType::Ns);
         loop {
-            let attempt = self.take_attempt(dst, qname);
+            let attempt = self.take_attempt(dst);
             self.trace(|| TraceData::Send { dst, attempt });
             let (out, delivery) = self.network.deliver_attempt_traced(dst, &query, attempt);
             probe.queries += 1;
@@ -1428,8 +1434,7 @@ impl<'n> ProbeClient<'n> {
         // Glue from the parent's referrals resolves in-bailiwick targets
         // below the cut — the only source of addresses for them when the
         // child zone itself is dead.
-        let mut glue_map: std::collections::HashMap<DomainName, Vec<Ipv4Addr>> =
-            std::collections::HashMap::new();
+        let mut glue_map: FxHashMap<DomainName, Vec<Ipv4Addr>> = FxHashMap::default();
         for obs in &probe.parent_observations {
             if let ResponseClass::Referral { glue, .. } = &obs.class {
                 for (host, addr) in glue {
@@ -1491,10 +1496,11 @@ mod tests {
         s.parse().unwrap()
     }
 
-    /// root → zz → gov.zz, with one healthy child (a.gov.zz), one stale
-    /// child (stale.gov.zz, dead NS), one centrally hosted child
-    /// (central.gov.zz, served by the gov.zz servers themselves), and a
-    /// deeper tree under inter.gov.zz.
+    /// root → zz → gov.zz, with one healthy child (a.gov.zz), a second
+    /// one on the same server (b.gov.zz), one stale child (stale.gov.zz,
+    /// dead NS), one centrally hosted child (central.gov.zz, served by
+    /// the gov.zz servers themselves), and a deeper tree under
+    /// inter.gov.zz.
     fn network() -> (SimNetwork, Vec<Ipv4Addr>) {
         let mut net = SimNetwork::new(3);
         let root_ip = Ipv4Addr::new(10, 0, 0, 1);
@@ -1528,6 +1534,8 @@ mod tests {
         gov.add_ns(n("a.gov.zz"), n("ns2.a.gov.zz"));
         gov.add_glue(n("ns1.a.gov.zz"), a_ip);
         gov.add_glue(n("ns2.a.gov.zz"), a_ip);
+        gov.add_ns(n("b.gov.zz"), n("ns1.b.gov.zz"));
+        gov.add_glue(n("ns1.b.gov.zz"), a_ip);
         // Stale delegation: glue points nowhere.
         gov.add_ns(n("stale.gov.zz"), n("ns1.stale.gov.zz"));
         gov.add_glue(n("ns1.stale.gov.zz"), Ipv4Addr::new(10, 9, 9, 9));
@@ -1549,7 +1557,12 @@ mod tests {
         a.add_ns(n("a.gov.zz"), n("ns2.a.gov.zz"));
         a.add_a(n("ns1.a.gov.zz"), a_ip);
         a.add_a(n("ns2.a.gov.zz"), a_ip);
-        net.add_server(AuthoritativeServer::new(a_ip, ServerBehavior::Responsive).with_zone(a));
+        let mut b = Zone::new(n("b.gov.zz"));
+        b.add_ns(n("b.gov.zz"), n("ns1.b.gov.zz"));
+        b.add_a(n("ns1.b.gov.zz"), a_ip);
+        net.add_server(
+            AuthoritativeServer::new(a_ip, ServerBehavior::Responsive).with_zone(a).with_zone(b),
+        );
 
         // inter_ip is intentionally unrouted: the intermediate is dead.
         let _ = inter_ip;
@@ -1699,6 +1712,32 @@ mod tests {
         assert!(p.recovered_in_round2());
         assert!(p.degraded());
         assert_eq!(p.rounds, 2);
+    }
+
+    #[test]
+    fn each_domain_starts_its_own_attempt_count() {
+        let (net, roots) = network();
+        let a_ip = Ipv4Addr::new(10, 3, 0, 1);
+        // Attempt 0 of every (server, domain) pair times out, attempt 1
+        // answers. One attempt per exchange, so the count is visible in
+        // which exchange answers.
+        net.install_faults(Some(flap(a_ip, 3, 1.0, 1)));
+        let c = client(&net, roots);
+        let classes = |p: &DomainProbe| -> Vec<&'static str> {
+            p.servers.iter().flat_map(|s| &s.observations).map(|o| o.class.label()).collect()
+        };
+        // a.gov.zz: ns1 and ns2 share the address, so ns1's exchange is
+        // attempt 0 and ns2's is attempt 1.
+        let a = c.probe(&n("a.gov.zz"));
+        assert_eq!(classes(&a), ["timeout", "authoritative"]);
+        // b.gov.zz, same server: its own count starts at 0 again.
+        let mut b = c.probe(&n("b.gov.zz"));
+        assert_eq!(classes(&b), ["timeout"]);
+        assert!(b.parent_nonempty() && !b.has_authoritative_answer());
+        // Round 2 continues round 1's count: attempt 1 answers.
+        c.retry_child_side(&mut b);
+        assert_eq!(classes(&b), ["authoritative"]);
+        assert!(b.recovered_in_round2());
     }
 
     /// Property over fault seeds: a healthy domain behind a flapping

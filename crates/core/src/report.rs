@@ -210,7 +210,7 @@ impl MeasurementHealth {
 /// Forcing analysis stages to fail, for exercising the partial-report
 /// path without a genuinely buggy analysis.
 ///
-/// Two triggers: [`arm`] marks a stage for the *current thread* (safe
+/// Two triggers: [`arm`](failpoint::arm) marks a stage for the *current thread* (safe
 /// under parallel tests), and the `GOVDNS_FAIL_ANALYSIS` environment
 /// variable marks one process-wide (the CLI/CI hook).
 pub mod failpoint {
@@ -299,7 +299,7 @@ fn guarded<T: Default>(
     stage: &str,
     body: impl FnOnce() -> T,
 ) -> T {
-    let span = guard.registry.map(|r| r.span(&format!("analysis.{stage}")));
+    let span = guard.registry.map(|r| r.span(format!("analysis.{stage}")));
     let armed = guard.armed.iter().any(|a| a == stage);
     let result = catch_unwind(AssertUnwindSafe(|| {
         assert!(!armed, "forced failure (failpoint) in analysis stage {stage}");

@@ -16,6 +16,7 @@
 //! decisions are pure hashes of `(seed, destination, qname, attempt)`;
 //! Hostile's REFUSED bursts depend on global per-destination ordinals).
 
+use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -183,7 +184,9 @@ impl CorpusCase {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first malformed field.
+    /// Returns a message naming the first malformed field, or the first
+    /// domain the case names twice: a campaign probes each name once, and
+    /// the replay finds each domain's trace block by name.
     pub fn from_json(text: &str) -> Result<CorpusCase, String> {
         let doc = json::parse(text)?;
         let str_field = |key: &str| -> Result<String, String> {
@@ -237,6 +240,14 @@ impl CorpusCase {
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
+        let mut seen = BTreeSet::new();
+        for d in &domains {
+            let key =
+                d.domain.parse::<DomainName>().map_or_else(|_| d.domain.clone(), |n| n.to_string());
+            if !seen.insert(key) {
+                return Err(format!("corpus case names domain {:?} twice", d.domain));
+            }
+        }
         let scale_ppm = num(doc.get("scale_ppm"), "scale_ppm")?;
         if !(1..=2_000_000).contains(&scale_ppm) {
             return Err(format!("corpus case scale_ppm {scale_ppm} outside 1..=2000000"));
@@ -458,6 +469,26 @@ mod tests {
         let back = CorpusCase::from_json(&json).unwrap();
         assert_eq!(back, case);
         assert_eq!(back.to_json(), json, "re-encoding is byte-stable");
+    }
+
+    #[test]
+    fn a_domain_named_twice_is_refused() {
+        let domain = |index: u64, name: &str| CorpusDomain {
+            index,
+            domain: name.into(),
+            payload: String::new(),
+        };
+        let mut case = CorpusCase {
+            name: "twice".into(),
+            trigger: "analysis_panic:providers".into(),
+            setup: setup(),
+            domains: vec![domain(3, "portal.gov.zz"), domain(9, "other.gov.zz")],
+        };
+        assert!(CorpusCase::from_json(&case.to_json()).is_ok());
+        // Names compare as names: case folds away.
+        case.domains.push(domain(11, "Portal.GOV.zz"));
+        let err = CorpusCase::from_json(&case.to_json()).unwrap_err();
+        assert!(err.contains("twice"), "{err}");
     }
 
     #[test]

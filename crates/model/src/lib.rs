@@ -25,6 +25,8 @@
 //!   journal, trace records, corpus cases and the canonical reports.
 //! * [`fnv64`] — the one FNV-1a fingerprint: frame checksums, run
 //!   fingerprints and generated-artifact pins.
+//! * [`FxHashMap`] — the fast, unkeyed hasher of the in-memory maps on
+//!   the query path (zone owners, server origins, the resolver cache).
 //! * [`frame`] — the one checksummed record framing, with its torn-tail
 //!   discipline: the journal's `J1` and the trace file's `T1` records.
 //! * [`SimDate`] — a chrono-free civil date used for the 2011–2020
@@ -60,6 +62,7 @@ mod date;
 mod error;
 mod fnv;
 pub mod frame;
+mod fxhash;
 pub mod json;
 mod message;
 mod name;
@@ -73,6 +76,7 @@ pub mod zonefile;
 pub use date::{DateRange, SimDate, Year, DAYS_PER_WEEK};
 pub use error::ModelError;
 pub use fnv::fnv64;
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use message::{Message, MessageKind, Question, Rcode};
 pub use name::{DomainName, Label, MAX_LABELS, MAX_NAME_LEN};
 pub use record::{RecordData, RecordType, ResourceRecord, Ttl};

@@ -1,8 +1,8 @@
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use crate::{DomainName, RecordData, RecordType, RrSet, Soa, Ttl};
+use crate::{DomainName, FxHashMap, FxHashSet, RecordData, RecordType, RrSet, Soa, Ttl};
 
 const DEFAULT_TTL: Ttl = 3600;
 
@@ -82,21 +82,25 @@ impl fmt::Debug for Glue<'_> {
 /// Records are held per owner name, per type, as [`RrSet`]s. NS RRsets at
 /// names strictly below the origin define zone cuts; lookups at or beneath
 /// a cut yield [`ZoneLookup::Referral`].
+///
+/// Owners are hashed ([`FxHashMap`]), so a lookup costs one hash per
+/// candidate suffix. The iterators sort owners by name, so no output
+/// sees hash order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
     origin: DomainName,
-    records: BTreeMap<DomainName, BTreeMap<RecordType, RrSet>>,
+    records: FxHashMap<DomainName, BTreeMap<RecordType, RrSet>>,
     /// Every strict ancestor of an owner, from the origin down: the names
     /// that have something beneath them. Zones only grow, so
     /// [`add_with_ttl`](Self::add_with_ttl) keeps this exact, and an
     /// empty non-terminal is one lookup rather than a scan of the zone.
-    interior: BTreeSet<DomainName>,
+    interior: FxHashSet<DomainName>,
 }
 
 impl Zone {
     /// Creates an empty zone rooted at `origin`.
     pub fn new(origin: DomainName) -> Self {
-        Zone { origin, records: BTreeMap::new(), interior: BTreeSet::new() }
+        Zone { origin, records: FxHashMap::default(), interior: FxHashSet::default() }
     }
 
     /// The zone origin (apex name).
@@ -172,9 +176,16 @@ impl Zone {
         self.records.get(name)?.get(&rtype)
     }
 
-    /// Iterates over all `(owner, rrset)` pairs in the zone.
+    /// Iterates over every RRset in the zone, by owner name, then type.
     pub fn iter(&self) -> impl Iterator<Item = &RrSet> {
-        self.records.values().flat_map(|by_type| by_type.values())
+        self.owners().into_iter().flat_map(|(_, by_type)| by_type.values())
+    }
+
+    /// The owners and their RRsets, sorted by name.
+    fn owners(&self) -> Vec<(&DomainName, &BTreeMap<RecordType, RrSet>)> {
+        let mut owners: Vec<_> = self.records.iter().collect();
+        owners.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        owners
     }
 
     /// Number of RRsets in the zone.
@@ -185,7 +196,7 @@ impl Zone {
     /// The delegation points of this zone: owners of NS RRsets strictly
     /// below the origin, in name order.
     pub fn delegations(&self) -> impl Iterator<Item = &RrSet> {
-        self.records.iter().filter_map(move |(name, by_type)| {
+        self.owners().into_iter().filter_map(move |(name, by_type)| {
             if *name == self.origin {
                 None
             } else {
@@ -232,8 +243,7 @@ impl Zone {
             None => {
                 // An "empty non-terminal": the name has no records but
                 // names exist beneath it, so it is NoData, not NXDOMAIN.
-                // Names sort by presentation-order labels, which does not
-                // group subdomains together: finding one means scanning
+                // Finding a subdomain among the owners means scanning
                 // every owner of the zone on every NXDOMAIN, and a
                 // TLD-like zone has an owner per delegation and per glue
                 // host. The interior set answers it in one lookup.

@@ -8,8 +8,8 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 
 use govdns_model::{
-    wire, DateRange, DomainName, Label, Message, RecordData, RecordType, ResourceRecord, RrSet,
-    SimDate, Soa, Zone, ZoneLookup,
+    wire, DateRange, DomainName, FxHashMap, Label, Message, RecordData, RecordType, ResourceRecord,
+    RrSet, SimDate, Soa, Zone, ZoneLookup,
 };
 
 fn label_strategy() -> impl Strategy<Value = String> {
@@ -421,43 +421,130 @@ fn reference_lookup(zone: &Zone, name: &DomainName, rtype: RecordType) -> OwnedL
     }
 }
 
-/// A zone at `gov.zz` whose owners come from the label pool: nested
-/// delegations with in-zone and out-of-zone targets, glue under cuts,
-/// empty non-terminals, and — when neither the SOA nor a depth-0 owner
-/// is drawn — an apex with no records at all.
-fn pooled_zone_strategy() -> impl Strategy<Value = Zone> {
+/// The drawn contents of a zone at `gov.zz` whose owners come from the
+/// label pool: whether it has an SOA, then every `(owner, rdata)` in
+/// insertion order. Nested delegations with in-zone and out-of-zone
+/// targets, glue under cuts, empty non-terminals, and — when neither the
+/// SOA nor a depth-0 owner is drawn — an apex with no records at all.
+fn pooled_zone_contents() -> impl Strategy<Value = (bool, Vec<(DomainName, RecordData)>)> {
     (
         any::<bool>(),
         prop::collection::vec((pooled_name_strategy(4), pooled_rdata_strategy()), 0..24),
     )
         .prop_map(|(soa, records)| {
             let origin: DomainName = "gov.zz".parse().unwrap();
-            let mut zone = Zone::new(origin.clone());
-            if soa {
-                zone.set_soa(Soa::new(
-                    "ns1.gov.zz".parse().unwrap(),
-                    "hostmaster.gov.zz".parse().unwrap(),
-                ));
-            }
-            for (relative, data) in records {
-                let owner = DomainName::from_labels(
-                    relative.labels().iter().chain(origin.labels()).cloned(),
-                )
-                .unwrap();
-                // Point some NS records back into the zone so glue exists.
-                let data = match data {
-                    RecordData::Ns(target) if target.level() % 2 == 0 => RecordData::Ns(
-                        DomainName::from_labels(
-                            target.labels().iter().chain(origin.labels()).cloned(),
-                        )
-                        .unwrap(),
-                    ),
-                    other => other,
-                };
-                zone.add(owner, data);
-            }
-            zone
+            let under_origin = |name: &DomainName| {
+                DomainName::from_labels(name.labels().iter().chain(origin.labels()).cloned())
+                    .unwrap()
+            };
+            let records = records
+                .into_iter()
+                .map(|(relative, data)| {
+                    // Point some NS records back into the zone so glue exists.
+                    let data = match data {
+                        RecordData::Ns(target) if target.level() % 2 == 0 => {
+                            RecordData::Ns(under_origin(&target))
+                        }
+                        other => other,
+                    };
+                    (under_origin(&relative), data)
+                })
+                .collect();
+            (soa, records)
         })
+}
+
+fn pooled_soa() -> Soa {
+    Soa::new("ns1.gov.zz".parse().unwrap(), "hostmaster.gov.zz".parse().unwrap())
+}
+
+fn build_zone(soa: bool, records: &[(DomainName, RecordData)]) -> Zone {
+    let mut zone = Zone::new("gov.zz".parse().unwrap());
+    if soa {
+        zone.set_soa(pooled_soa());
+    }
+    for (owner, data) in records {
+        zone.add(owner.clone(), data.clone());
+    }
+    zone
+}
+
+fn pooled_zone_strategy() -> impl Strategy<Value = Zone> {
+    pooled_zone_contents().prop_map(|(soa, records)| build_zone(soa, &records))
+}
+
+/// The zone as it was kept before its owners were hashed: one ordered
+/// map from owner to RRsets, the cut found by comparing names down a
+/// tree, and the empty non-terminal by a scan of every owner.
+struct OrderedZone {
+    origin: DomainName,
+    records: BTreeMap<DomainName, BTreeMap<RecordType, RrSet>>,
+}
+
+impl OrderedZone {
+    fn build(soa: bool, records: &[(DomainName, RecordData)]) -> Self {
+        let origin: DomainName = "gov.zz".parse().unwrap();
+        let mut zone = OrderedZone { origin: origin.clone(), records: BTreeMap::new() };
+        if soa {
+            let mut set = RrSet::new(origin.clone(), RecordType::Soa, 3600);
+            set.push(RecordData::Soa(pooled_soa()));
+            zone.records.entry(origin).or_default().insert(RecordType::Soa, set);
+        }
+        for (owner, data) in records {
+            zone.records
+                .entry(owner.clone())
+                .or_default()
+                .entry(data.rtype())
+                .or_insert_with(|| RrSet::new(owner.clone(), data.rtype(), 3600))
+                .push(data.clone());
+        }
+        zone
+    }
+
+    fn rrset(&self, name: &DomainName, rtype: RecordType) -> Option<&RrSet> {
+        self.records.get(name)?.get(&rtype)
+    }
+
+    fn sets(&self) -> impl Iterator<Item = &RrSet> {
+        self.records.values().flat_map(BTreeMap::values)
+    }
+
+    /// The highest cut strictly below the origin at or above `name`.
+    fn closest_cut(&self, name: &DomainName) -> Option<&RrSet> {
+        let labels = name.labels();
+        (0..labels.len() - self.origin.level())
+            .rev()
+            .find_map(|i| self.records.get(&labels[i..])?.get(&RecordType::Ns))
+    }
+
+    fn lookup(&self, name: &DomainName, rtype: RecordType) -> OwnedLookup {
+        if !name.is_within(&self.origin) {
+            return OwnedLookup::OutOfZone;
+        }
+        if let Some(ns) = self.closest_cut(name) {
+            let mut glue = Vec::new();
+            for target in ns.ns_targets() {
+                if !target.is_within(&self.origin) {
+                    continue;
+                }
+                for d in self.rrset(target, RecordType::A).into_iter().flat_map(RrSet::iter) {
+                    glue.extend(d.as_a().map(|addr| (target.clone(), addr)));
+                }
+            }
+            return OwnedLookup::Referral { cut: ns.name().clone(), ns: ns.clone(), glue };
+        }
+        match self.records.get(name) {
+            Some(by_type) => match (by_type.get(&rtype), by_type.get(&RecordType::Cname)) {
+                (Some(set), _) => OwnedLookup::Answer(set.clone()),
+                (None, Some(cname)) if rtype != RecordType::Cname => {
+                    OwnedLookup::Answer(cname.clone())
+                }
+                _ => OwnedLookup::NoData,
+            },
+            None if self.records.keys().any(|k| k.is_subdomain_of(name)) => OwnedLookup::NoData,
+            None => OwnedLookup::NxDomain,
+        }
+    }
 }
 
 proptest! {
@@ -509,6 +596,8 @@ proptest! {
     ) {
         let hashed: HashMap<DomainName, usize> =
             keys.iter().cloned().enumerate().map(|(i, k)| (k, i)).collect();
+        let fast: FxHashMap<DomainName, usize> =
+            keys.iter().cloned().enumerate().map(|(i, k)| (k, i)).collect();
         let ordered: BTreeMap<DomainName, usize> =
             keys.iter().cloned().enumerate().map(|(i, k)| (k, i)).collect();
         for name in probes.iter().chain(&keys) {
@@ -516,6 +605,8 @@ proptest! {
             for i in 0..=labels.len() {
                 let owned = name.suffix(labels.len() - i);
                 prop_assert_eq!(hashed.get(&labels[i..]), hashed.get(&owned));
+                prop_assert_eq!(fast.get(&labels[i..]), fast.get(&owned));
+                prop_assert_eq!(fast.get(&owned), hashed.get(&owned));
                 prop_assert_eq!(ordered.get(&labels[i..]), ordered.get(&owned));
             }
         }
@@ -526,6 +617,58 @@ proptest! {
         as_labels.sort();
         let sorted: Vec<Vec<Label>> = names.iter().map(|n| n.labels().to_vec()).collect();
         prop_assert_eq!(sorted, as_labels);
+    }
+
+    #[test]
+    fn hashed_zones_answer_as_the_ordered_zone(
+        contents in pooled_zone_contents(),
+        qnames in prop::collection::vec(pooled_name_strategy(6), 1..16),
+    ) {
+        let (soa, records) = contents;
+        let zone = build_zone(soa, &records);
+        let ordered = OrderedZone::build(soa, &records);
+        let origin = zone.origin().clone();
+        let mut asked: Vec<DomainName> =
+            ordered.records.keys().flat_map(DomainName::ancestors).collect();
+        for q in qnames {
+            asked.push(
+                DomainName::from_labels(q.labels().iter().chain(origin.labels()).cloned())
+                    .unwrap(),
+            );
+            asked.push(q);
+        }
+        for name in &asked {
+            for t in RecordType::all() {
+                prop_assert_eq!(zone.rrset(name, t), ordered.rrset(name, t), "{} {:?}", name, t);
+                prop_assert_eq!(
+                    OwnedLookup::from(zone.lookup(name, t)),
+                    ordered.lookup(name, t),
+                    "{} {:?}",
+                    name,
+                    t
+                );
+            }
+        }
+        // Iteration is in name order, then type order.
+        prop_assert!(zone.iter().eq(ordered.sets()));
+        let cuts = ordered
+            .records
+            .iter()
+            .filter(|(name, _)| **name != origin)
+            .filter_map(|(_, by_type)| by_type.get(&RecordType::Ns));
+        prop_assert!(zone.delegations().eq(cuts));
+        prop_assert_eq!(zone.rrset_count(), ordered.sets().count());
+        // The master file is each RRset's own rendering, in name order.
+        let mut text = format!("$ORIGIN {origin}.\n");
+        for set in ordered.sets() {
+            let mut alone = Zone::new(origin.clone());
+            for data in set.iter() {
+                alone.add_with_ttl(set.name().clone(), set.ttl(), data.clone());
+            }
+            let rendered = govdns_model::zonefile::serialize(&alone);
+            text.push_str(rendered.split_once('\n').unwrap().1);
+        }
+        prop_assert_eq!(govdns_model::zonefile::serialize(&zone), text);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-use govdns_model::{DomainName, Message, Rcode, RecordData, RecordType, ResourceRecord};
+use govdns_model::{
+    DomainName, FxHashMap, FxHashSet, Message, Rcode, RecordData, RecordType, ResourceRecord,
+};
 
 use crate::SimNetwork;
 
@@ -93,11 +94,13 @@ pub struct CacheChanges {
 }
 
 /// The positive cache and the keys it changed since the last take, under
-/// one lock.
+/// one lock. Both are hashed with [`FxHashMap`]: every side resolution
+/// looks its key up, and the exports sort, so hash order reaches no
+/// output.
 #[derive(Debug, Default)]
 struct PositiveCache {
-    entries: HashMap<(DomainName, RecordType), CacheEntry>,
-    changed: HashSet<(DomainName, RecordType)>,
+    entries: FxHashMap<(DomainName, RecordType), CacheEntry>,
+    changed: FxHashSet<(DomainName, RecordType)>,
 }
 
 /// Why a negatively-cached name fails without a query.
@@ -133,7 +136,7 @@ pub struct StubResolver<'net> {
     /// [`with_negative_cache`](Self::with_negative_cache) opted in:
     /// campaigns re-probe failures (the paper's protocol), the recovery
     /// model caches them.
-    neg_cache: Mutex<HashMap<(DomainName, RecordType), (u64, NegativeKind)>>,
+    neg_cache: Mutex<FxHashMap<(DomainName, RecordType), (u64, NegativeKind)>>,
     negative_caching: AtomicBool,
     clock_s: AtomicU64,
     next_id: AtomicU16,
@@ -151,7 +154,7 @@ impl<'net> StubResolver<'net> {
             network,
             roots,
             cache: Mutex::new(PositiveCache::default()),
-            neg_cache: Mutex::new(HashMap::new()),
+            neg_cache: Mutex::new(FxHashMap::default()),
             negative_caching: AtomicBool::new(false),
             clock_s: AtomicU64::new(0),
             next_id: AtomicU16::new(1),

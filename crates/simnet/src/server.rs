@@ -1,9 +1,9 @@
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use govdns_model::{
-    DomainName, Message, Rcode, RecordData, RecordType, ResourceRecord, RrSet, Zone, ZoneLookup,
+    DomainName, FxHashMap, Message, Rcode, RecordData, RecordType, ResourceRecord, RrSet, Zone,
+    ZoneLookup,
 };
 
 /// How a lame (reachable but non-authoritative) server misbehaves.
@@ -77,13 +77,15 @@ pub struct AuthoritativeServer {
     addr: Ipv4Addr,
     behavior: ServerBehavior,
     zones: Vec<Arc<Zone>>,
-    by_origin: HashMap<DomainName, usize>,
+    /// Zone index by origin, hashed with [`FxHashMap`]: `best_zone`
+    /// hashes each suffix of every qname. Only looked up, never iterated.
+    by_origin: FxHashMap<DomainName, usize>,
 }
 
 impl AuthoritativeServer {
     /// Creates a server with no zones.
     pub fn new(addr: Ipv4Addr, behavior: ServerBehavior) -> Self {
-        AuthoritativeServer { addr, behavior, zones: Vec::new(), by_origin: HashMap::new() }
+        AuthoritativeServer { addr, behavior, zones: Vec::new(), by_origin: FxHashMap::default() }
     }
 
     /// Adds a zone (builder style).

@@ -1,5 +1,6 @@
 //! The interning hub that owns all live metrics.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,6 +36,13 @@ struct Inner {
 struct StageAccum {
     total: Duration,
     count: u64,
+}
+
+impl StageAccum {
+    fn add(&mut self, elapsed: Duration) {
+        self.total += elapsed;
+        self.count += 1;
+    }
 }
 
 impl Registry {
@@ -80,17 +88,21 @@ impl Registry {
     }
 
     /// Starts a timer that accumulates into stage `name` when finished
-    /// or dropped.
-    pub fn span(&self, name: &str) -> Span {
-        Span::new(self.clone(), name)
+    /// or dropped. A `&'static str` name is borrowed, so a per-domain
+    /// span allocates nothing.
+    pub fn span(&self, name: impl Into<Cow<'static, str>>) -> Span {
+        Span::new(self.clone(), name.into())
     }
 
-    /// Folds an externally measured duration into stage `name`.
+    /// Folds an externally measured duration into stage `name`; only
+    /// the first record of a stage allocates its key.
     pub fn record_stage(&self, name: &str, elapsed: Duration) {
         let mut stages = self.inner.stages.lock();
-        let accum = stages.entry(name.to_owned()).or_default();
-        accum.total += elapsed;
-        accum.count += 1;
+        if let Some(accum) = stages.get_mut(name) {
+            accum.add(elapsed);
+            return;
+        }
+        stages.entry(name.to_owned()).or_default().add(elapsed);
     }
 
     /// Replaces the top-N list published under `name` (e.g. busiest
@@ -195,6 +207,29 @@ mod tests {
         assert_eq!(snap.stages["round1"].count, 1);
         assert_eq!(snap.toplists["busiest"][0].1, 9);
         assert_eq!(snap.ledger.as_ref().unwrap().total, 1);
+    }
+
+    #[test]
+    fn stage_totals_and_counts_accumulate_per_name() {
+        let r = Registry::new();
+        for ms in [1, 2, 3] {
+            r.record_stage("probe.domain", Duration::from_millis(ms));
+        }
+        r.record_stage("round2", Duration::from_millis(10));
+        // A borrowed and an owned name land in the same stage.
+        r.span("round2").finish();
+        r.span(String::from("round2")).finish();
+        let stage = "providers";
+        r.span(format!("analysis.{stage}")).finish();
+
+        let snap = r.snapshot();
+        let names: Vec<&str> = snap.stages.keys().map(String::as_str).collect();
+        assert_eq!(names, ["analysis.providers", "probe.domain", "round2"]);
+        assert_eq!(snap.stages["probe.domain"].count, 3);
+        assert!((snap.stages["probe.domain"].total_secs - 0.006).abs() < 1e-9);
+        assert_eq!(snap.stages["round2"].count, 3);
+        assert!(snap.stages["round2"].total_secs >= 0.010);
+        assert_eq!(snap.stages["analysis.providers"].count, 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Stage timing ([`Span`]) and live progress reporting
 //! ([`ProgressEvent`]).
 
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 use crate::Registry;
@@ -15,14 +16,14 @@ use crate::Registry;
 #[derive(Debug)]
 pub struct Span {
     registry: Registry,
-    name: String,
+    name: Cow<'static, str>,
     started: Instant,
     recorded: bool,
 }
 
 impl Span {
-    pub(crate) fn new(registry: Registry, name: impl Into<String>) -> Self {
-        Span { registry, name: name.into(), started: Instant::now(), recorded: false }
+    pub(crate) fn new(registry: Registry, name: Cow<'static, str>) -> Self {
+        Span { registry, name, started: Instant::now(), recorded: false }
     }
 
     /// Stage name this span accumulates under.

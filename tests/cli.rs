@@ -137,7 +137,7 @@ fn unreadable_undecodable_and_unwritable_files_exit_2() {
 
     // Corpus cases whose setup no replay can run: a rate of zero (or one
     // that only wraps to zero as a u32), a zero or out-of-range scale,
-    // and a retry count past u32.
+    // a retry count past u32, and a domain named twice.
     let case = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/corpus/providers-seed7.json"
@@ -149,6 +149,7 @@ fn unreadable_undecodable_and_unwritable_files_exit_2() {
         ("\"scale_ppm\":4000", "\"scale_ppm\":0"),
         ("\"scale_ppm\":4000", "\"scale_ppm\":2000001"),
         ("\"max_attempts\":3", "\"max_attempts\":4294967299"),
+        ("\"domain\":\"agri3.gov.mn\"", "\"domain\":\"AGRI23.gov.ua\""),
     ];
     let paths: Vec<String> = bad
         .iter()
