@@ -343,6 +343,9 @@ cmp <(cat corpus/smell/smells-seed7.json; echo) "$smell_dir/roundtrip.json" || {
 }
 # A typo'd --explain domain is a finding (exit 1), not a clean run.
 expect_exit 1 "$govdns" smell inspect corpus/smell/smells-seed7.json --explain no.such.domain
+# The name is matched, not the typed text; a malformed one is a usage error.
+expect_exit 0 "$govdns" smell inspect corpus/smell/smells-seed7.json --explain AGRI3.GOV.AT.
+expect_exit 2 "$govdns" smell inspect corpus/smell/smells-seed7.json --explain bad..name
 expect_exit 1 "$govdns" trace --seed 7 --scale 0.002 --explain no.such.domain
 
 echo "== bench guard: telemetry hot path =="

@@ -4,9 +4,10 @@
 use std::collections::BTreeMap;
 
 use govdns_model::{DateRange, DomainName, RecordType, SimDate, Year};
-use govdns_pdns::{filter, PdnsEntry, PdnsRef};
+use govdns_pdns::{PdnsEntry, PdnsRef};
 use govdns_world::CountryCode;
 
+use crate::discovery::{seed_entries, ById};
 use crate::seed::SeedDomain;
 use crate::stats;
 use crate::Campaign;
@@ -22,6 +23,15 @@ pub(crate) fn year_mask(first: SimDate, last: SimDate) -> u16 {
     let lo = first.year().max(FIRST_YEAR);
     let hi = last.year().min(LAST_YEAR);
     (lo..=hi).fold(0, |mask, y| mask | year_bit(y))
+}
+
+/// The years of the window that `[first, last]` covers from January 1
+/// to December 31, as a year mask.
+fn whole_year_mask(first: SimDate, last: SimDate) -> u16 {
+    let (lo, hi) = (first.year(), last.year());
+    let lo = if first == SimDate::year_start(lo) { lo } else { lo + 1 };
+    let hi = if last == SimDate::year_end(hi) { hi } else { hi - 1 };
+    (lo.max(FIRST_YEAR)..=hi.min(LAST_YEAR)).fold(0, |mask, y| mask | year_bit(y))
 }
 
 /// `year`'s bit in a year mask; 0 outside the window.
@@ -78,8 +88,13 @@ impl YearIndex {
         };
         let (ns, soa) = (masks(&h.ns_entries), masks(&h.soa_entries));
         let (mut active, mut hosted, mut outside) = (0, 0, 0);
+        // Years two or more NS spans meet, and years some span meets
+        // without covering the whole year.
+        let (mut shared, mut partial) = (0, 0);
         for (e, &years) in h.ns_entries.iter().zip(&ns) {
+            shared |= active & years;
             active |= years;
+            partial |= years & !whole_year_mask(e.first_seen, e.last_seen);
             if let Some(host) = e.rdata.as_ns() {
                 hosted |= years;
                 if !host.is_within(&h.seed) {
@@ -87,13 +102,20 @@ impl YearIndex {
                 }
             }
         }
-        // One span list per history; the Fig-5 mode runs per active year.
-        let spans: Vec<DateRange> = h.ns_entries.iter().map(PdnsEntry::span).collect();
-        let single_ns = year_bits()
-            .filter(|&(year, bit)| {
-                active & bit != 0 && stats::ns_daily_mode(&spans, DateRange::year(year)) == Some(1)
-            })
-            .fold(0, |mask, (_, bit)| mask | bit);
+        // The Fig-5 mode per active year. Two cases need no sweep: a year
+        // one span meets has mode 1 (every active day counts 1), and a
+        // year two or more spans meet, each covering it whole, has not
+        // (every day counts at least 2). Only the other years are swept.
+        let mut single_ns = active & !shared;
+        let swept = shared & partial;
+        if swept != 0 {
+            let spans: Vec<DateRange> = h.ns_entries.iter().map(PdnsEntry::span).collect();
+            for (year, bit) in year_bits().filter(|&(_, bit)| swept & bit != 0) {
+                if stats::ns_daily_mode(&spans, DateRange::year(year)) == Some(1) {
+                    single_ns |= bit;
+                }
+            }
+        }
         YearIndex { ns, soa, active, private: hosted & !outside, single_ns }
     }
 }
@@ -111,22 +133,14 @@ pub struct Longitudinal {
 impl Longitudinal {
     /// Builds the view from the PDNS database: full 2011–2020 wildcard
     /// searches (no recency restriction), the stability filter, and the
-    /// earliest-government-use clamp.
+    /// earliest-government-use clamp. Entries group by owner id, in scan
+    /// order, and the histories are sorted by name once at the end.
     pub fn build(campaign: &Campaign<'_>, seeds: &[SeedDomain]) -> Self {
-        let mut by_name: BTreeMap<DomainName, DomainHistory> = BTreeMap::new();
+        let mut by_id = ById::new(campaign);
         for seed in seeds {
-            let entries = campaign
-                .pdns
-                .scan_subtree(&seed.name)
-                .filter(|r| matches!(r.rtype(), RecordType::Ns | RecordType::Soa))
-                .map(PdnsRef::to_entry);
-            let entries = filter::stable(entries);
-            let entries: Vec<PdnsEntry> = match seed.earliest_government_use {
-                Some(cutoff) => filter::clamp_to_government_use(entries, cutoff).collect(),
-                None => entries.collect(),
-            };
-            for e in entries {
-                let slot = by_name.entry(e.name.clone()).or_insert_with(|| DomainHistory {
+            let ns_or_soa = |r: &PdnsRef<'_>| matches!(r.rtype(), RecordType::Ns | RecordType::Soa);
+            for (id, e) in seed_entries(campaign, seed, ns_or_soa) {
+                let slot = by_id.entry(id, || DomainHistory {
                     name: e.name.clone(),
                     country: seed.country,
                     seed: seed.name.clone(),
@@ -145,8 +159,11 @@ impl Longitudinal {
                 }
             }
         }
+        let mut histories = by_id.into_items();
         // Drop SOA-only names: a domain is studied for its NS records.
-        Longitudinal::new(by_name.into_values().filter(|h| !h.ns_entries.is_empty()).collect())
+        histories.retain(|h| !h.ns_entries.is_empty());
+        histories.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+        Longitudinal::new(histories)
     }
 
     /// Indexes `histories`, which must have distinct names (as `build`
@@ -253,8 +270,69 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::testutil::drawn_histories;
+    use crate::analysis::testutil::{drawn_histories, drawn_records, drawn_seeds, CampaignFixture};
+    use govdns_pdns::filter;
     use proptest::prelude::*;
+
+    /// The name-keyed `build` the id-keyed one replaced: entries grouped
+    /// in a `BTreeMap` by owner name. `build` must reproduce it exactly.
+    fn build_by_name(campaign: &Campaign<'_>, seeds: &[SeedDomain]) -> Longitudinal {
+        let mut by_name: BTreeMap<DomainName, DomainHistory> = BTreeMap::new();
+        for seed in seeds {
+            let entries = campaign
+                .pdns
+                .scan_subtree(&seed.name)
+                .filter(|r| matches!(r.rtype(), RecordType::Ns | RecordType::Soa))
+                .map(PdnsRef::to_entry);
+            let entries = filter::stable(entries);
+            let entries: Vec<PdnsEntry> = match seed.earliest_government_use {
+                Some(cutoff) => filter::clamp_to_government_use(entries, cutoff).collect(),
+                None => entries.collect(),
+            };
+            for e in entries {
+                let slot = by_name.entry(e.name.clone()).or_insert_with(|| DomainHistory {
+                    name: e.name.clone(),
+                    country: seed.country,
+                    seed: seed.name.clone(),
+                    ns_entries: Vec::new(),
+                    soa_entries: Vec::new(),
+                });
+                if seed.name.level() > slot.seed.level() {
+                    slot.seed = seed.name.clone();
+                    slot.country = seed.country;
+                }
+                if e.rtype() == RecordType::Soa {
+                    slot.soa_entries.push(e);
+                } else {
+                    slot.ns_entries.push(e);
+                }
+            }
+        }
+        Longitudinal::new(by_name.into_values().filter(|h| !h.ns_entries.is_empty()).collect())
+    }
+
+    #[test]
+    fn whole_years_run_from_january_1_to_december_31() {
+        let d = SimDate::from_ymd;
+        let bits = |years: &[Year]| years.iter().fold(0, |mask, &y| mask | year_bit(y));
+        assert_eq!(whole_year_mask(d(2012, 1, 1), d(2013, 12, 31)), bits(&[2012, 2013]));
+        assert_eq!(whole_year_mask(d(2012, 1, 2), d(2014, 12, 30)), bits(&[2013]));
+        assert_eq!(whole_year_mask(d(2012, 1, 2), d(2013, 12, 30)), 0);
+        assert_eq!(whole_year_mask(d(2015, 3, 1), d(2015, 3, 1)), 0);
+        assert_eq!(whole_year_mask(d(2008, 1, 1), d(2023, 12, 31)), 0x3ff);
+    }
+
+    proptest! {
+        #[test]
+        fn build_matches_the_name_keyed_oracle(records in drawn_records(), seeds in drawn_seeds()) {
+            let f = CampaignFixture::with_records(records);
+            let campaign = f.campaign();
+            let got = Longitudinal::build(&campaign, &seeds);
+            let want = build_by_name(&campaign, &seeds);
+            prop_assert_eq!(got.histories(), want.histories());
+            prop_assert_eq!(&got.index, &want.index);
+        }
+    }
 
     proptest! {
         #[test]

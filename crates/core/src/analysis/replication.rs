@@ -27,27 +27,25 @@ impl YearlyTotals {
     /// One borrowed NS scan per seed: each entry's overlap with the
     /// window becomes a year mask, ORed into per-name and per-host masks
     /// (so a name under nested seeds counts once) and into the seed
-    /// country's mask.
+    /// country's mask. The name and host masks are indexed by the PDNS
+    /// owner and NS-target ids; a name no entry reached keeps an empty
+    /// mask, which counts for no year.
     pub fn compute_raw(campaign: &crate::Campaign<'_>, seeds: &[crate::seed::SeedDomain]) -> Self {
-        let mut domains: HashMap<&DomainName, u16> = HashMap::new();
-        let mut hostnames: HashMap<&DomainName, u16> = HashMap::new();
+        let mut domains = vec![0u16; campaign.pdns.owner_count()];
+        let mut hostnames = vec![0u16; campaign.pdns.ns_targets().len()];
         let mut countries: HashMap<CountryCode, u16> = HashMap::new();
         for seed in seeds {
             let mut seed_years = 0;
             for r in campaign.pdns.scan_subtree(&seed.name) {
-                let Some(host) = r.rdata.as_ns() else { continue };
+                let Some(host) = r.ns_target else { continue };
                 let years = year_mask(r.first_seen, r.last_seen);
-                *domains.entry(r.name).or_default() |= years;
-                *hostnames.entry(host).or_default() |= years;
+                domains[r.name_id.index()] |= years;
+                hostnames[host.index()] |= years;
                 seed_years |= years;
             }
             *countries.entry(seed.country).or_default() |= seed_years;
         }
-        YearlyTotals::from_masks([
-            domains.into_values().collect(),
-            countries.into_values().collect(),
-            hostnames.into_values().collect(),
-        ])
+        YearlyTotals::from_masks([domains, countries.into_values().collect(), hostnames])
     }
 
     /// Computes the yearly totals over the stability-filtered
@@ -347,10 +345,10 @@ mod tests {
     use super::*;
     use crate::analysis::longitudinal::DomainHistory;
     use crate::analysis::testutil::{
-        dataset, drawn_histories, history, longitudinal, n, ns_entry, owner, rdata, span, year,
+        dataset, drawn_histories, drawn_records, history, longitudinal, n, ns_entry, seed, year,
         CampaignFixture, ProbeBuilder,
     };
-    use crate::seed::{SeedDomain, SeedKind, SeedProvenance};
+    use crate::seed::SeedDomain;
     use crate::Campaign;
     use govdns_model::{DateRange, RecordType};
     use proptest::prelude::*;
@@ -489,27 +487,13 @@ mod tests {
         }
     }
 
-    fn seed(name: &str, cc: &str) -> SeedDomain {
-        SeedDomain {
-            country: CountryCode::new(cc),
-            name: n(name),
-            kind: SeedKind::ReservedSuffix,
-            earliest_government_use: None,
-            provenance: SeedProvenance::PortalLink,
-            portal_resolved: true,
-        }
-    }
-
     proptest! {
         #[test]
         fn compute_raw_matches_the_ten_scan_oracle(
-            records in prop::collection::vec((owner(), rdata(), span(), 1u64..5), 0..40),
+            records in drawn_records(),
             nested_first in any::<bool>(),
         ) {
-            let mut f = CampaignFixture::default();
-            for (name, rdata, span, count) in records {
-                f.pdns.observe_span(name, rdata, span, count);
-            }
+            let f = CampaignFixture::with_records(records);
             // Nested seeds with different countries, in either order.
             let mut seeds = vec![seed("gov.zz", "zz"), seed("city.gov.zz", "yy")];
             if nested_first {

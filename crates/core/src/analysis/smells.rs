@@ -413,12 +413,19 @@ impl SmellAnalysis {
     /// least one resolvable citation.
     pub fn attach_evidence(&mut self, log: &TraceLog) {
         let blocks = log.blocks_by_name();
+        // A domain's verdicts are adjacent once sorted, so each domain's
+        // name is rendered and its block looked up once, at its first
+        // verdict.
         let mut name = String::new();
+        let mut current: Option<(DomainName, Option<&DomainBlock>)> = None;
         let mut cited = 0u64;
         for v in &mut self.verdicts {
-            name.clear();
-            let _ = write!(name, "{}", v.domain);
-            let Some(block) = blocks.get(name.as_str()) else { continue };
+            if current.as_ref().is_none_or(|(domain, _)| *domain != v.domain) {
+                name.clear();
+                let _ = write!(name, "{}", v.domain);
+                current = Some((v.domain.clone(), blocks.get(name.as_str()).copied()));
+            }
+            let Some((_, Some(block))) = current else { continue };
             v.evidence = cite(v.kind, &name, block);
             cited += v.evidence.len() as u64;
         }
@@ -426,8 +433,8 @@ impl SmellAnalysis {
     }
 
     /// All verdicts on one domain, catalogue order.
-    pub fn for_domain(&self, name: &str) -> Vec<&SmellVerdict> {
-        self.verdicts.iter().filter(|v| v.domain.to_string() == name).collect()
+    pub fn for_domain(&self, name: &DomainName) -> Vec<&SmellVerdict> {
+        self.verdicts.iter().filter(|v| v.domain == *name).collect()
     }
 
     /// By-kind summary: verdict count, affected domains, max severity.
@@ -554,15 +561,15 @@ fn cite(kind: SmellKind, domain: &str, block: &DomainBlock) -> Vec<Citation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::testutil::{dataset, CampaignFixture, ProbeBuilder};
+    use crate::analysis::testutil::{dataset, n, CampaignFixture, ProbeBuilder};
     use govdns_world::{MatchRule, MatchTarget, ProviderMatcher};
 
     fn kinds_for(a: &SmellAnalysis, domain: &str) -> Vec<SmellKind> {
-        a.for_domain(domain).iter().map(|v| v.kind).collect()
+        a.for_domain(&n(domain)).iter().map(|v| v.kind).collect()
     }
 
     fn verdict<'a>(a: &'a SmellAnalysis, domain: &str, kind: SmellKind) -> &'a SmellVerdict {
-        a.for_domain(domain)
+        a.for_domain(&n(domain))
             .into_iter()
             .find(|v| v.kind == kind)
             .unwrap_or_else(|| panic!("no {kind:?} verdict on {domain}"))

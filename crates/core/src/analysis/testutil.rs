@@ -318,15 +318,73 @@ pub(crate) fn year(y: i32) -> DateRange {
     DateRange::year(y)
 }
 
-/// Owners: both nested seeds, names beneath each, and a decoy
-/// outside both.
+/// Owners: both nested seeds, names beneath each, a disposable name,
+/// and a decoy outside both. Labels may hold a hyphen, so names whose
+/// string order differs from their label order are drawn (`a-b.gov.zz`
+/// sorts before `a.gov.zz` only as a string).
 pub(crate) fn owner() -> impl Strategy<Value = DomainName> {
-    (0u8..5, "[a-c]{1,2}").prop_map(|(kind, label)| match kind {
+    (0u8..6, "[a-c][a-c-]{0,2}").prop_map(|(kind, label)| match kind {
         0 => n("gov.zz"),
         1 => n("city.gov.zz"),
         2 => n(&format!("{label}.gov.zz")),
         3 => n(&format!("{label}.city.gov.zz")),
+        4 => n("x0a1b2c3d.gov.zz"),
         _ => n(&format!("{label}.gov.zx")),
+    })
+}
+
+/// Records drawn by [`owner`], [`rdata`] and [`span`], with counts.
+pub(crate) fn drawn_records() -> impl Strategy<Value = Vec<(DomainName, RecordData, DateRange, u64)>>
+{
+    prop::collection::vec((owner(), rdata(), span(), 1u64..5), 0..40)
+}
+
+impl CampaignFixture {
+    /// A fixture whose PDNS holds `records`.
+    pub(crate) fn with_records(records: Vec<(DomainName, RecordData, DateRange, u64)>) -> Self {
+        let mut f = CampaignFixture::default();
+        for (name, rdata, span, count) in records {
+            f.pdns.observe_span(name, rdata, span, count);
+        }
+        f
+    }
+}
+
+/// A reserved-suffix seed with no government-use cutoff.
+pub(crate) fn seed(name: &str, cc: &str) -> SeedDomain {
+    SeedDomain {
+        country: CountryCode::new(cc),
+        name: n(name),
+        kind: SeedKind::ReservedSuffix,
+        earliest_government_use: None,
+        provenance: SeedProvenance::PortalLink,
+        portal_resolved: true,
+    }
+}
+
+/// The seeds [`owner`] draws under: `gov.zz` (zz), the nested
+/// `city.gov.zz` (yy) and the decoy's `gov.zx` (zx), in either nesting
+/// order, each with no cutoff or a government-use cutoff drawn from
+/// 2010 to 2021.
+pub(crate) fn drawn_seeds() -> impl Strategy<Value = Vec<SeedDomain>> {
+    let cutoff = || {
+        let (from, to) =
+            (SimDate::from_ymd(2010, 1, 1).days(), SimDate::from_ymd(2021, 12, 31).days());
+        (any::<bool>(), from..to)
+            .prop_map(|(clamped, day)| clamped.then(|| SimDate::from_days(day)))
+    };
+    (any::<bool>(), cutoff(), cutoff(), cutoff()).prop_map(|(nested_first, a, b, c)| {
+        let mut seeds = vec![seed("gov.zz", "zz"), seed("city.gov.zz", "yy"), seed("gov.zx", "zx")];
+        if nested_first {
+            seeds.swap(0, 1);
+        }
+        for (seed, cutoff) in seeds.iter_mut().zip([a, b, c]) {
+            if cutoff.is_some() {
+                seed.kind = SeedKind::RegisteredDomain;
+                seed.earliest_government_use = cutoff;
+            }
+        }
+        seeds
     })
 }
 
@@ -343,12 +401,17 @@ pub(crate) fn rdata() -> impl Strategy<Value = RecordData> {
 }
 
 /// Spans from 2008 to 2023: wholly before 2011, wholly after 2020,
-/// single days, and spans straddling one or more year boundaries.
+/// single days, spans straddling one or more year boundaries, and spans
+/// of whole years (January 1 to December 31).
 pub(crate) fn span() -> impl Strategy<Value = DateRange> {
     let from = SimDate::from_ymd(2008, 1, 1).days();
     let to = SimDate::from_ymd(2023, 12, 31).days();
-    (from..to, 0i64..1500).prop_map(|(start, len)| {
-        DateRange::new(SimDate::from_days(start), SimDate::from_days(start + len))
+    (from..to, 0i64..1500, 0u8..4).prop_map(|(start, len, kind)| {
+        let (first, last) = (SimDate::from_days(start), SimDate::from_days(start + len));
+        match kind {
+            0 => DateRange::new(SimDate::year_start(first.year()), SimDate::year_end(last.year())),
+            _ => DateRange::new(first, last),
+        }
     })
 }
 
@@ -359,7 +422,7 @@ pub(crate) fn span() -> impl Strategy<Value = DateRange> {
 /// under the other two.
 pub(crate) fn drawn_histories() -> impl Strategy<Value = Vec<DomainHistory>> {
     const SEEDS: [(&str, &str); 3] = [("city.gov.zz", "yy"), ("gov.zz", "zz"), ("gov.zx", "zx")];
-    prop::collection::vec((owner(), rdata(), span(), 1u64..5), 0..40).prop_map(|records| {
+    drawn_records().prop_map(|records| {
         let mut by_name: BTreeMap<DomainName, DomainHistory> = BTreeMap::new();
         for (name, rdata, span, count) in records {
             let (seed, cc) = SEEDS

@@ -1,10 +1,8 @@
 //! Domain discovery (§III-B): expand each seed into the list of studied
 //! domains via left-hand wildcard PDNS searches, then filter.
 
-use std::collections::BTreeMap;
-
-use govdns_model::{DateRange, DomainName, RecordType, SimDate};
-use govdns_pdns::filter;
+use govdns_model::{DateRange, DomainName, NameId, RecordType, SimDate};
+use govdns_pdns::{filter, PdnsEntry, PdnsRef};
 use govdns_world::CountryCode;
 
 use crate::seed::SeedDomain;
@@ -39,43 +37,88 @@ impl DiscoveryConfig {
 /// Expands seeds into the studied domain list: wildcard NS search within
 /// the window, the 7-day stability rule, the earliest-government-use
 /// clamp for registered-domain seeds, and the disposable-name filter.
+/// Sorted by name.
 pub fn discover(
     campaign: &Campaign<'_>,
     seeds: &[SeedDomain],
     config: DiscoveryConfig,
 ) -> Vec<DiscoveredDomain> {
-    let mut by_name: BTreeMap<DomainName, DiscoveredDomain> = BTreeMap::new();
+    let mut by_id = ById::new(campaign);
     for seed in seeds {
-        let entries =
-            campaign.pdns.search_subtree_in(&seed.name, config.window, Some(RecordType::Ns));
-        let entries = filter::stable(entries);
-        let entries: Box<dyn Iterator<Item = _>> = match seed.earliest_government_use {
-            Some(cutoff) => Box::new(filter::clamp_to_government_use(entries, cutoff)),
-            None => Box::new(entries),
-        };
-        for e in entries {
+        let recent = |r: &PdnsRef<'_>| r.rtype() == RecordType::Ns && r.active_in(&config.window);
+        for (id, e) in seed_entries(campaign, seed, recent) {
             if looks_disposable(&e.name) {
                 continue;
             }
+            let cur = by_id.entry(id, || DiscoveredDomain {
+                name: e.name,
+                country: seed.country,
+                seed: seed.name.clone(),
+            });
             // Longest-seed-wins: a registered-domain seed nested under
             // another country's suffix must not double-claim (not a case
             // the generated world produces, but cheap to get right).
-            let candidate = DiscoveredDomain {
-                name: e.name.clone(),
-                country: seed.country,
-                seed: seed.name.clone(),
-            };
-            by_name
-                .entry(e.name)
-                .and_modify(|cur| {
-                    if seed.name.level() > cur.seed.level() {
-                        *cur = candidate.clone();
-                    }
-                })
-                .or_insert(candidate);
+            if seed.name.level() > cur.seed.level() {
+                cur.seed = seed.name.clone();
+                cur.country = seed.country;
+            }
         }
     }
-    by_name.into_values().collect()
+    let mut found = by_id.into_items();
+    found.sort_unstable_by(|a, b| a.name.cmp(&b.name));
+    found
+}
+
+/// The PDNS entries under `seed` that pass `keep` and the 7-day
+/// stability rule, with the seed's earliest-government-use clamp applied,
+/// each with its owner's name id. Only the entries that pass both are
+/// materialised.
+pub(crate) fn seed_entries<'a>(
+    campaign: &Campaign<'a>,
+    seed: &'a SeedDomain,
+    keep: impl Fn(&PdnsRef<'_>) -> bool + 'a,
+) -> impl Iterator<Item = (NameId, PdnsEntry)> + 'a {
+    campaign
+        .pdns
+        .scan_subtree(&seed.name)
+        .filter(move |r| keep(r) && filter::is_stable_ref(r))
+        .map(|r| (r.name_id, r.to_entry()))
+        .filter_map(|(id, e)| match seed.earliest_government_use {
+            Some(cutoff) => filter::clamped_to_government_use(e, cutoff).map(|e| (id, e)),
+            None => Some((id, e)),
+        })
+}
+
+/// Values keyed by PDNS owner id, kept in first-seen order: a `Vec` of
+/// slots and a dense id → slot index, so a grouping by name compares
+/// integers, not labels.
+pub(crate) struct ById<T> {
+    slot_of: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> ById<T> {
+    const NONE: u32 = u32::MAX;
+
+    /// An empty grouping over the owner ids of `campaign`'s PDNS.
+    pub(crate) fn new(campaign: &Campaign<'_>) -> Self {
+        ById { slot_of: vec![Self::NONE; campaign.pdns.owner_count()], items: Vec::new() }
+    }
+
+    /// `id`'s value, made by `new` at the id's first sight.
+    pub(crate) fn entry(&mut self, id: NameId, new: impl FnOnce() -> T) -> &mut T {
+        let slot = &mut self.slot_of[id.index()];
+        if *slot == Self::NONE {
+            *slot = self.items.len() as u32;
+            self.items.push(new());
+        }
+        &mut self.items[*slot as usize]
+    }
+
+    /// The values, in first-seen order.
+    pub(crate) fn into_items(self) -> Vec<T> {
+        self.items
+    }
 }
 
 /// Heuristic for machine-generated, disposable subdomain labels — hex
@@ -92,9 +135,12 @@ pub fn looks_disposable(name: &DomainName) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::testutil::{self, drawn_records, drawn_seeds, CampaignFixture};
     use crate::seed::{SeedKind, SeedProvenance};
     use govdns_model::RecordData;
     use govdns_pdns::PdnsDb;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn n(s: &str) -> DomainName {
         s.parse().unwrap()
@@ -157,6 +203,64 @@ mod tests {
 
     fn ns(s: &str) -> RecordData {
         RecordData::Ns(n(s))
+    }
+
+    /// The name-keyed `discover` the id-keyed one replaced: domains
+    /// grouped in a `BTreeMap` by name. `discover` must reproduce it
+    /// exactly.
+    fn discover_by_name(
+        campaign: &Campaign<'_>,
+        seeds: &[SeedDomain],
+        config: DiscoveryConfig,
+    ) -> Vec<DiscoveredDomain> {
+        let mut by_name: BTreeMap<DomainName, DiscoveredDomain> = BTreeMap::new();
+        for seed in seeds {
+            let entries =
+                campaign.pdns.search_subtree_in(&seed.name, config.window, Some(RecordType::Ns));
+            let entries = filter::stable(entries);
+            let entries: Box<dyn Iterator<Item = _>> = match seed.earliest_government_use {
+                Some(cutoff) => Box::new(filter::clamp_to_government_use(entries, cutoff)),
+                None => Box::new(entries),
+            };
+            for e in entries {
+                if looks_disposable(&e.name) {
+                    continue;
+                }
+                let candidate = DiscoveredDomain {
+                    name: e.name.clone(),
+                    country: seed.country,
+                    seed: seed.name.clone(),
+                };
+                by_name
+                    .entry(e.name)
+                    .and_modify(|cur| {
+                        if seed.name.level() > cur.seed.level() {
+                            *cur = candidate.clone();
+                        }
+                    })
+                    .or_insert(candidate);
+            }
+        }
+        by_name.into_values().collect()
+    }
+
+    proptest! {
+        #[test]
+        fn discover_matches_the_name_keyed_oracle(
+            records in drawn_records(),
+            seeds in drawn_seeds(),
+            window in testutil::span(),
+        ) {
+            let f = CampaignFixture::with_records(records);
+            let campaign = f.campaign();
+            let paper = DiscoveryConfig::paper(campaign.collection_date);
+            for config in [paper, DiscoveryConfig { window }] {
+                prop_assert_eq!(
+                    discover(&campaign, &seeds, config),
+                    discover_by_name(&campaign, &seeds, config)
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,14 +7,15 @@
 //! an `analysis.failed` entry while every other section survives.
 //!
 //! The stages only read the dataset and the campaign, so they run on two
-//! lanes, each in stage order: the first six (the longitudinal
+//! lanes, each in stage order: the first nine (the longitudinal
 //! reconstruction with its year index, the four stages that read that
-//! index, and yearly) on the calling thread, the last seven on a named
-//! scoped thread. The second lane's failures are appended to the
-//! first's, so the report and its failures are the same whichever lane
-//! finishes first, and a yearly failure keeps its place between the
-//! providers' and the replication's. Failpoints are read on the calling
-//! thread before the lanes start.
+//! index, yearly, replication, diversity and delegation) on the calling
+//! thread, the last four (consistency, concentration, remedies and
+//! smells) on a named scoped thread. The lanes are a prefix and a suffix
+//! of the stage order, and the second lane's failures are appended to
+//! the first's, so the report and its failures are the same whichever
+//! lane finishes first. Failpoints are read on the calling thread before
+//! the lanes start.
 
 use std::cell::OnceCell;
 use std::fmt::Write as _;
@@ -506,7 +507,7 @@ impl Report {
     /// guard, so a panicking analysis degrades its section to `Default`
     /// and records an [`AnalysisFailure`] instead of tearing down the
     /// whole report. With a registry, each stage gets an
-    /// `analysis.<stage>` span. With `split`, the last seven stages run
+    /// `analysis.<stage>` span. With `split`, the last four stages run
     /// on a second lane; the report is the same either way.
     fn from_dataset_guarded(
         campaign: &Campaign<'_>,
@@ -517,7 +518,7 @@ impl Report {
         let armed = failpoint::armed();
         let g = Guard { registry, armed: &armed };
         let ds = &dataset;
-        // The last seven stages, in stage order, and their failures.
+        // The last four stages, in stage order, and their failures.
         let rest = || {
             let mut f = Vec::new();
             // Concentration and smells read one provider attribution of the
@@ -531,9 +532,6 @@ impl Report {
                 })
             };
             let sections = (
-                guarded(g, &mut f, "replication", || ActiveReplication::compute(ds)),
-                guarded(g, &mut f, "diversity", || DiversityTable::compute(ds, campaign)),
-                guarded(g, &mut f, "delegation", || DelegationAnalysis::compute(ds, campaign)),
                 guarded(g, &mut f, "consistency", || ConsistencyAnalysis::compute(ds, campaign)),
                 guarded(g, &mut f, "concentration", || {
                     ConcentrationAnalysis::from_attribution(providers())
@@ -543,18 +541,19 @@ impl Report {
             );
             (sections, f)
         };
-        let (mut lon, yearly, (sections, mut rest_failures)) = std::thread::scope(|scope| {
-            // The first six stages (the longitudinal chain and yearly)
-            // take about as long as the last seven, so those get a lane
-            // of their own. With the year index and the matcher index,
-            // traced at 5% scale on a 2-vCPU VM (median of seven runs),
-            // the first six sum to about 0.18 s and the last seven to
-            // 0.16 s; yearly (0.07 s) on the second lane would tip the
-            // balance to 0.11 s against 0.23 s. The chain
-            // stays on the calling thread: run on the spawned one, the
-            // analysis cost 25% more CPU than sequentially instead of 9%,
-            // probably because the chain's allocations then went to a
-            // fresh malloc arena.
+        let (mut lon, first, (sections, mut rest_failures)) = std::thread::scope(|scope| {
+            // The calling thread runs the first nine stages, through
+            // delegation; `analysis-1` runs the last four. Summed per lane
+            // (release, 2-vCPU VM): at 5% scale, about 55 ms against
+            // 45 ms; at paper scale (`govdns audit --scale 1.0`, median
+            // of seven), 1.46 s against 1.47 s. Splitting after
+            // consistency instead read 60 against 40 ms and 1.65 against
+            // 1.26 s, and ran the `analysis` benchmark 6% slower (median
+            // of 12 alternating runs); after diversity or after yearly,
+            // 10–20% slower. The longitudinal chain stays on the calling
+            // thread: run on the spawned one, the analysis cost 25% more
+            // CPU than sequentially instead of 9%, probably because its
+            // allocations then went to a fresh malloc arena.
             let lane = split
                 .then(|| {
                     std::thread::Builder::new()
@@ -564,24 +563,21 @@ impl Report {
                 })
                 .flatten();
             let mut lon = longitudinal_sections(g, campaign, ds);
-            let yearly = guarded(g, &mut lon.failures, "yearly", || {
-                YearlyTotals::compute_raw(campaign, &ds.seeds)
-            });
+            let f = &mut lon.failures;
+            let first = (
+                guarded(g, f, "yearly", || YearlyTotals::compute_raw(campaign, &ds.seeds)),
+                guarded(g, f, "replication", || ActiveReplication::compute(ds)),
+                guarded(g, f, "diversity", || DiversityTable::compute(ds, campaign)),
+                guarded(g, f, "delegation", || DelegationAnalysis::compute(ds, campaign)),
+            );
             let rest = match lane {
                 Some(lane) => lane.join().unwrap_or_else(|p| std::panic::resume_unwind(p)),
                 None => rest(),
             };
-            (lon, yearly, rest)
+            (lon, first, rest)
         });
-        let (
-            active_replication,
-            diversity,
-            delegation,
-            consistency,
-            concentration,
-            remedies,
-            smells,
-        ) = sections;
+        let (yearly, active_replication, diversity, delegation) = first;
+        let (consistency, concentration, remedies, smells) = sections;
         lon.failures.append(&mut rest_failures);
         let mut report = Report {
             funnel: dataset.funnel(),
@@ -980,11 +976,21 @@ mod tests {
         let campaign = Campaign::new(&world, &matchers);
         let dataset = crate::run_campaign(&campaign, RunnerConfig::default());
         let report = |split| Report::from_dataset_guarded(&campaign, dataset.clone(), None, split);
-        // One stage of each lane, the longitudinal chain's head and its
-        // last dependant, and yearly, whose failure sits between the lanes'.
-        for armed in
-            [None, Some("longitudinal"), Some("providers"), Some("yearly"), Some("diversity")]
-        {
+        // The longitudinal chain's head and its last dependant, yearly,
+        // diversity, the stages on each side of the split (delegation,
+        // consistency), and concentration and smells, which share one
+        // attribution.
+        for armed in [
+            None,
+            Some("longitudinal"),
+            Some("providers"),
+            Some("yearly"),
+            Some("diversity"),
+            Some("delegation"),
+            Some("consistency"),
+            Some("concentration"),
+            Some("smells"),
+        ] {
             if let Some(stage) = armed {
                 failpoint::arm(stage);
             }

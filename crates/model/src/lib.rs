@@ -27,6 +27,8 @@
 //!   fingerprints and generated-artifact pins.
 //! * [`FxHashMap`] — the fast, unkeyed hasher of the in-memory maps on
 //!   the query path (zone owners, server origins, the resolver cache).
+//! * [`NameTable`] — dense in-memory [`NameId`]s for names, so the
+//!   analyses group records by integer, not by label strings.
 //! * [`frame`] — the one checksummed record framing, with its torn-tail
 //!   discipline: the journal's `J1` and the trace file's `T1` records.
 //! * [`SimDate`] — a chrono-free civil date used for the 2011–2020
@@ -66,6 +68,7 @@ mod fxhash;
 pub mod json;
 mod message;
 mod name;
+mod nametable;
 mod record;
 mod rrset;
 mod soa;
@@ -79,6 +82,7 @@ pub use fnv::fnv64;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use message::{Message, MessageKind, Question, Rcode};
 pub use name::{DomainName, Label, MAX_LABELS, MAX_NAME_LEN};
+pub use nametable::{NameId, NameTable};
 pub use record::{RecordData, RecordType, ResourceRecord, Ttl};
 pub use rrset::RrSet;
 pub use soa::Soa;

@@ -1,7 +1,8 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
-use govdns_model::{DateRange, DomainName, RecordData, RecordType, SimDate};
+use govdns_model::{DateRange, DomainName, NameId, NameTable, RecordData, RecordType, SimDate};
 
 use crate::{PdnsEntry, PdnsRef};
 
@@ -11,6 +12,14 @@ use crate::{PdnsEntry, PdnsRef};
 ///
 /// Names are indexed by reversed label order so a left-hand wildcard
 /// search (`*.gov.xx`) is a contiguous range scan.
+///
+/// Every owner name and every NS target also gets a dense [`NameId`]
+/// when it is first observed, and each [`PdnsRef`] carries both, so a
+/// consumer can group records by integer. Owners and targets are
+/// numbered apart: an owner's id is its slot's creation order (the slot
+/// map already tells a new owner, so no hashing), and a target's id
+/// comes from the database's one [`NameTable`]. The ids live in memory
+/// only: exports render names.
 ///
 /// ```
 /// use govdns_pdns::PdnsDb;
@@ -29,12 +38,16 @@ use crate::{PdnsEntry, PdnsRef};
 pub struct PdnsDb {
     /// reversed-name key → entries at that owner name.
     names: BTreeMap<String, NameEntries>,
+    /// Ids of the NS targets.
+    ns_targets: NameTable,
     total_entries: usize,
 }
 
 #[derive(Debug, Clone)]
 struct NameEntries {
     name: DomainName,
+    /// The owner's id: the number of owners observed before it.
+    id: NameId,
     /// Keyed by `(rtype code, rdata presentation)` for a stable order.
     records: BTreeMap<(u16, String), Stamp>,
 }
@@ -42,6 +55,8 @@ struct NameEntries {
 #[derive(Debug, Clone)]
 struct Stamp {
     rdata: RecordData,
+    /// The NS target's id, for NS rdata.
+    ns_target: Option<NameId>,
     first_seen: SimDate,
     last_seen: SimDate,
     count: u64,
@@ -100,10 +115,12 @@ impl PdnsDb {
     ) {
         let mut observations = observations.into_iter();
         let Some(first) = observations.next() else { return };
-        let slot = self
-            .names
-            .entry(rev_key(name))
-            .or_insert_with(|| NameEntries { name: name.clone(), records: BTreeMap::new() });
+        let id = NameId::new(u32::try_from(self.names.len()).expect("fewer than 2^32 owners"));
+        let slot = self.names.entry(rev_key(name)).or_insert_with(|| NameEntries {
+            name: name.clone(),
+            id,
+            records: BTreeMap::new(),
+        });
         for (rdata, span, count) in std::iter::once(first).chain(observations) {
             match slot.records.entry((rdata.rtype().code(), rdata.to_string())) {
                 Entry::Occupied(mut stamp) => {
@@ -114,6 +131,7 @@ impl PdnsDb {
                 }
                 Entry::Vacant(vacant) => {
                     vacant.insert(Stamp {
+                        ns_target: rdata.as_ns().map(|host| self.ns_targets.intern(host)),
                         rdata,
                         first_seen: span.start,
                         last_seen: span.end,
@@ -140,6 +158,18 @@ impl PdnsDb {
         self.total_entries == 0
     }
 
+    /// Number of distinct owner names, which bounds every
+    /// [`PdnsRef::name_id`].
+    pub fn owner_count(&self) -> usize {
+        self.names.len()
+    }
+
+    /// The ids of the NS targets observed so far: each
+    /// [`PdnsRef::ns_target`] is one of them.
+    pub fn ns_targets(&self) -> &NameTable {
+        &self.ns_targets
+    }
+
     /// All entries at exactly `name`, optionally restricted to one type.
     pub fn lookup(
         &self,
@@ -164,10 +194,16 @@ impl PdnsDb {
         let prefix = rev_key(suffix);
         // Keys under the suffix are `prefix` itself plus `prefix.<more>`.
         // `/` is the successor of `.` in ASCII, which bounds the scan.
-        let upper = format!("{prefix}/");
+        // The root's key is empty and every key lies beneath it.
+        let upper = match prefix.is_empty() {
+            true => Bound::Unbounded,
+            false => Bound::Excluded(format!("{prefix}/")),
+        };
         self.names
-            .range(prefix.clone()..upper)
-            .filter(move |(k, _)| **k == prefix || k[prefix.len()..].starts_with('.'))
+            .range((Bound::Included(prefix.clone()), upper))
+            .filter(move |(k, _)| {
+                prefix.is_empty() || **k == prefix || k[prefix.len()..].starts_with('.')
+            })
             .flat_map(|(_, slot)| slot.refs())
     }
 
@@ -206,7 +242,9 @@ impl NameEntries {
     fn refs(&self) -> impl Iterator<Item = PdnsRef<'_>> {
         self.records.values().map(|s| PdnsRef {
             name: &self.name,
+            name_id: self.id,
             rdata: &s.rdata,
+            ns_target: s.ns_target,
             first_seen: s.first_seen,
             last_seen: s.last_seen,
             count: s.count,
@@ -299,6 +337,40 @@ mod tests {
         db.observe(n("b.gov.yy"), ns("ns1.gov.yy"), d(2015, 1, 1));
         assert_eq!(db.iter().count(), 2);
         assert!(!db.is_empty());
+    }
+
+    #[test]
+    fn the_root_subtree_is_the_whole_db() {
+        let mut db = PdnsDb::new();
+        db.observe(n("a.gov.zz"), ns("ns1.gov.zz"), d(2015, 1, 1));
+        db.observe(n("zz"), ns("ns1.gov.zz"), d(2015, 1, 1));
+        db.observe(n("b.gov.yy"), ns("ns1.gov.yy"), d(2015, 1, 1));
+        db.observe(n("b.gov.yy"), RecordData::A("192.0.2.1".parse().unwrap()), d(2015, 1, 1));
+        assert_eq!(db.search_subtree(&DomainName::root()).count(), db.len());
+        assert_eq!(db.search_subtree(&n("zz")).count(), 2);
+    }
+
+    #[test]
+    fn refs_carry_the_ids_of_owner_and_target() {
+        let mut db = PdnsDb::new();
+        db.observe(n("a.gov.zz"), ns("ns1.gov.zz"), d(2015, 1, 1));
+        db.observe(n("b.gov.zz"), ns("ns1.gov.zz"), d(2015, 1, 1));
+        db.observe(n("a.gov.zz"), ns("ns2.gov.zz"), d(2015, 1, 1));
+        db.observe(n("ns1.gov.zz"), RecordData::A("192.0.2.1".parse().unwrap()), d(2015, 1, 1));
+        // Owners are numbered by first observation, apart from targets:
+        // ns1.gov.zz is both and has an id in each numbering.
+        let owners = ["a.gov.zz", "b.gov.zz", "ns1.gov.zz"];
+        assert_eq!(db.owner_count(), owners.len());
+        assert_eq!(db.ns_targets().len(), 2);
+        for r in db.scan_subtree(&n("gov.zz")) {
+            assert_eq!(*r.name, n(owners[r.name_id.index()]));
+            match r.rdata.as_ns() {
+                Some(host) => {
+                    assert_eq!(r.ns_target.map(|id| db.ns_targets().name(id)), Some(host))
+                }
+                None => assert_eq!(r.ns_target, None),
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use govdns_model::{DateRange, DomainName, RecordData, RecordType, SimDate};
+use govdns_model::{DateRange, DomainName, NameId, RecordData, RecordType, SimDate};
 
 /// One coalesced passive-DNS entry: a unique `(rrname, rrtype, rdata)`
 /// tuple with the span over which sensors observed it.
@@ -49,8 +49,15 @@ impl PdnsEntry {
 pub struct PdnsRef<'a> {
     /// The record's owner name.
     pub name: &'a DomainName,
+    /// The owner name's id, below
+    /// [`PdnsDb::owner_count`](crate::PdnsDb::owner_count).
+    pub name_id: NameId,
     /// The observed rdata.
     pub rdata: &'a RecordData,
+    /// The NS target's id in
+    /// [`PdnsDb::ns_targets`](crate::PdnsDb::ns_targets), for NS rdata;
+    /// `None` for every other type.
+    pub ns_target: Option<NameId>,
     /// First date any sensor reported the tuple.
     pub first_seen: SimDate,
     /// Most recent date any sensor reported the tuple.
@@ -68,6 +75,12 @@ impl PdnsRef<'_> {
     /// Whether the entry was observed at any point within `window`.
     pub fn active_in(&self, window: &DateRange) -> bool {
         DateRange::new(self.first_seen, self.last_seen).overlaps(window)
+    }
+
+    /// Days between first and last observation, as
+    /// [`PdnsEntry::span_days`].
+    pub fn span_days(&self) -> i64 {
+        self.last_seen - self.first_seen
     }
 
     /// Clones the view into an owned entry.

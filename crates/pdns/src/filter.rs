@@ -14,13 +14,18 @@
 
 use govdns_model::{SimDate, DAYS_PER_WEEK};
 
-use crate::PdnsEntry;
+use crate::{PdnsEntry, PdnsRef};
 
 /// The paper's stability threshold: 7 days.
 pub const STABILITY_THRESHOLD_DAYS: i64 = DAYS_PER_WEEK;
 
 /// Whether an entry passes the 7-day stability rule.
 pub fn is_stable(entry: &PdnsEntry) -> bool {
+    entry.span_days() >= STABILITY_THRESHOLD_DAYS
+}
+
+/// [`is_stable`] on a borrowed view, before the entry is materialised.
+pub fn is_stable_ref(entry: &PdnsRef<'_>) -> bool {
     entry.span_days() >= STABILITY_THRESHOLD_DAYS
 }
 
@@ -52,15 +57,20 @@ pub fn clamp_to_government_use<I>(
 where
     I: IntoIterator<Item = PdnsEntry>,
 {
-    entries.into_iter().filter_map(move |mut e| {
-        if e.last_seen < government_start {
-            return None;
-        }
-        if e.first_seen < government_start {
-            e.first_seen = government_start;
-        }
-        Some(e)
-    })
+    entries.into_iter().filter_map(move |e| clamped_to_government_use(e, government_start))
+}
+
+/// [`clamp_to_government_use`] for one entry: `None` if it ended before
+/// `government_start`, else the entry with `first_seen` advanced to it.
+pub fn clamped_to_government_use(
+    mut entry: PdnsEntry,
+    government_start: SimDate,
+) -> Option<PdnsEntry> {
+    if entry.last_seen < government_start {
+        return None;
+    }
+    entry.first_seen = entry.first_seen.max(government_start);
+    Some(entry)
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@
 use std::fmt::Write as _;
 
 use govdns_model::json::{self, escape_into, Json};
+use govdns_model::DomainName;
 use govdns_trace::Step;
 
 pub use govdns_core::analysis::smells::{
@@ -188,7 +189,7 @@ impl SmellReport {
     /// The per-domain drill-down: every verdict on `domain` with its
     /// full evidence chain, or `None` when the domain is clean (or was
     /// never probed).
-    pub fn explain(&self, domain: &str) -> Option<String> {
+    pub fn explain(&self, domain: &DomainName) -> Option<String> {
         let verdicts = self.analysis.for_domain(domain);
         if verdicts.is_empty() {
             return None;
@@ -237,7 +238,6 @@ fn u32_field(obj: &Json, key: &str, what: &str) -> Result<u32, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use govdns_model::DomainName;
     use govdns_world::CountryCode;
 
     fn n(s: &str) -> DomainName {
@@ -319,10 +319,12 @@ mod tests {
     #[test]
     fn explain_carries_evidence_lines() {
         let report = sample();
-        let text = report.explain("a.gov.zz").expect("has verdicts");
+        let text = report.explain(&n("a.gov.zz")).expect("has verdicts");
         assert!(text.contains("[lame_delegation] severity 65"));
         assert!(text.contains("#007 [direct_probe]"));
-        assert!(report.explain("clean.gov.zz").is_none());
+        // The name is matched, not the typed text.
+        assert_eq!(report.explain(&n("A.Gov.ZZ.")), Some(text));
+        assert!(report.explain(&n("clean.gov.zz")).is_none());
     }
 
     #[test]

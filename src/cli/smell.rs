@@ -40,7 +40,7 @@ pub(crate) fn run(mut args: Args) -> Result<Outcome, Error> {
 #[derive(Default)]
 struct View {
     smell: Option<SmellKind>,
-    explain: Option<String>,
+    explain: Option<DomainName>,
     json: bool,
 }
 

@@ -32,7 +32,7 @@ struct Options {
     scale: f64,
     sample_ppm: u32,
     out: Option<PathBuf>,
-    explain: Option<String>,
+    explain: Option<DomainName>,
     prom: Option<PathBuf>,
     inspect: Option<PathBuf>,
     domain: Option<String>,
@@ -190,12 +190,13 @@ fn summarize(opts: &Options, out: &Path) -> Result<Outcome, Error> {
 
     let mut outcome = Outcome::Clean;
     if let Some(name) = &opts.explain {
-        let block = log.domain(name);
+        // Trace blocks are keyed by the canonical rendering.
+        let block = log.domain(&name.to_string());
         let probe = report
             .dataset
             .discovered
             .iter()
-            .position(|d| d.name.to_string() == *name)
+            .position(|d| d.name == *name)
             .and_then(|i| report.dataset.probes.get(i));
         match (block, probe) {
             (Some(block), Some(probe)) => explain(block, probe, &campaign),

@@ -101,6 +101,10 @@ fn usage_errors_exit_2() {
             &["smell", "run", "--scale", "0"],
             &["smell", "inspect"],
             &["smell", "inspect", SMELLS, "--bogus"],
+            // A malformed name is a usage error, not a finding.
+            &["smell", "inspect", SMELLS, "--explain", "bad..name"],
+            &["smell", "run", "--explain", "bad..name"],
+            &["trace", "--explain", "bad..name"],
             &["counterfactual"],
             &["counterfactual", "rank", "--partial", "3/2"],
             &["counterfactual", "rank", "--scale", "0"],
@@ -200,7 +204,17 @@ fn clean_runs_exit_0() {
     bytes.extend_from_slice(b"T1 0123");
     std::fs::write(&trace, bytes).expect("temp dir is writable");
     let inspect = ["trace", "--inspect", path, "--domain", "no.such.domain"];
-    expect_exit(0, &[&["smell", "inspect", SMELLS, "--json"], &inspect]);
+    // `--explain` matches the name, whatever case or trailing dot it
+    // was typed with.
+    expect_exit(
+        0,
+        &[
+            &["smell", "inspect", SMELLS, "--json"],
+            &inspect,
+            &["smell", "inspect", SMELLS, "--explain", "AGRI3.GOV.AT."],
+            &["trace", "--scale", "0.002", "--explain", "AGRI3.Gov.AT"],
+        ],
+    );
     let _ = std::fs::remove_file(&trace);
 }
 
